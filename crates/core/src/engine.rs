@@ -1,12 +1,17 @@
-//! `GenEngine`: a thread-safe, cached, parallel generation session.
+//! `GenEngine`: a thread-safe, cached, parallel generation session —
+//! the cached path into the one pipeline body.
 //!
 //! The paper's generator treats CrySL rules as stable artefacts, yet the
-//! original pipeline recompiled every rule's ORDER pattern (NFA → DFA →
-//! minimization → path enumeration) on every run. The engine holds the
-//! compiled artefacts in a [`statemachine::OrderCache`] keyed by a
-//! content hash of each rule's EVENTS + ORDER sections, so repeat
-//! generations reuse them, and fans batches of templates out over scoped
-//! worker threads with deterministic, input-ordered results.
+//! reference path ([`crate::Generator::generate_uncached`]) recompiles
+//! every rule's ORDER pattern (NFA → DFA → minimization → path
+//! enumeration) on every run. The engine owns the compiled artefacts in
+//! a [`statemachine::OrderCache`] keyed by a content hash of each
+//! rule's EVENTS + ORDER sections, so repeat generations reuse them,
+//! and fans batches of templates out over scoped worker threads with
+//! deterministic, input-ordered results. A cache is shared only where a
+//! caller hands one engine's `Arc` to the next
+//! ([`EngineBuilder::order_cache`], [`GenEngine::with_rule_set`]);
+//! there is no process-wide cache.
 //!
 //! Three entry points, from low to high level:
 //!
@@ -18,15 +23,10 @@
 //! * [`GenEngine::generate_batch`] — N templates, M worker threads,
 //!   output `i` always corresponding to input `i` regardless of thread
 //!   count or scheduling.
-//!
-//! The legacy free function [`crate::generate`] is re-expressed on top
-//! of the same machinery via a process-wide shared cache
-//! ([`shared_order_cache`]), so single-shot callers get the compiled
-//! artefacts for free.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crysl::RuleSet;
 use javamodel::TypeTable;
@@ -36,19 +36,6 @@ use crate::error::GenError;
 use crate::generator::{Generated, Generator, GeneratorOptions};
 use crate::telemetry::{Event, GenObserver, MetricsCollector, MetricsRegistry, NoopObserver, Tee};
 use crate::template::Template;
-
-/// The process-wide compiled-ORDER cache backing the legacy
-/// [`crate::generate`] path. Keyed purely by content hash, so rule sets
-/// from different callers can never observe each other's artefacts
-/// except when the compilation inputs are byte-identical — in which
-/// case the artefacts are too. Returned as an `Arc` so a long-lived
-/// engine (the serve daemon) can adopt the same cache via
-/// [`EngineBuilder::order_cache`] and share warm artefacts with
-/// single-shot callers in the same process.
-pub fn shared_order_cache() -> &'static Arc<OrderCache> {
-    static CACHE: OnceLock<Arc<OrderCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Arc::new(OrderCache::new()))
-}
 
 /// How an engine warm-up was served, reported by
 /// [`GenEngine::warm_traced`]: rules whose ORDER artefact was already
@@ -128,12 +115,15 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Fans `items` out over at most `threads` scoped workers, running
-/// `f(index, item)` once per item and returning the results in input
-/// order.
+/// `f(worker, index, item)` once per item and returning the results in
+/// input order. `worker` is the ordinal (`0..threads`) of the worker
+/// that ran the job — whatever the OS scheduler produced, so callers
+/// must treat it as observational (utilisation telemetry), never as
+/// data the results depend on.
 ///
 /// Guarantees, independent of thread count and OS scheduling:
 ///
-/// * result `i` is always `f(i, &items[i])` — deterministic ordering;
+/// * result `i` is always `f(_, i, &items[i])` — deterministic ordering;
 /// * a panicking job is reported as `Err(WorkerPanic)` in its own slot;
 ///   the worker survives and continues draining the queue, so sibling
 ///   results are never lost and the call always returns.
@@ -143,19 +133,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the jobs are CPU-bound and oversubscribed workers only add scheduling
 /// overhead.
 pub fn scatter<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, WorkerPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    scatter_on_workers(items, threads, |_worker, i, item| f(i, item))
-}
-
-/// [`scatter`] whose job function also receives the ordinal of the
-/// worker running it (`0..threads`). The worker assignment is whatever
-/// the OS scheduler produced — callers must treat it as observational
-/// (utilisation telemetry), never as data the results depend on.
-pub fn scatter_on_workers<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, WorkerPanic>>
 where
     T: Sync,
     R: Send,
@@ -489,7 +466,7 @@ impl GenEngine {
     ///
     /// # Errors
     ///
-    /// See [`Generator::generate`].
+    /// See [`Generator::generate_uncached`].
     pub fn generate(&self, template: &Template) -> Result<Generated, GenError> {
         let collector = MetricsCollector::new(self.metrics.clone());
         self.generate_into(template, &collector)
@@ -505,7 +482,7 @@ impl GenEngine {
         sink: &MetricsCollector,
     ) -> Result<Generated, GenError> {
         let observer = Tee(self.observer.as_ref(), sink);
-        Generator::with_options(self.options).generate_with_cache_observed(
+        Generator::with_options(self.options).run(
             template,
             &self.rules,
             &self.table,
@@ -533,13 +510,18 @@ impl GenEngine {
     /// [`Event::BatchJob`] per completed job, also in input order. All
     /// pipeline metrics are therefore identical across thread counts and
     /// schedules; only the `engine.batch.worker.*` utilisation counters
-    /// reflect actual scheduling.
+    /// reflect actual scheduling. The per-job sinks are load-bearing:
+    /// an event's metric write allocates inside the phase that emits
+    /// it, so writing straight into the shared registry would charge a
+    /// phase with whatever key insertions its siblings happened to make
+    /// first, and per-phase allocation figures would vary with the
+    /// schedule.
     pub fn generate_batch(
         &self,
         templates: &[Template],
         threads: usize,
     ) -> Vec<Result<Generated, EngineError>> {
-        let slots = scatter_on_workers(templates, threads, |worker, _, t| {
+        let slots = scatter(templates, threads, |worker, _, t| {
             let sink = MetricsCollector::fresh();
             let outcome = self.generate_into(t, &sink);
             (worker, sink, outcome)
@@ -700,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_order_cache_prunes_to_the_new_rule_sets_fingerprints() {
+    fn order_cache_prunes_to_the_new_rule_sets_fingerprints() {
         let engine = GenEngine::builder()
             .rules(digest_rule_set())
             .type_table(jca_type_table())
@@ -737,7 +719,7 @@ mod tests {
     #[test]
     fn scatter_contains_panics_to_their_slot() {
         let items: Vec<usize> = (0..10).collect();
-        let results = scatter(&items, 4, |_, &v| {
+        let results = scatter(&items, 4, |_, _, &v| {
             assert!(v != 5, "poisoned item");
             v * 2
         });
@@ -755,9 +737,9 @@ mod tests {
     #[test]
     fn scatter_handles_empty_and_oversized_thread_counts() {
         let empty: Vec<u8> = Vec::new();
-        assert!(scatter(&empty, 8, |_, _| ()).is_empty());
+        assert!(scatter(&empty, 8, |_, _, _| ()).is_empty());
         let one = [7u8];
-        let r = scatter(&one, 64, |_, &v| v + 1);
+        let r = scatter(&one, 64, |_, _, &v| v + 1);
         assert_eq!(r[0].as_ref().copied().unwrap(), 8);
     }
 }

@@ -1,6 +1,14 @@
 //! The generator façade: runs the five pipeline steps over a template and
 //! type-checks the result.
 //!
+//! The pipeline body exists once, in a private function with two
+//! public ways in: [`Generator::generate_uncached`] (free [`generate`]
+//! is its default-options shorthand) is the stateless reference path,
+//! and [`crate::GenEngine`] is the cached path, passing its own
+//! compiled-ORDER cache and observer. Nothing here holds process-wide
+//! state, so two calls can only share compiled artefacts by sharing an
+//! engine.
+//!
 //! The pipeline is *phase-major*: each of the five phases (collect →
 //! link → select → resolve → assemble) runs to completion over every
 //! call chain of the template before the next phase starts. Besides
@@ -19,7 +27,6 @@ use statemachine::OrderCache;
 
 use crate::assemble::{assemble, template_usage};
 use crate::collect::{collect, CollectedRule};
-use crate::engine::shared_order_cache;
 use crate::error::GenError;
 use crate::link::{link, Link};
 use crate::pathsel::{select_path_traced, SelectedPath, SelectionOptions};
@@ -52,8 +59,9 @@ pub struct Generated {
     pub hoisted: Vec<(String, Vec<String>)>,
 }
 
-/// A configured generator. [`generate`] is the convenience entry point
-/// with default options.
+/// A configured, stateless generator: the reference path. [`generate`]
+/// is its default-options shorthand; [`crate::GenEngine`] is the cached
+/// path over the same pipeline body.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Generator {
     options: GeneratorOptions,
@@ -71,87 +79,33 @@ impl Generator {
     }
 
     /// Runs the pipeline on `template` against `rules` and `table`,
-    /// reusing compiled ORDER artefacts from the process-wide shared
-    /// cache ([`shared_order_cache`]) so repeat single-shot calls skip
-    /// recompilation. Differential tests proved the cached path
-    /// byte-identical to the cold path; use [`Generator::generate_uncached`]
-    /// to force the cold path explicitly.
+    /// compiling every rule's ORDER pattern from scratch: no cache, no
+    /// observer, no state shared with any other call. This is the
+    /// reference path the differential suite compares
+    /// [`crate::GenEngine`] against; repeated or concurrent generation
+    /// belongs on an engine, whose compiled-ORDER cache it owns.
     ///
     /// # Errors
     ///
     /// Any [`GenError`] from the pipeline steps; see the variants for the
     /// failure modes. The returned code is guaranteed to pass the Java
     /// type checker unless `skip_type_check` was set.
-    pub fn generate(
-        &self,
-        template: &Template,
-        rules: &crysl::RuleSet,
-        table: &TypeTable,
-    ) -> Result<Generated, GenError> {
-        self.generate_with_cache(template, rules, table, Some(shared_order_cache()))
-    }
-
-    /// [`Generator::generate`] without any compiled-artefact reuse: every
-    /// rule's ORDER pattern is recompiled from scratch. This is the
-    /// legacy cold path, kept as the reference implementation the
-    /// differential suite compares the cache against.
-    ///
-    /// # Errors
-    ///
-    /// See [`Generator::generate`].
     pub fn generate_uncached(
         &self,
         template: &Template,
         rules: &crysl::RuleSet,
         table: &TypeTable,
     ) -> Result<Generated, GenError> {
-        self.generate_with_cache(template, rules, table, None)
+        self.run(template, rules, table, None, telemetry::noop())
     }
 
-    /// [`Generator::generate`] with telemetry: the observer receives one
-    /// span enter/exit pair per pipeline phase for this template (unit
-    /// label = the template class name) plus the fine-grained events
-    /// reported inside each phase. Passing [`telemetry::NoopObserver`]
-    /// is exactly [`Generator::generate`] — the differential suite
-    /// proves the output byte-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// See [`Generator::generate`].
-    pub fn generate_observed(
-        &self,
-        template: &Template,
-        rules: &crysl::RuleSet,
-        table: &TypeTable,
-        observer: &dyn GenObserver,
-    ) -> Result<Generated, GenError> {
-        self.generate_with_cache_observed(
-            template,
-            rules,
-            table,
-            Some(shared_order_cache()),
-            observer,
-        )
-    }
-
-    /// The pipeline with an explicit compiled-ORDER cache choice; the
-    /// engine passes its own session cache here.
-    pub(crate) fn generate_with_cache(
-        &self,
-        template: &Template,
-        rules: &crysl::RuleSet,
-        table: &TypeTable,
-        cache: Option<&OrderCache>,
-    ) -> Result<Generated, GenError> {
-        self.generate_with_cache_observed(template, rules, table, cache, telemetry::noop())
-    }
-
-    /// The full pipeline: explicit cache choice *and* observer. Each
-    /// phase runs over every call chain before the next phase starts, so
-    /// the observer sees exactly one span pair per phase. A failing
-    /// phase still closes its span (the error propagates; later phases
-    /// never open).
-    pub(crate) fn generate_with_cache_observed(
+    /// The pipeline body, shared by both entry points: an optional
+    /// compiled-ORDER cache (the engine passes its own) and an observer.
+    /// Each phase runs over every call chain before the next phase
+    /// starts, so the observer sees exactly one span pair per phase. A
+    /// failing phase still closes its span (the error propagates; later
+    /// phases never open).
+    pub(crate) fn run(
         &self,
         template: &Template,
         rules: &crysl::RuleSet,
@@ -347,17 +301,18 @@ impl Generator {
     }
 }
 
-/// Generates code for `template` with default options.
+/// Generates code for `template` with default options: shorthand for
+/// `Generator::new().generate_uncached(…)`.
 ///
 /// # Errors
 ///
-/// See [`Generator::generate`].
+/// See [`Generator::generate_uncached`].
 pub fn generate(
     template: &Template,
     rules: &crysl::RuleSet,
     table: &TypeTable,
 ) -> Result<Generated, GenError> {
-    Generator::new().generate(template, rules, table)
+    Generator::new().generate_uncached(template, rules, table)
 }
 
 #[cfg(test)]

@@ -16,12 +16,14 @@
 //! 5. [`assemble`] — emit the Java code plus the showcase
 //!    `templateUsage()` method.
 //!
-//! The entry point is [`generate`] (or [`Generator`] for configured
-//! runs). For repeated or concurrent generation, [`engine::GenEngine`]
-//! shares the parsed rules, the type table and a compiled-ORDER cache
-//! across calls and fans batches out over worker threads; `generate`
-//! itself reuses the same compiled artefacts through a process-wide
-//! shared cache.
+//! Generation has two entry points over one pipeline body.
+//! [`engine::GenEngine`] is the cached path: it owns the parsed rules,
+//! the type table and a compiled-ORDER cache across calls and fans
+//! batches out over worker threads. [`Generator::generate_uncached`] is
+//! the stateless reference path, compiling every ORDER afresh;
+//! [`generate`] is its default-options shorthand. No cache is shared
+//! behind the caller's back: two calls reuse compiled artefacts only
+//! through the same engine (or engines handed the same cache).
 //!
 //! # Example
 //!

@@ -811,77 +811,6 @@ impl GenObserver for MetricsCollector {
 }
 
 // ---------------------------------------------------------------------
-// LoadObserver
-// ---------------------------------------------------------------------
-
-/// The observer the load harness attaches to a library-target engine:
-/// per-phase wall-time [`Histogram`]s (p50/p95/p99 with bounded error,
-/// O(1) per span) plus the deterministic span counters of a
-/// [`MetricsRegistry`].
-///
-/// This is deliberately the opposite trade-off from
-/// [`MetricsCollector`], which excludes durations to stay
-/// deterministic: a load harness exists to measure wall time, so the
-/// histograms here are wall-clock by design and belong in the
-/// non-deterministic section of a load report. The registry half
-/// (`load.phase.<phase>.spans` counters) stays a pure function of the
-/// workload and is what replay-determinism gates compare.
-///
-/// [`Histogram`]: devharness::histogram::Histogram
-#[derive(Debug)]
-pub struct LoadObserver {
-    registry: Arc<MetricsRegistry>,
-    phases: Mutex<BTreeMap<&'static str, devharness::histogram::Histogram>>,
-}
-
-impl Default for LoadObserver {
-    fn default() -> Self {
-        LoadObserver::new()
-    }
-}
-
-impl LoadObserver {
-    /// A fresh observer with an empty registry and empty histograms.
-    pub fn new() -> Self {
-        LoadObserver {
-            registry: Arc::new(MetricsRegistry::new()),
-            phases: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The deterministic half: `load.phase.<phase>.spans` counters.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// A snapshot of the per-phase wall-time histograms, sorted by
-    /// phase name.
-    pub fn phase_histograms(&self) -> Vec<(String, devharness::histogram::Histogram)> {
-        let map = match self.phases.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        map.iter()
-            .map(|(name, h)| ((*name).to_owned(), h.clone()))
-            .collect()
-    }
-}
-
-impl GenObserver for LoadObserver {
-    fn span_exit(&self, span: &Span<'_>, elapsed: Duration, _alloc: AllocDelta) {
-        let phase = span.phase.name();
-        self.registry.add(&format!("load.phase.{phase}.spans"), 1);
-        let mut map = match self.phases.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        map.entry(phase)
-            .or_default()
-            .record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-}
-
-// ---------------------------------------------------------------------
 // TraceRecorder
 // ---------------------------------------------------------------------
 

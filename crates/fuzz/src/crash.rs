@@ -10,8 +10,12 @@
 //! instead of printing to stderr — fuzz logs stay byte-deterministic.
 //! Outside guarded runs the hook delegates to the previously installed
 //! hook, so ordinary test failures keep their backtraces.
+//!
+//! The process-global slot cannot tell whose worker panicked, so
+//! top-level guarded runs are serialized: concurrent callers on
+//! different threads take turns, and each sees only its own crash.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe, PanicHookInfo};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
@@ -31,9 +35,14 @@ static INSTALL: Once = Once::new();
 static PREV_HOOK: OnceLock<Hook> = OnceLock::new();
 static GUARDED: AtomicUsize = AtomicUsize::new(0);
 static CROSS_THREAD: Mutex<Option<Crash>> = Mutex::new(None);
+/// Held for the whole of every top-level guarded run.
+static RUN: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static LAST: RefCell<Option<Crash>> = const { RefCell::new(None) };
+    /// Guarded runs active on this thread; only the outermost one
+    /// takes [`RUN`], so nested runs cannot deadlock on it.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 fn record(info: &PanicHookInfo<'_>) {
@@ -102,14 +111,19 @@ fn install() {
 
 /// Runs `f`, capturing any panic — including panics on engine worker
 /// threads that `scatter` contains before they can unwind into us — as a
-/// fingerprinted [`Crash`]. Nested guarded runs are allowed.
+/// fingerprinted [`Crash`]. Nested guarded runs on the same thread are
+/// allowed; top-level runs on different threads are serialized, so a
+/// worker thread `f` waits on must not start a guarded run of its own.
 pub fn run_guarded<R>(f: impl FnOnce() -> R) -> Result<R, Crash> {
     install();
+    let _turn = (DEPTH.get() == 0).then(|| RUN.lock().unwrap_or_else(|p| p.into_inner()));
+    DEPTH.set(DEPTH.get() + 1);
     GUARDED.fetch_add(1, Ordering::SeqCst);
     LAST.with(|l| *l.borrow_mut() = None);
     *CROSS_THREAD.lock().unwrap_or_else(|p| p.into_inner()) = None;
     let result = panic::catch_unwind(AssertUnwindSafe(f));
     GUARDED.fetch_sub(1, Ordering::SeqCst);
+    DEPTH.set(DEPTH.get() - 1);
     let own = LAST.with(|l| l.borrow_mut().take());
     let cross = CROSS_THREAD
         .lock()
@@ -168,6 +182,40 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err.message, "worker died");
+    }
+
+    #[test]
+    fn concurrent_guarded_runs_each_see_only_their_own_crash() {
+        let start = std::sync::Arc::new(std::sync::Barrier::new(8));
+        let callers: Vec<_> = (0..8)
+            .map(|n| {
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    for round in 0..20 {
+                        let crash = run_guarded(move || {
+                            // A worker panic, as `scatter` contains it.
+                            let _ = std::thread::spawn(move || panic!("{n}/{round}")).join();
+                        });
+                        assert_eq!(crash.unwrap_err().message, format!("{n}/{round}"));
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("every caller saw only its own crash");
+        }
+    }
+
+    #[test]
+    fn nested_guarded_runs_keep_their_own_crash() {
+        let outer = run_guarded(|| {
+            let inner = run_guarded(|| -> () { panic!("inner") }).unwrap_err();
+            assert_eq!(inner.message, "inner");
+            panic!("outer")
+        })
+        .unwrap_err();
+        assert_eq!(outer.message, "outer");
     }
 
     #[test]

@@ -241,6 +241,15 @@ pub fn catalog_pack(name: &str, version: Option<u32>) -> Option<&'static PackSpe
     }
 }
 
+/// The catalogued use-case ids a pack declares, when its `manifest`
+/// names a shipped catalog entry; `None` — the full catalogue — for
+/// packs outside the catalog (source dirs, foreign `.crpack`s). Every
+/// surface that generates "all use cases" over a chosen pack narrows
+/// its set through this one rule.
+pub fn declared_use_cases(manifest: &PackManifest) -> Option<&'static [u8]> {
+    catalog_pack(&manifest.name, Some(manifest.version)).map(|spec| spec.use_cases)
+}
+
 /// Where a rule pack comes from — the single argument of [`open`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PackSource {

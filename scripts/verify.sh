@@ -50,8 +50,20 @@ fi
 echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked
 
-echo "==> cargo test -q --offline --locked"
-cargo test -q --offline --locked
+# Generation has two entry points over one pipeline body and no
+# process-wide ORDER cache; the deleted routes must not come back.
+old_routes='\b(shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver)\b'
+if matches="$(grep -nE "$old_routes" $sources)"; then
+    echo "error: deleted generation route or process-wide cache:" >&2
+    echo "$matches" >&2
+    exit 1
+fi
+
+# The whole workspace, not just the root package: the member crates'
+# unit tests (the core engine, generator and telemetry among them)
+# gate here exactly as they do in CI.
+echo "==> cargo test -q --workspace --offline --locked"
+cargo test -q --workspace --offline --locked
 
 # The CLI's cached batch path must emit exactly what the single-shot
 # generate path emits for every use case — a divergence means the

@@ -308,7 +308,7 @@ impl Target for LibraryTarget {
                         GenEngine::builder()
                             .rules(rules)
                             .type_table(crate::javamodel::jca::jca_type_table())
-                            .order_cache(crate::core::engine::shared_order_cache().clone())
+                            .order_cache(self.engine.order_cache().clone())
                             .build()
                             .map_err(Error::from)
                     });

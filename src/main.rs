@@ -97,6 +97,7 @@ use cognicryptgen::report::{self, REPORT_FILE};
 use cognicryptgen::rules::{self, PackManifest, PackSource};
 use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
 use cognicryptgen::serve::{self, ServeConfig, Server};
+use cognicryptgen::statemachine::OrderCache;
 use cognicryptgen::usecases::{all_use_cases, UseCase};
 use cognicryptgen::{find_use_case, jca_engine, Error};
 use devharness::json::Json;
@@ -230,10 +231,10 @@ fn extract_flag(args: &mut Vec<String>, flag: &str, what: &str) -> Result<Option
 /// A per-invocation engine for runs the shared [`jca_engine`] cannot
 /// serve: a `--trace` observer attached, a `--rules` pack other than
 /// the embedded one, or both. A precompiled `.crpack` seeds the
-/// process-wide compiled-ORDER cache before the engine warms, so the
-/// boot performs no CrySL parsing and no ORDER compilation. The
-/// loaded pack's manifest rides along so callers can honour the
-/// catalogued use-case subset the pack declares.
+/// engine's own compiled-ORDER cache, so the boot performs no CrySL
+/// parsing and no ORDER compilation. The loaded pack's manifest rides
+/// along so callers can honour the catalogued use-case subset the pack
+/// declares.
 fn custom_engine(
     pack: Option<&str>,
     recorder: Option<Arc<TraceRecorder>>,
@@ -246,8 +247,7 @@ fn custom_engine(
         None => PackSource::Embedded,
     };
     let pack = rules::open(source)?;
-    let manifest = pack.manifest.clone();
-    let cache = cognicryptgen::core::engine::shared_order_cache().clone();
+    let cache = Arc::new(OrderCache::new());
     pack.seed(&cache);
     let mut builder = GenEngine::builder()
         .rules(pack.rules)
@@ -256,15 +256,7 @@ fn custom_engine(
     if let Some(recorder) = recorder {
         builder = builder.observer(recorder);
     }
-    Ok(Some((builder.build()?, manifest)))
-}
-
-/// The catalogued use-case ids a manifest's pack declares, when the
-/// manifest names a shipped catalog entry. Packs outside the catalog
-/// (source dirs, foreign `.crpack`s) declare nothing and get the full
-/// catalogue.
-fn declared_cases(manifest: &PackManifest) -> Option<&'static [u8]> {
-    rules::catalog_pack(&manifest.name, Some(manifest.version)).map(|spec| spec.use_cases)
+    Ok(Some((builder.build()?, pack.manifest)))
 }
 
 /// Validates and writes the recorded trace, reporting to stderr so
@@ -338,7 +330,7 @@ fn cmd_batch(
     let mut declared: Option<&'static [u8]> = None;
     let engine: &GenEngine = match custom_engine(pack, recorder.clone())? {
         Some((engine, manifest)) => {
-            declared = declared_cases(&manifest);
+            declared = rules::declared_use_cases(&manifest);
             custom = engine;
             &custom
         }
@@ -498,10 +490,11 @@ fn cmd_oldgen(selector: Option<&str>) -> Result<(), Error> {
     Ok(())
 }
 
-/// `report [dir]` — generate all eleven use cases on an instrumented
-/// engine, print the Table-1 per-phase timing table with the pipeline
-/// metrics, and write the machine-readable `REPORT_table1.json` into
-/// `dir` (default: current directory).
+/// `report [dir]` — generate every use case the pack declares (all of
+/// them for the embedded pack) on an instrumented engine, print the
+/// Table-1 per-phase timing table with the pipeline metrics, and write
+/// the machine-readable `REPORT_table1.json` into `dir` (default:
+/// current directory).
 fn cmd_report(outdir: Option<&str>, pack: Option<&str>, trace: Option<&str>) -> Result<(), Error> {
     let outdir = Path::new(outdir.unwrap_or("."));
     std::fs::create_dir_all(outdir).map_err(|e| Error::io(outdir.display().to_string(), e))?;
@@ -693,7 +686,9 @@ fn cmd_serve_check(args: &[String], pack: Option<&str>) -> Result<(), Error> {
     println!("serve-check: metrics ok ({} lines)", body.lines().count());
 
     let custom = custom_engine(pack, None)?;
-    let declared = custom.as_ref().and_then(|(_, m)| declared_cases(m));
+    let declared = custom
+        .as_ref()
+        .and_then(|(_, m)| rules::declared_use_cases(m));
     let selector = match case {
         Some(sel) => sel,
         None => declared

@@ -1,8 +1,8 @@
-//! The Table-1 reporter: runs all eleven shipped use cases through an
-//! instrumented engine and renders the paper's evaluation table —
-//! per-use-case, per-phase runtime *and memory* plus the pipeline
-//! metrics — as text and as a devharness-JSON document
-//! (`REPORT_table1.json`).
+//! The Table-1 reporter: runs every use case a rule pack declares (the
+//! whole catalogue for the embedded pack) through an instrumented
+//! engine and renders the paper's evaluation table — per-use-case,
+//! per-phase runtime *and memory* plus the pipeline metrics — as text
+//! and as a devharness-JSON document (`REPORT_table1.json`).
 //!
 //! Memory comes from two instruments. Per-phase `alloc_bytes` /
 //! `peak_live_bytes` are allocator-level figures the engine's
@@ -25,7 +25,7 @@ use cognicrypt_core::telemetry::{Fanout, GenObserver, Metric, Phase, PhaseTiming
 use cognicrypt_core::GenEngine;
 use devharness::bench::{peak_rss, PeakRss};
 use devharness::json::Json;
-use rules::PackSource;
+use rules::{PackManifest, PackSource, RulePack};
 use usecases::all_use_cases;
 
 use crate::Error;
@@ -69,8 +69,9 @@ pub struct BootStats {
     pub rules: usize,
     /// Whether the pack carried precompiled ORDER artefacts.
     pub precompiled: bool,
-    /// Wall time of the uncached pack open (lex/parse/validate for
-    /// sources, checksum + decode for a compiled pack).
+    /// Wall time of the pack open that booted the engine
+    /// (lex/parse/validate for sources, checksum + decode for a
+    /// compiled pack).
     pub rules_load_us: f64,
     /// ORDER artefacts pre-seeded into the cache from the pack.
     pub cache_seeded: usize,
@@ -97,70 +98,44 @@ pub struct Table1Report {
     pub boot: BootStats,
 }
 
-/// Generates every shipped use case on a fresh instrumented engine and
-/// collects the report. Generation runs in id order on one thread, so
-/// ORDER-cache traffic in the metrics is reproducible (first sight of a
-/// rule is a miss, every revisit a hit).
-///
-/// # Errors
-///
-/// [`Error::Rules`] when the shipped rules fail to parse and
-/// [`Error::Generation`] when a use case fails to generate — both are
-/// build defects for the shipped set.
-pub fn build() -> Result<Table1Report, Error> {
-    build_with(None)
+impl BootStats {
+    /// The boot record of a freshly opened `pack` whose open took
+    /// `rules_load_us`; seeding and warm-up figures start at zero.
+    pub(crate) fn opened(pack: &RulePack, rules_load_us: f64) -> BootStats {
+        BootStats {
+            origin: pack.origin.to_string(),
+            kind: pack.origin.kind(),
+            pack_version: pack.version,
+            pack_fingerprint: pack.pack_fingerprint(),
+            rules: pack.rules.len(),
+            precompiled: pack.is_precompiled(),
+            rules_load_us,
+            cache_seeded: 0,
+            warm_hits: 0,
+            warm_compiled: 0,
+        }
+    }
 }
 
-/// [`build`], with an optional extra observer fanned in alongside the
-/// reporter's own [`PhaseTimings`] — this is how the CLI attaches a
-/// [`cognicrypt_core::telemetry::TraceRecorder`] to `report --trace`
-/// without a second generation pass.
+/// Opens `source` uncached and timed, boots an engine from it, and
+/// reports on that engine ([`build_served`]); the `boot` section shows
+/// the real cold-start cost of the loading path — a compiled pack
+/// seeds every ORDER artefact and must warm with `warm_compiled == 0`.
+/// `extra` is how the CLI attaches a `--trace` recorder without a
+/// second generation pass.
 ///
 /// # Errors
 ///
-/// As [`build`].
-pub fn build_with(extra: Option<Arc<dyn GenObserver>>) -> Result<Table1Report, Error> {
-    build_from(PackSource::Embedded, extra)
-}
-
-/// [`build_with`], over an explicit [`PackSource`] — this is how
-/// `report --rules <dir|pack.crpack>` reports on a pack other than the
-/// embedded one. The open is uncached and timed, and the warm-up cache
-/// traffic is recorded, so the report's `boot` section shows the real
-/// cold-start cost of the chosen loading path: a compiled pack seeds
-/// every ORDER artefact and must warm with `warm_compiled == 0`.
-///
-/// # Errors
-///
-/// As [`build`], plus the typed pack open failures.
+/// The typed pack open failures, and [`Error::Generation`] when a
+/// declared use case fails to generate.
 pub fn build_from(
     source: PackSource,
     extra: Option<Arc<dyn GenObserver>>,
 ) -> Result<Table1Report, Error> {
-    let timings = Arc::new(PhaseTimings::new());
-    let observer: Arc<dyn GenObserver> = match extra {
-        Some(extra) => Arc::new(Fanout::new().with(timings.clone()).with(extra)),
-        None => timings.clone(),
-    };
     let load_started = Instant::now();
     let pack = rules::open_uncached(source)?;
-    let rules_load_us = load_started.elapsed().as_secs_f64() * 1e6;
-    let mut boot = BootStats {
-        origin: pack.origin.to_string(),
-        kind: pack.origin.kind(),
-        pack_version: pack.version,
-        pack_fingerprint: pack.pack_fingerprint(),
-        rules: pack.rules.len(),
-        precompiled: pack.is_precompiled(),
-        rules_load_us,
-        cache_seeded: 0,
-        warm_hits: 0,
-        warm_compiled: 0,
-    };
-    let engine = GenEngine::builder()
-        .rules(pack.rules.clone())
-        .observer(observer)
-        .build()?;
+    let mut boot = BootStats::opened(&pack, load_started.elapsed().as_secs_f64() * 1e6);
+    let engine = GenEngine::builder().rules(pack.rules.clone()).build()?;
     boot.cache_seeded = pack.seed(engine.order_cache());
     if pack.is_precompiled() {
         // A pack boot warms eagerly and must find every artefact
@@ -172,9 +147,42 @@ pub fn build_from(
         boot.warm_hits = warm.hits;
         boot.warm_compiled = warm.compiled;
     }
+    build_served(&engine, &pack.manifest, boot, extra)
+}
 
+/// The report on the pack `served` runs (the daemon's `/report`): every
+/// use case `manifest` declares ([`rules::declared_use_cases`]), in id
+/// order on one thread, by a sibling engine sharing `served`'s rules,
+/// type table and ORDER cache but observed by [`PhaseTimings`] plus
+/// `extra` — `served`'s own metrics and observer see nothing. `boot`
+/// says how the pack was loaded.
+///
+/// # Errors
+///
+/// [`Error::Generation`] when a declared use case fails to generate.
+pub(crate) fn build_served(
+    served: &GenEngine,
+    manifest: &PackManifest,
+    boot: BootStats,
+    extra: Option<Arc<dyn GenObserver>>,
+) -> Result<Table1Report, Error> {
+    let timings = Arc::new(PhaseTimings::new());
+    let observer: Arc<dyn GenObserver> = match extra {
+        Some(extra) => Arc::new(Fanout::new().with(timings.clone()).with(extra)),
+        None => timings.clone(),
+    };
+    let engine = GenEngine::builder()
+        .rules(served.rules().clone())
+        .type_table(served.table().clone())
+        .order_cache(served.order_cache().clone())
+        .observer(observer)
+        .build()?;
+    let declared = rules::declared_use_cases(manifest);
     let mut rows = Vec::new();
     for uc in all_use_cases() {
+        if declared.is_some_and(|ids| !ids.contains(&uc.id)) {
+            continue;
+        }
         let generated = engine.generate(&uc.template)?;
         let class = uc.template.class_name.clone();
         let timings = timings
@@ -444,10 +452,11 @@ pub fn to_json(report: &Table1Report) -> Json {
 }
 
 /// Validates a written report document: it must be the `table1` report,
-/// cover every catalogued use case (sequential ids from 1, each with all
-/// five phase timings and a total, plus per-phase
-/// `alloc_bytes`/`peak_live_bytes`
-/// memory figures and row totals), carry a non-empty metrics object,
+/// cover distinct catalogued use cases — every one of them when the
+/// embedded pack booted, a non-empty subset for other packs, which may
+/// declare fewer — each with all five phase timings and a total, plus
+/// per-phase `alloc_bytes`/`peak_live_bytes` memory figures and row
+/// totals; carry a non-empty metrics object,
 /// declare its whole-process `peak_rss_kb` with the source that
 /// measured it (both may be null where the platform exposes neither),
 /// and carry a `boot` section naming the rule-pack origin and its
@@ -468,8 +477,12 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         .get("use_cases")
         .and_then(Json::as_arr)
         .ok_or("missing `use_cases` array")?;
+    // The embedded pack declares the whole catalogue; others may
+    // declare a subset, which the document does not name.
     let expected = usecases::all_use_cases().len();
-    if cases.len() != expected {
+    let kind = doc.get("boot").and_then(|b| b.get("kind"));
+    let embedded = kind.and_then(Json::as_str) == Some("embedded");
+    if cases.is_empty() || (embedded && cases.len() != expected) {
         return Err(format!(
             "expected {expected} use cases, found {}",
             cases.len()
@@ -579,7 +592,7 @@ mod tests {
 
     #[test]
     fn report_covers_all_use_cases_and_validates() {
-        let report = build().expect("report builds");
+        let report = build_from(PackSource::Embedded, None).expect("report builds");
         let expected = usecases::all_use_cases().len() as u8;
         assert!(expected >= 25);
         assert_eq!(report.rows.len(), expected as usize);
@@ -635,9 +648,10 @@ mod tests {
     }
 
     #[test]
-    fn build_with_fans_hooks_out_to_the_extra_observer() {
+    fn build_from_fans_hooks_out_to_the_extra_observer() {
         let recorder = Arc::new(cognicrypt_core::telemetry::TraceRecorder::new());
-        let report = build_with(Some(recorder.clone())).expect("report builds");
+        let report =
+            build_from(PackSource::Embedded, Some(recorder.clone())).expect("report builds");
         let expected = usecases::all_use_cases().len();
         assert_eq!(report.rows.len(), expected);
         // The recorder saw the whole instrumented run: every use case ×
@@ -672,7 +686,7 @@ mod tests {
         assert_eq!(boot.warm_compiled, 0, "a .crpack boot must compile nothing");
 
         // Same generated output as an embedded-source run, row by row.
-        let from_source = build().expect("embedded report builds");
+        let from_source = build_from(PackSource::Embedded, None).expect("embedded report builds");
         assert!(!from_source.boot.precompiled);
         assert_eq!(from_source.boot.cache_seeded, 0);
         let sizes = |r: &Table1Report| -> Vec<(u8, usize)> {
@@ -685,8 +699,21 @@ mod tests {
     }
 
     #[test]
+    fn catalog_pack_report_emits_exactly_its_declared_rows() {
+        let source = PackSource::Catalog {
+            name: "aead".to_owned(),
+            version: Some(1),
+        };
+        let report = build_from(source, None).expect("aead@v1 report builds");
+        let declared = rules::catalog_pack("aead", Some(1)).unwrap().use_cases;
+        let ids: Vec<u8> = report.rows.iter().map(|r| r.id).collect();
+        assert_eq!(ids, declared);
+        validate(&to_json(&report)).expect("a declared-subset report validates");
+    }
+
+    #[test]
     fn validate_rejects_mutilated_reports() {
-        let report = build().expect("report builds");
+        let report = build_from(PackSource::Embedded, None).expect("report builds");
         let doc = to_json(&report);
 
         let strip = |doc: &Json, key: &str| -> Json {

@@ -7,15 +7,15 @@
 //! answers requests from warm state. This module is that process:
 //!
 //! * one warm [`GenEngine`] (rules parsed once, every ORDER
-//!   precompiled at boot) behind a swap lock, plus the process-wide
-//!   compiled-ORDER cache shared across engine generations;
+//!   precompiled at boot) behind a swap lock; the engine owns its
+//!   compiled-ORDER cache, which hot-reload successors inherit;
 //! * two transports over one transport-agnostic request core:
 //!   minimal HTTP/1.1 on a [`std::net::TcpListener`] ([`http`]) and a
 //!   line/JSON protocol on a Unix socket ([`uds`], unix only);
 //! * `generate`, `batch` and `report` served concurrently — batch
 //!   requests fan out over the engine's existing scatter pool;
-//! * `/metrics` rendered from the daemon's [`MetricsRegistry`] (merged
-//!   per request, never sampled) plus the engine registry and the
+//! * `/metrics` rendered from the daemon's [`MetricsRegistry`] (written
+//!   on every request, never sampled) plus the engine registry and the
 //!   daemon-lifetime allocator counters from
 //!   [`cognicrypt_core::memtrack`];
 //! * rule-pack hot-reload: `/reload` re-opens the configured
@@ -50,10 +50,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cognicrypt_core::memtrack::{self, AllocScope};
-use cognicrypt_core::telemetry::{MetricsCollector, MetricsRegistry};
+use cognicrypt_core::telemetry::MetricsRegistry;
 use cognicrypt_core::GenEngine;
 use devharness::json::Json;
-use rules::{catalog_pack, PackManifest, PackSource, RulePack};
+use rules::{PackManifest, PackSource, RulePack};
+use statemachine::OrderCache;
 use usecases::all_use_cases;
 
 use crate::{find_use_case, report, Error};
@@ -136,54 +137,44 @@ impl ServeConfig {
     }
 }
 
-/// Pack identity served by a daemon right now, surfaced in `/loadz`
-/// and `/metrics` so operators can tell which rules — and which
-/// loading path — a resident process is actually using.
+/// Pack identity served by a daemon right now and how it booted,
+/// surfaced in `/loadz`, `/metrics` and `/report` so operators can
+/// tell which rules — and which loading path — a resident process is
+/// actually using.
 #[derive(Debug, Clone)]
 struct PackInfo {
-    origin: String,
-    origin_kind: &'static str,
     manifest: PackManifest,
-    version: u32,
-    fingerprint: u64,
-    rules: usize,
-    precompiled: bool,
+    boot: report::BootStats,
 }
 
 impl PackInfo {
-    fn of(pack: &RulePack) -> PackInfo {
+    /// The identity of `pack`, whose open took `load`; seeding and
+    /// warm-up figures are filled in as the engine comes up.
+    fn of(pack: &RulePack, load: Duration) -> PackInfo {
         PackInfo {
-            origin: pack.origin.to_string(),
-            origin_kind: pack.origin.kind(),
             manifest: pack.manifest.clone(),
-            version: pack.version,
-            fingerprint: pack.pack_fingerprint(),
-            rules: pack.rules.len(),
-            precompiled: pack.is_precompiled(),
+            boot: report::BootStats::opened(pack, load.as_secs_f64() * 1e6),
         }
     }
 
-    /// The catalogued use-case ids the served pack declares, when its
-    /// manifest names a shipped catalog entry; `None` (the full
-    /// catalogue) for source dirs and foreign packs.
-    fn declared_cases(&self) -> Option<&'static [u8]> {
-        catalog_pack(&self.manifest.name, Some(self.manifest.version)).map(|spec| spec.use_cases)
-    }
-
     fn to_json(&self) -> Json {
+        let boot = &self.boot;
         Json::Obj(vec![
-            ("origin".to_owned(), Json::Str(self.origin.clone())),
+            ("origin".to_owned(), Json::Str(boot.origin.clone())),
             ("manifest".to_owned(), Json::Str(self.manifest.to_string())),
-            ("kind".to_owned(), Json::Str(self.origin_kind.to_owned())),
-            ("version".to_owned(), Json::Num(f64::from(self.version))),
+            ("kind".to_owned(), Json::Str(boot.kind.to_owned())),
+            (
+                "version".to_owned(),
+                Json::Num(f64::from(boot.pack_version)),
+            ),
             (
                 "fingerprint".to_owned(),
-                Json::Str(format!("{:016x}", self.fingerprint)),
+                Json::Str(format!("{:016x}", boot.pack_fingerprint)),
             ),
-            ("rules".to_owned(), Json::Num(self.rules as f64)),
+            ("rules".to_owned(), Json::Num(boot.rules as f64)),
             (
                 "precompiled".to_owned(),
-                Json::Num(f64::from(u8::from(self.precompiled))),
+                Json::Num(f64::from(u8::from(boot.precompiled))),
             ),
         ])
     }
@@ -343,17 +334,16 @@ impl ServerState {
             Some(path) => PackSource::detect(path),
             None => PackSource::Embedded,
         };
+        let started = Instant::now();
         let pack = rules::open(source)?;
-        let info = PackInfo::of(&pack);
-        // The daemon adopts the process-wide compiled-ORDER cache:
-        // warm artefacts are shared with any single-shot generation in
-        // the same process, and hot-reload pruning keeps the one cache
-        // bounded for the daemon's lifetime. A precompiled pack seeds
-        // every artefact its rules can look up (the decoder enforces
-        // this), so warm-up would be a pure all-hit walk — skipped.
-        let cache = cognicrypt_core::engine::shared_order_cache().clone();
-        let precompiled = pack.is_precompiled();
-        pack.seed(&cache);
+        let mut info = PackInfo::of(&pack, started.elapsed());
+        // The daemon's engine owns one compiled-ORDER cache for the
+        // daemon's lifetime: hot-reload successors inherit it and
+        // pruning keeps it bounded. A precompiled pack seeds every
+        // artefact its rules can look up (the decoder enforces this),
+        // so warm-up would be a pure all-hit walk — skipped.
+        let cache = Arc::new(OrderCache::new());
+        info.boot.cache_seeded = pack.seed(&cache);
         // The resident trace-capture switch is the engine's observer
         // for the daemon's whole lifetime: hot-reload successors clone
         // the observer `Arc` (`with_rule_set`), so a `/profilez`
@@ -366,11 +356,12 @@ impl ServerState {
             .order_cache(cache)
             .observer(profile.clone())
             .build()?;
-        if !precompiled {
-            engine.warm()?;
+        if !info.boot.precompiled {
+            let warm = engine.warm_traced()?;
+            (info.boot.warm_hits, info.boot.warm_compiled) = (warm.hits, warm.compiled);
         }
         memtrack::enable_process_stats();
-        let seed = info.fingerprint;
+        let seed = info.boot.pack_fingerprint;
         Ok(ServerState {
             engine: RwLock::new(Arc::new(engine)),
             metrics: Arc::new(MetricsRegistry::new()),
@@ -421,10 +412,12 @@ impl ServerState {
     }
 
     /// Handles one decoded request with full containment: an
-    /// [`AllocScope`] measures the request, a per-request registry is
-    /// merged into the daemon registry afterwards (the merge is
-    /// deterministic, so `/metrics` totals are independent of request
-    /// interleaving), and a panic anywhere inside is caught and
+    /// [`AllocScope`] measures the request, its `serve.*` counters and
+    /// histograms go straight into the daemon registry (every write is
+    /// an add or an observe, which commute, so `/metrics` totals are
+    /// independent of request interleaving; and every write happens
+    /// outside the request's scope, so its allocation figures never
+    /// include them), and a panic anywhere inside is caught and
     /// reported as a typed `"panic"` response — the worker, its
     /// siblings, and the daemon all survive. The finished request is
     /// recorded as a [`obs::RequestRecord`] under `transport`, fed
@@ -433,10 +426,9 @@ impl ServerState {
     /// `--slow-ms` threshold.
     pub fn handle_tagged(&self, transport: &'static str, request: &Request) -> Response {
         let (request_id, trace_id) = self.obs.begin();
-        let per_request = MetricsCollector::fresh();
-        let registry = per_request.registry().clone();
-        registry.add("serve.requests", 1);
-        registry.add(&format!("serve.requests.{}", request.name()), 1);
+        self.metrics.add("serve.requests", 1);
+        self.metrics
+            .add(&format!("serve.requests.{}", request.name()), 1);
 
         let cache_before = self.engine().cache_stats();
         let scope = AllocScope::enter();
@@ -445,8 +437,10 @@ impl ServerState {
         let wall = start.elapsed();
         let alloc = scope.finish();
         let cache_after = self.engine().cache_stats();
-        registry.observe("serve.request.peak_live_bytes", alloc.peak_live_bytes);
-        registry.observe("serve.request.alloc_bytes", alloc.allocated_bytes);
+        self.metrics
+            .observe("serve.request.peak_live_bytes", alloc.peak_live_bytes);
+        self.metrics
+            .observe("serve.request.alloc_bytes", alloc.allocated_bytes);
 
         // Only requests that run the generation pipeline produce
         // spans; counting anything else against a capture window would
@@ -462,7 +456,7 @@ impl ServerState {
             Ok(Ok(response)) => response,
             Ok(Err(err)) => Response::from_error(&err),
             Err(_) => {
-                registry.add("serve.request.panics", 1);
+                self.metrics.add("serve.request.panics", 1);
                 Response {
                     code: 500,
                     class: "panic",
@@ -478,14 +472,16 @@ impl ServerState {
             }
         };
         if response.class != "ok" {
-            registry.add(&format!("serve.errors.{}", response.class), 1);
+            self.metrics
+                .add(&format!("serve.errors.{}", response.class), 1);
         }
-        registry.observe("serve.response.bytes", response.body.len() as u64);
+        self.metrics
+            .observe("serve.response.bytes", response.body.len() as u64);
 
         let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
         if let Some(slow_ns) = self.slow_ns {
             if wall_ns >= slow_ns {
-                registry.add("serve.requests.slow", 1);
+                self.metrics.add("serve.requests.slow", 1);
                 eprintln!(
                     "serve: slow request trace_id={trace_id:016x} transport={transport} \
                      endpoint={} class={} wall_ms={:.1}",
@@ -511,7 +507,6 @@ impl ServerState {
             cache_hits: cache_after.hits.saturating_sub(cache_before.hits),
             cache_misses: cache_after.misses.saturating_sub(cache_before.misses),
         });
-        self.metrics.merge_from(&registry);
         response
     }
 
@@ -564,7 +559,7 @@ impl ServerState {
                         "thread count must be at least 1, got 0".to_owned(),
                     ));
                 }
-                let declared = self.pack_info().declared_cases();
+                let declared = rules::declared_use_cases(&self.pack_info().manifest);
                 let cases: Vec<_> = all_use_cases()
                     .into_iter()
                     .filter(|uc| declared.is_none_or(|ids| ids.contains(&uc.id)))
@@ -583,7 +578,8 @@ impl ServerState {
                 ))
             }
             Request::Report => {
-                let report = report::build()?;
+                let PackInfo { manifest, boot } = self.pack_info();
+                let report = report::build_served(&self.engine(), &manifest, boot, None)?;
                 Ok(Response::ok(
                     "application/json",
                     format!("{}\n", report::to_json(&report)),
@@ -679,14 +675,15 @@ impl ServerState {
     /// typed error and leaves the running engine, its cache, and the
     /// published pack identity untouched.
     fn reload(&self) -> Result<Response, Error> {
+        let started = Instant::now();
         let pack = rules::open(self.pack_source())?;
-        let info = PackInfo::of(&pack);
+        let mut info = PackInfo::of(&pack, started.elapsed());
         let keep: HashSet<u64> = pack.fingerprints.iter().copied().collect();
-        let precompiled = pack.is_precompiled();
-        let seeded = pack.seed(self.engine().order_cache());
+        info.boot.cache_seeded = pack.seed(self.engine().order_cache());
         let successor = Arc::new(self.engine().with_rule_set(pack.rules));
-        if !precompiled {
-            successor.warm()?;
+        if !info.boot.precompiled {
+            let warm = successor.warm_traced()?;
+            (info.boot.warm_hits, info.boot.warm_compiled) = (warm.hits, warm.compiled);
         }
         let rule_count = successor.rules().len();
         {
@@ -701,6 +698,7 @@ impl ServerState {
             .retain_fingerprints(|fp| keep.contains(&fp));
         let kept = successor.order_cache().len();
         let pack_json = info.to_json();
+        let seeded = info.boot.cache_seeded;
         {
             let mut guard = match self.pack_info.write() {
                 Ok(guard) => guard,
@@ -810,11 +808,11 @@ impl ServerState {
                 stats.peak_live_bytes.max(0) as u64,
             );
         }
-        let pack = self.pack_info();
-        merged.set_gauge("serve.pack.version", u64::from(pack.version));
-        merged.set_gauge("serve.pack.fingerprint", pack.fingerprint);
-        merged.set_gauge("serve.pack.rules", pack.rules as u64);
-        merged.set_gauge("serve.pack.precompiled", u64::from(pack.precompiled));
+        let boot = self.pack_info().boot;
+        merged.set_gauge("serve.pack.version", u64::from(boot.pack_version));
+        merged.set_gauge("serve.pack.fingerprint", boot.pack_fingerprint);
+        merged.set_gauge("serve.pack.rules", boot.rules as u64);
+        merged.set_gauge("serve.pack.precompiled", u64::from(boot.precompiled));
         self.obs.export_gauges(&merged);
         merged.render_text()
     }

@@ -64,7 +64,7 @@ fn without_predicate_filters_the_iv_less_init_slips_through() {
         ..SelectionOptions::default()
     };
     let broken = generator_with(off)
-        .generate(
+        .generate_uncached(
             &encrypt_only,
             &open(PackSource::Embedded).unwrap().rules,
             &jca_type_table(),
@@ -78,7 +78,7 @@ fn without_predicate_filters_the_iv_less_init_slips_through() {
     // Running the ablated output fails: CBC without an IV.
     let mut interp = Interpreter::new(&broken.unit);
     let key_unit = Generator::new()
-        .generate(
+        .generate_uncached(
             &usecases::symmetric::symmetric_encryption(),
             &open(PackSource::Embedded).unwrap().rules,
             &jca_type_table(),
@@ -95,7 +95,7 @@ fn without_predicate_filters_the_iv_less_init_slips_through() {
     // With the paper's defaults the same template consumes the IV spec
     // and runs.
     let clean = Generator::new()
-        .generate(
+        .generate_uncached(
             &encrypt_only,
             &open(PackSource::Embedded).unwrap().rules,
             &jca_type_table(),
@@ -148,7 +148,7 @@ fn without_binding_filter_the_templates_algorithm_choice_is_ignored() {
 
     // Defaults honor the binding: the bound template variable is used.
     let honored = Generator::new()
-        .generate(&template, &rules, &jca_type_table())
+        .generate_uncached(&template, &rules, &jca_type_table())
         .expect("generates");
     assert!(
         honored.java_source.contains("getInstance(algChoice)"),
@@ -162,7 +162,7 @@ fn without_binding_filter_the_templates_algorithm_choice_is_ignored() {
         ..SelectionOptions::default()
     };
     let ignored = generator_with(off)
-        .generate(&template, &rules, &jca_type_table())
+        .generate_uncached(&template, &rules, &jca_type_table())
         .expect("generates");
     assert!(
         ignored.java_source.contains("getInstance(\"SHA-256\")"),
@@ -181,7 +181,7 @@ fn longest_path_tie_break_emits_more_calls() {
         ..SelectionOptions::default()
     };
     let short = Generator::new()
-        .generate(
+        .generate_uncached(
             &usecases::pbe::pbe_strings(),
             &open(PackSource::Embedded).unwrap().rules,
             &jca_type_table(),
@@ -191,7 +191,7 @@ fn longest_path_tie_break_emits_more_calls() {
         selection: longest,
         ..GeneratorOptions::default()
     })
-    .generate(
+    .generate_uncached(
         &usecases::pbe::pbe_strings(),
         &open(PackSource::Embedded).unwrap().rules,
         &jca_type_table(),
@@ -227,7 +227,7 @@ fn disabling_fallback_makes_unresolved_parameters_hard_errors() {
         ..SelectionOptions::default()
     };
     let err = generator_with(no_fallback)
-        .generate(
+        .generate_uncached(
             &t,
             &open(PackSource::Embedded).unwrap().rules,
             &jca_type_table(),

@@ -4,19 +4,11 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::process::{Command, Stdio};
 
 use cognicryptgen::serve::{http, ServeConfig, Server};
 use cognicryptgen::usecases::all_use_cases;
 use devharness::json::Json;
-
-/// Daemons in this binary share the process-wide compiled-ORDER cache,
-/// so tests asserting exact cache accounting must not overlap: each
-/// daemon test holds this lock for its daemon's whole lifetime.
-fn exclusive_daemon() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A scratch directory unique to this test invocation.
 fn scratch(tag: &str) -> PathBuf {
@@ -54,7 +46,6 @@ fn expected_source(selector: &str) -> String {
 
 #[test]
 fn http_routes_answer_with_typed_classes() {
-    let _guard = exclusive_daemon();
     let handle = Server::start(&ServeConfig::http("127.0.0.1:0")).expect("daemon boots");
     let addr = handle.http_addr().expect("http bound").to_string();
 
@@ -124,7 +115,6 @@ fn http_routes_answer_with_typed_classes() {
 
 #[test]
 fn hot_reload_prunes_exactly_the_removed_fingerprints() {
-    let _guard = exclusive_daemon();
     let pack = scratch("serve-pack");
     let full = write_pack(&pack, &[]);
 
@@ -205,7 +195,6 @@ fn hot_reload_prunes_exactly_the_removed_fingerprints() {
 
 #[test]
 fn daemon_boots_from_a_compiled_pack_and_survives_a_corrupt_reload() {
-    let _guard = exclusive_daemon();
     let dir = scratch("serve-crpack");
     let pack_bytes = rules::open(rules::PackSource::Embedded)
         .expect("shipped rules")
@@ -301,6 +290,53 @@ fn daemon_boots_from_a_compiled_pack_and_survives_a_corrupt_reload() {
 }
 
 #[test]
+fn report_describes_the_pack_the_daemon_serves() {
+    let dir = scratch("serve-report-pack");
+    let pack_file = dir.join("jca-v1.crpack");
+    let status = Command::new(env!("CARGO_BIN_EXE_cognicryptgen"))
+        .arg("compile-rules")
+        .arg("jca@v1")
+        .arg(&pack_file)
+        .stdout(Stdio::null())
+        .status()
+        .expect("compile-rules runs");
+    assert!(status.success());
+
+    let config = ServeConfig {
+        http_addr: Some("127.0.0.1:0".to_owned()),
+        threads: 2,
+        rules_path: Some(pack_file),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(&config).expect("daemon boots from the jca@v1 pack");
+    let addr = handle.http_addr().expect("http bound").to_string();
+
+    let (code, body) = http::request(&addr, "GET", "/loadz", "").unwrap();
+    assert_eq!(code, 200);
+    let loadz = Json::parse(&body).expect("loadz body is JSON");
+    let served = loadz.get("pack").expect("served pack identity");
+
+    let (code, body) = http::request(&addr, "GET", "/report", "").unwrap();
+    assert_eq!(code, 200);
+    let report = Json::parse(&body).expect("report body is JSON");
+    cognicryptgen::report::validate(&report).expect("daemon report validates");
+    let boot = report.get("boot").expect("report boot section");
+    for (in_report, in_loadz) in [("pack_fingerprint", "fingerprint"), ("kind", "kind")] {
+        assert_eq!(boot.get(in_report), served.get(in_loadz), "{in_report}");
+    }
+    // The rows are the use cases jca@v1 declares, not the catalogue.
+    let rows = report
+        .get("use_cases")
+        .and_then(Json::as_arr)
+        .map(<[Json]>::len);
+    let declared = rules::catalog_pack("jca", Some(1)).unwrap().use_cases;
+    assert_eq!(rows, Some(declared.len()));
+
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn serve_config_rejects_zero_threads_and_no_transport() {
     let Err(err) = Server::start(&ServeConfig {
         http_addr: Some("127.0.0.1:0".to_owned()),
@@ -326,7 +362,6 @@ fn serve_config_rejects_zero_threads_and_no_transport() {
 fn uds_line_protocol_frames_one_json_response_per_request() {
     use cognicryptgen::serve::uds;
 
-    let _guard = exclusive_daemon();
     let dir = scratch("serve-uds");
     let socket = dir.join("daemon.sock");
     let config = ServeConfig {
