@@ -1,91 +1,8 @@
-//! Shared infrastructure for the benchmark harness: a byte-counting
-//! global allocator (for the Table 1 memory column) and measurement
-//! helpers used by the `table1`, `table2` and `rq5` binaries.
+//! Shared measurement helpers for the `table1`, `table2` and `rq5`
+//! binaries. The Table 1 memory column comes from
+//! `cognicrypt_core::memtrack`, the one allocation tracker.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// A global allocator wrapper that tracks current and peak live bytes.
-///
-/// Install in a binary with:
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: CountingAllocator = CountingAllocator::new();
-/// ```
-pub struct CountingAllocator {
-    current: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl CountingAllocator {
-    /// Creates the allocator (const, for statics).
-    pub const fn new() -> Self {
-        CountingAllocator {
-            current: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-        }
-    }
-
-    /// Resets the peak to the current level; returns the current level.
-    pub fn reset_peak(&self) -> usize {
-        let cur = self.current.load(Ordering::Relaxed);
-        self.peak.store(cur, Ordering::Relaxed);
-        cur
-    }
-
-    /// Peak live bytes since the last [`CountingAllocator::reset_peak`].
-    pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// Currently live bytes.
-    pub fn current(&self) -> usize {
-        self.current.load(Ordering::Relaxed)
-    }
-
-    fn add(&self, bytes: usize) {
-        let cur = self.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(cur, Ordering::Relaxed);
-    }
-
-    fn sub(&self, bytes: usize) {
-        self.current.fetch_sub(bytes, Ordering::Relaxed);
-    }
-}
-
-impl Default for CountingAllocator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// SAFETY: delegates to the system allocator; the counters are only
-// bookkeeping and never affect the returned pointers.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            self.add(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        self.sub(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            self.sub(layout.size());
-            self.add(new_size);
-        }
-        p
-    }
-}
 
 /// Times `f` over `runs` executions and returns the mean in milliseconds —
 /// the measurement protocol of RQ2 (the paper averages ten runs).

@@ -2,8 +2,11 @@
 //!
 //! The assembler walks the selected path of each rule in chain order and
 //! emits the corresponding Java statements into the template method:
-//! constructor calls, static factory calls and instance calls, with every
-//! parameter filled in by the [`crate::resolve`] rules. Predicate-
+//! constructor calls, static factory calls and instance calls. Every
+//! variable argument takes the next entry of the rule's resolution plan
+//! ([`crate::resolve::plan_path`]) unless a value for that variable is
+//! already materialized under the rule (a template binding, a hoisted
+//! parameter or an earlier event's bound return), which wins. Predicate-
 //! invalidating calls (e.g. `clearPassword()`) are deferred to the end of
 //! the method, the nominated return object receives the final value, and
 //! unresolvable parameters are hoisted into the wrapper signature.
@@ -18,9 +21,9 @@ use javamodel::TypeTable;
 
 use crate::collect::CollectedRule;
 use crate::error::GenError;
-use crate::link::{Carrier, Link};
+use crate::link::Carrier;
 use crate::pathsel::{InstanceSource, SelectedPath};
-use crate::resolve::{java_type_of, resolve_var, Resolution};
+use crate::resolve::{java_type_of, Resolution};
 use crate::template::TemplateMethod;
 
 /// The code generated for one template method.
@@ -32,7 +35,8 @@ pub struct AssembledMethod {
     pub hoisted_params: Vec<Param>,
 }
 
-/// Assembles the generated block for `method` from the selected paths.
+/// Assembles the generated block for `method` from the selected paths
+/// and their resolution plans (`plans[i]` belongs to `paths[i]`).
 ///
 /// # Errors
 ///
@@ -42,14 +46,13 @@ pub struct AssembledMethod {
 pub fn assemble(
     method: &TemplateMethod,
     rules: &[CollectedRule<'_>],
-    links: &[Link],
     paths: &[SelectedPath],
+    plans: &[Vec<Resolution>],
     return_object: Option<&str>,
     table: &TypeTable,
 ) -> Result<AssembledMethod, GenError> {
     let mut asm = Assembler {
         rules,
-        links,
         table,
         taken: method
             .params
@@ -73,8 +76,8 @@ pub fn assemble(
         }
     }
 
-    for (idx, path) in paths.iter().enumerate() {
-        asm.emit_rule(idx, path)?;
+    for (idx, (path, plan)) in paths.iter().zip(plans).enumerate() {
+        asm.emit_rule(idx, path, plan)?;
     }
 
     // Assign the final value to the nominated return object.
@@ -113,7 +116,6 @@ fn declared_locals(stmts: &[Stmt]) -> Vec<String> {
 
 struct Assembler<'a> {
     rules: &'a [CollectedRule<'a>],
-    links: &'a [Link],
     table: &'a TypeTable,
     taken: HashSet<String>,
     /// (rule index, carrier) → Java local/parameter name holding the value.
@@ -135,7 +137,12 @@ impl Assembler<'_> {
         name
     }
 
-    fn emit_rule(&mut self, idx: usize, path: &SelectedPath) -> Result<(), GenError> {
+    fn emit_rule(
+        &mut self,
+        idx: usize,
+        path: &SelectedPath,
+        plan: &[Resolution],
+    ) -> Result<(), GenError> {
         let cr = &self.rules[idx];
         let rule = cr.rule;
         let class_name = rule.class_name.as_str();
@@ -147,10 +154,7 @@ impl Assembler<'_> {
             if self.values.contains_key(&(idx, Carrier::Var(var.clone()))) {
                 continue;
             }
-            let ty = rule
-                .object(var)
-                .map(|o| java_type_of(&o.ty))
-                .unwrap_or(JavaType::class("java.lang.Object"));
+            let ty = object_type(rule, var);
             let name = self.fresh_name(var);
             self.hoisted.push(Param {
                 ty,
@@ -180,22 +184,18 @@ impl Assembler<'_> {
             .insert((idx, Carrier::This), instance_name.clone());
 
         let invalidating = invalidating_events(rule, &path.labels);
-        let mut own_returns: Vec<String> = Vec::new();
+        let mut plan = plan.iter();
 
         for label in &path.labels {
             let Some(event) = rule.method_event(label) else {
                 continue;
             };
-            let own_ref: Vec<&str> = own_returns.iter().map(String::as_str).collect();
-            let args = self.arg_exprs(idx, event, &own_ref)?;
+            let args = self.arg_exprs(idx, event, &mut plan)?;
             let stmt = self.emit_event(idx, event, args, &instance_name, simple, class_name)?;
             if invalidating.contains(label.as_str()) {
                 self.deferred.push(stmt);
             } else {
                 self.stmts.push(stmt);
-            }
-            if let Some(rv) = &event.return_var {
-                own_returns.push(rv.clone());
             }
         }
         Ok(())
@@ -205,7 +205,7 @@ impl Assembler<'_> {
         &mut self,
         idx: usize,
         event: &MethodEvent,
-        own_returns: &[&str],
+        plan: &mut std::slice::Iter<'_, Resolution>,
     ) -> Result<Vec<Expr>, GenError> {
         let mut args = Vec::with_capacity(event.params.len());
         for (i, p) in event.params.iter().enumerate() {
@@ -225,48 +225,44 @@ impl Assembler<'_> {
                     });
                     Expr::var(name)
                 }
-                ParamPattern::Var(v) => self.var_expr(idx, v, own_returns)?,
+                // A plan shorter than the path leaves the parameter
+                // unresolved.
+                ParamPattern::Var(v) => {
+                    self.var_expr(idx, v, plan.next().unwrap_or(&Resolution::Hoist))?
+                }
             };
             args.push(expr);
         }
         Ok(args)
     }
 
-    fn var_expr(&mut self, idx: usize, var: &str, own_returns: &[&str]) -> Result<Expr, GenError> {
-        // Anything already materialized under this rule wins (covers
-        // template bindings, hoisted parameters, and own returns).
+    fn var_expr(&self, idx: usize, var: &str, planned: &Resolution) -> Result<Expr, GenError> {
+        // Anything already materialized under this rule wins over the
+        // plan (covers template bindings, hoisted parameters, and own
+        // returns).
         if let Some(name) = self.values.get(&(idx, Carrier::Var(var.to_owned()))) {
             return Ok(Expr::var(name.clone()));
         }
-        match resolve_var(idx, var, own_returns, self.rules, self.links, self.table) {
-            Resolution::TemplateVar(tv) => Ok(Expr::var(tv)),
+        let materialized = match planned {
+            Resolution::TemplateVar(tv) => Some(tv.clone()),
             Resolution::Linked {
                 from_rule,
                 from_carrier,
             } => self
                 .values
-                .get(&(from_rule, from_carrier))
-                .map(|n| Expr::var(n.clone()))
-                .ok_or_else(|| GenError::UnresolvedParameter {
-                    rule: self.rules[idx].rule.class_name.to_string(),
-                    variable: var.to_owned(),
-                }),
-            Resolution::OwnReturn => Err(GenError::UnresolvedParameter {
+                .get(&(*from_rule, from_carrier.clone()))
+                .cloned(),
+            Resolution::Value(lit) => return Ok(literal_expr(lit)),
+            // An own return that is not materialized, or a hoist that
+            // never became a wrapper parameter.
+            Resolution::OwnReturn | Resolution::Hoist => None,
+        };
+        materialized
+            .map(Expr::var)
+            .ok_or_else(|| GenError::UnresolvedParameter {
                 rule: self.rules[idx].rule.class_name.to_string(),
                 variable: var.to_owned(),
-            }),
-            Resolution::This => Ok(Expr::var(
-                self.values
-                    .get(&(idx, Carrier::This))
-                    .cloned()
-                    .unwrap_or_else(|| "this".to_owned()),
-            )),
-            Resolution::Value(lit) => Ok(literal_expr(&lit)),
-            Resolution::Hoist => Err(GenError::UnresolvedParameter {
-                rule: self.rules[idx].rule.class_name.to_string(),
-                variable: var.to_owned(),
-            }),
-        }
+            })
     }
 
     fn emit_event(
@@ -332,11 +328,7 @@ impl Assembler<'_> {
     ) -> Stmt {
         match &event.return_var {
             Some(rv) => {
-                let ty = self.rules[idx]
-                    .rule
-                    .object(rv)
-                    .map(|o| java_type_of(&o.ty))
-                    .unwrap_or(JavaType::class("java.lang.Object"));
+                let ty = object_type(self.rules[idx].rule, rv);
                 // Insert a downcast when the rule declares a more specific
                 // type than the API returns (`(SecretKey) cipher.unwrap(…)`).
                 let expr = match method_ret {
@@ -383,11 +375,7 @@ impl Assembler<'_> {
             }
             if let Some(event) = rule.method_event(label) {
                 if let Some(rv) = &event.return_var {
-                    let rv_ty = rule
-                        .object(rv)
-                        .map(|o| java_type_of(&o.ty))
-                        .unwrap_or(JavaType::class("java.lang.Object"));
-                    if !fits(&rv_ty) {
+                    if !fits(&object_type(rule, rv)) {
                         continue;
                     }
                     if let Some(name) = self.values.get(&(idx, Carrier::Var(rv.clone()))) {
@@ -435,6 +423,14 @@ pub fn invalidating_events<'r>(rule: &'r Rule, path: &[String]) -> HashSet<&'r s
         }
     }
     out
+}
+
+/// The declared type of rule variable `var`; `Object` when undeclared.
+fn object_type(rule: &Rule, var: &str) -> JavaType {
+    rule.object(var).map_or_else(
+        || JavaType::class("java.lang.Object"),
+        |o| java_type_of(&o.ty),
+    )
 }
 
 fn literal_expr(lit: &Literal) -> Expr {

@@ -29,8 +29,8 @@ use crate::assemble::{assemble, template_usage};
 use crate::collect::{collect, CollectedRule};
 use crate::error::GenError;
 use crate::link::{link, Link};
-use crate::pathsel::{select_path_traced, SelectedPath, SelectionOptions};
-use crate::resolve::report_path_resolutions;
+use crate::pathsel::{select_path, SelectedPath, SelectionOptions};
+use crate::resolve::{plan_path, Resolution};
 use crate::telemetry::{self, GenObserver, Phase, Span, SpanTimer};
 use crate::template::{GeneratorChain, Template, TemplateMethod};
 
@@ -114,6 +114,7 @@ impl Generator {
         observer: &dyn GenObserver,
     ) -> Result<Generated, GenError> {
         let unit = template.class_name.as_str();
+        let span = |phase| SpanTimer::enter(observer, Span { unit, phase });
 
         // Per-chain pipeline state, in template-method order (helper
         // methods carry no chain and join again at assembly).
@@ -123,18 +124,13 @@ impl Generator {
             collected: Vec<CollectedRule<'r>>,
             links: Vec<Link>,
             paths: Vec<SelectedPath>,
+            plans: Vec<Vec<Resolution>>,
         }
 
         // Phase 1: collect — gather rules and template bindings.
         let mut works: Vec<ChainWork<'_, '_>> = Vec::new();
         {
-            let _span = SpanTimer::enter(
-                observer,
-                Span {
-                    unit,
-                    phase: Phase::Collect,
-                },
-            );
+            let _span = span(Phase::Collect);
             for tm in &template.methods {
                 if let Some(chain) = &tm.chain {
                     let collected = collect(chain, tm, rules)?;
@@ -144,6 +140,7 @@ impl Generator {
                         collected,
                         links: Vec::new(),
                         paths: Vec::new(),
+                        plans: Vec::new(),
                     });
                 }
             }
@@ -151,13 +148,7 @@ impl Generator {
 
         // Phase 2: link — connect rules through ENSURES/REQUIRES.
         {
-            let _span = SpanTimer::enter(
-                observer,
-                Span {
-                    unit,
-                    phase: Phase::Link,
-                },
-            );
+            let _span = span(Phase::Link);
             for w in &mut works {
                 w.links = link(&w.collected);
             }
@@ -165,13 +156,7 @@ impl Generator {
 
         // Phase 3: select — pick a method sequence per rule.
         {
-            let _span = SpanTimer::enter(
-                observer,
-                Span {
-                    unit,
-                    phase: Phase::Select,
-                },
-            );
+            let _span = span(Phase::Select);
             for w in &mut works {
                 let ret_ty = w
                     .chain
@@ -181,12 +166,8 @@ impl Generator {
                 for idx in 0..w.collected.len() {
                     // The last rule must be able to produce the
                     // nominated return object.
-                    let expected = if idx + 1 == w.collected.len() {
-                        ret_ty
-                    } else {
-                        None
-                    };
-                    w.paths.push(select_path_traced(
+                    let expected = ret_ty.filter(|_| idx + 1 == w.collected.len());
+                    w.paths.push(select_path(
                         idx,
                         &w.collected,
                         &w.links,
@@ -200,41 +181,26 @@ impl Generator {
             }
         }
 
-        // Phase 4: resolve — report how every parameter of the selected
-        // paths obtains its value. The assembler re-derives the same
-        // resolutions when emitting code; this pass is what makes them
-        // observable per-parameter.
+        // Phase 4: resolve — plan how every parameter of the selected
+        // paths obtains its value, reporting each resolution. The
+        // assembler emits its arguments from these plans.
         {
-            let _span = SpanTimer::enter(
-                observer,
-                Span {
-                    unit,
-                    phase: Phase::Resolve,
-                },
-            );
-            for w in &works {
-                for (idx, sp) in w.paths.iter().enumerate() {
-                    report_path_resolutions(
-                        idx,
-                        &sp.labels,
-                        &w.collected,
-                        &w.links,
-                        table,
-                        observer,
-                    );
-                }
+            let _span = span(Phase::Resolve);
+            for w in &mut works {
+                w.plans = w
+                    .paths
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, sp)| {
+                        plan_path(idx, &sp.labels, &w.collected, &w.links, table, observer)
+                    })
+                    .collect();
             }
         }
 
         // Phase 5: assemble — emit the Java code, the showcase class and
         // the type check.
-        let _span = SpanTimer::enter(
-            observer,
-            Span {
-                unit,
-                phase: Phase::Assemble,
-            },
-        );
+        let _span = span(Phase::Assemble);
         let mut class = ClassDecl::new(template.class_name.clone());
         let mut hoisted_report = Vec::new();
         let mut chain_methods = Vec::new();
@@ -246,8 +212,8 @@ impl Generator {
                     let assembled = assemble(
                         tm,
                         &w.collected,
-                        &w.links,
                         &w.paths,
+                        &w.plans,
                         chain.return_object.as_deref(),
                         table,
                     )?;
@@ -424,6 +390,70 @@ mod tests {
             ),
             Err(GenError::UnknownRule(_))
         ));
+    }
+
+    #[test]
+    fn own_return_feeds_a_later_call_on_both_paths() {
+        use crate::telemetry::Event;
+        use crate::GenEngine;
+        use std::sync::{Arc, Mutex};
+
+        // Logs every resolved parameter as `<phase> <variable> <kind>`.
+        #[derive(Default)]
+        struct Resolved(Mutex<Option<Phase>>, Mutex<Vec<String>>);
+        impl GenObserver for Resolved {
+            fn span_enter(&self, span: &Span<'_>) {
+                *self.0.lock().unwrap() = Some(span.phase);
+            }
+            fn event(&self, event: &Event<'_>) {
+                if let Event::ParamResolved { variable, via, .. } = event {
+                    let phase = self.0.lock().unwrap().expect("inside a span");
+                    let entry = format!("{phase} {variable} {}", via.name());
+                    self.1.lock().unwrap().push(entry);
+                }
+            }
+        }
+
+        let mut rules = crysl::RuleSet::new();
+        rules
+            .add_source(
+                "SPEC java.security.MessageDigest\nOBJECTS java.lang.String alg; byte[] input; byte[] output;\nEVENTS g1: getInstance(alg); d1: output = digest(input); u1: update(output);\nORDER g1, d1, u1\nCONSTRAINTS alg in {\"SHA-256\"};",
+            )
+            .unwrap();
+        let chain = CrySlCodeGenerator::get_instance()
+            .consider_crysl_rule("java.security.MessageDigest")
+            .add_parameter("data", "input")
+            .build();
+        let template = Template::new("p", "Hasher").method(
+            TemplateMethod::new("hash", JavaType::Void)
+                .param(JavaType::byte_array(), "data")
+                .chain(chain),
+        );
+
+        let cold = Generator::new()
+            .generate_uncached(&template, &rules, &jca_type_table())
+            .unwrap();
+        let observed = Arc::new(Resolved::default());
+        let engine = GenEngine::builder()
+            .rules(rules)
+            .type_table(jca_type_table())
+            .observer(observed.clone())
+            .build()
+            .unwrap();
+        let warm = engine.generate(&template).unwrap();
+
+        let src = &cold.java_source;
+        assert!(
+            src.contains("byte[] output = messageDigest.digest(data);"),
+            "{src}"
+        );
+        assert!(src.contains("messageDigest.update(output);"), "{src}");
+        assert_eq!(warm.java_source, cold.java_source);
+        let log = observed.1.lock().unwrap();
+        assert!(
+            log.contains(&"resolve output own_return".to_owned()),
+            "{log:?}"
+        );
     }
 
     #[test]

@@ -10,20 +10,22 @@
 //!   are eliminated,
 //! * paths with unresolvable parameters are eliminated (unless *every*
 //!   path has unresolvable parameters, in which case the best path wins
-//!   and the leftovers are hoisted into the wrapper signature).
+//!   and the leftovers are hoisted into the wrapper signature). A
+//!   candidate's unresolved parameters are the hoists of the one
+//!   resolution walk, [`crate::resolve::resolve_path`].
 //!
 //! Of the survivors, the shortest path — fewest calls, then fewest
 //! parameters — is selected.
 
-use crysl::ast::{MethodEvent, Rule};
+use crysl::ast::{ParamPattern, Rule};
 use statemachine::paths::{enumerate, PathLimit};
 use statemachine::{CacheLookup, OrderCache};
 
 use crate::collect::CollectedRule;
 use crate::error::GenError;
 use crate::link::{Carrier, Link, LinkSetExt};
-use crate::resolve::{resolve_var, Resolution};
-use crate::telemetry::{self, CacheOutcome, Event, GenObserver};
+use crate::resolve::{resolve_path, Resolution};
+use crate::telemetry::{CacheOutcome, Event, GenObserver};
 use javamodel::TypeTable;
 
 /// Where a rule's instance object comes from.
@@ -86,9 +88,13 @@ impl Default for SelectionOptions {
 
 /// Selects the call sequence for rule `idx`.
 ///
-/// When `cache` is provided, the rule's enumerated paths come from the
-/// compiled-ORDER cache (compiled on first sight) instead of a fresh
-/// NFA → DFA → enumeration run.
+/// `return_type`, when given, adds a requirement: the path must be able
+/// to produce a value assignable to it (the last rule of a chain with an
+/// `addReturnObject` nomination). When `cache` is provided, the rule's
+/// enumerated paths come from the compiled-ORDER cache (compiled on
+/// first sight) instead of a fresh NFA → DFA → enumeration run.
+/// `observer` sees how the compiled-ORDER artefact was obtained
+/// ([`Event::OrderCompiled`]) and the outcome ([`Event::PathSelected`]).
 ///
 /// # Errors
 ///
@@ -97,46 +103,8 @@ impl Default for SelectionOptions {
 /// producer, [`GenError::UnresolvedParameter`] when hoisting is disabled
 /// and a parameter stays unresolved, and [`GenError::StateMachine`] for
 /// enumeration failures.
-pub fn select_path(
-    idx: usize,
-    rules: &[CollectedRule<'_>],
-    links: &[Link],
-    table: &TypeTable,
-    options: &SelectionOptions,
-    cache: Option<&OrderCache>,
-) -> Result<SelectedPath, GenError> {
-    select_path_for_return(idx, rules, links, table, options, None, cache)
-}
-
-/// [`select_path`] with an additional requirement: the path must be able
-/// to produce a value assignable to `return_type` (used for the last rule
-/// of a chain with an `addReturnObject` nomination).
-pub fn select_path_for_return(
-    idx: usize,
-    rules: &[CollectedRule<'_>],
-    links: &[Link],
-    table: &TypeTable,
-    options: &SelectionOptions,
-    return_type: Option<&javamodel::ast::JavaType>,
-    cache: Option<&OrderCache>,
-) -> Result<SelectedPath, GenError> {
-    select_path_traced(
-        idx,
-        rules,
-        links,
-        table,
-        options,
-        return_type,
-        cache,
-        telemetry::noop(),
-    )
-}
-
-/// [`select_path_for_return`] with telemetry: reports how the rule's
-/// compiled-ORDER artefact was obtained ([`Event::OrderCompiled`]) and
-/// the outcome of the selection ([`Event::PathSelected`]).
 #[allow(clippy::too_many_arguments)]
-pub fn select_path_traced(
+pub fn select_path(
     idx: usize,
     rules: &[CollectedRule<'_>],
     links: &[Link],
@@ -207,7 +175,12 @@ pub fn select_path_traced(
                 continue;
             }
         }
-        let hoists = unresolved_params(idx, rule, path, rules, links, table);
+        let mut hoists: Vec<(String, String)> = Vec::new();
+        resolve_path(idx, path, rules, links, table, |label, var, r| {
+            if r == Resolution::Hoist && !hoists.iter().any(|(_, v)| v == var) {
+                hoists.push((label.to_owned(), var.to_owned()));
+            }
+        });
         if hoists.is_empty() {
             survivors.push((path.clone(), hoists));
         } else {
@@ -275,24 +248,20 @@ fn param_count(rule: &Rule, path: &[String]) -> usize {
 
 /// A template-bound rule variable that the path never touches, if any.
 fn missing_binding(cr: &CollectedRule<'_>, path: &[String]) -> Option<String> {
-    for b in &cr.bindings {
-        let used = path.iter().any(|label| {
-            cr.rule
-                .method_event(label)
-                .is_some_and(|m| event_uses_var(m, &b.rule_var))
-        });
-        if !used {
-            return Some(b.rule_var.clone());
-        }
-    }
-    None
+    cr.bindings
+        .iter()
+        .find(|b| !path_uses_var(cr.rule, path, &b.rule_var))
+        .map(|b| b.rule_var.clone())
 }
 
-fn event_uses_var(m: &MethodEvent, var: &str) -> bool {
-    m.return_var.as_deref() == Some(var)
-        || m.params
-            .iter()
-            .any(|p| matches!(p, crysl::ast::ParamPattern::Var(v) if v == var))
+/// Whether some event of the path takes or returns `var`.
+fn path_uses_var(rule: &Rule, path: &[String], var: &str) -> bool {
+    path.iter().filter_map(|l| rule.method_event(l)).any(|m| {
+        m.return_var.as_deref() == Some(var)
+            || m.params
+                .iter()
+                .any(|p| matches!(p, ParamPattern::Var(v) if v == var))
+    })
 }
 
 /// Checks the outgoing predicate obligations of rule `idx` against `path`:
@@ -316,11 +285,7 @@ fn predicate_gap(idx: usize, rule: &Rule, path: &[String], links: &[Link]) -> Op
             }
         }
         if let Carrier::Var(v) = &l.from_carrier {
-            let produced = path.iter().any(|label| {
-                rule.method_event(label)
-                    .is_some_and(|m| event_uses_var(m, v))
-            });
-            if !produced {
+            if !path_uses_var(rule, path, v) {
                 return Some(format!(
                     "path never produces `{v}`, carrier of `{}`",
                     l.predicate
@@ -359,11 +324,7 @@ fn can_produce(
 fn incoming_gap(idx: usize, rule: &Rule, path: &[String], links: &[Link]) -> Option<String> {
     for l in links.incoming(idx) {
         if let Carrier::Var(v) = &l.to_carrier {
-            let used = path.iter().any(|label| {
-                rule.method_event(label)
-                    .is_some_and(|m| event_uses_var(m, v))
-            });
-            if !used {
+            if !path_uses_var(rule, path, v) {
                 return Some(format!(
                     "path ignores `{v}`, which carries linked predicate `{}`",
                     l.predicate
@@ -372,36 +333,6 @@ fn incoming_gap(idx: usize, rule: &Rule, path: &[String], links: &[Link]) -> Opt
         }
     }
     None
-}
-
-/// Parameters of the path's events that no resolution rule covers.
-fn unresolved_params(
-    idx: usize,
-    rule: &Rule,
-    path: &[String],
-    rules: &[CollectedRule<'_>],
-    links: &[Link],
-    table: &TypeTable,
-) -> Vec<(String, String)> {
-    let mut own_returns: Vec<&str> = Vec::new();
-    let mut out = Vec::new();
-    for label in path {
-        let Some(m) = rule.method_event(label) else {
-            continue;
-        };
-        for p in &m.params {
-            if let crysl::ast::ParamPattern::Var(v) = p {
-                let r = resolve_var(idx, v, &own_returns, rules, links, table);
-                if r == Resolution::Hoist && !out.iter().any(|(_, ov)| ov == v) {
-                    out.push((label.clone(), v.clone()));
-                }
-            }
-        }
-        if let Some(rv) = &m.return_var {
-            own_returns.push(rv);
-        }
-    }
-    out
 }
 
 /// Determines where the rule's instance comes from.
@@ -447,6 +378,7 @@ mod tests {
     use super::*;
     use crate::collect::collect;
     use crate::link::link;
+    use crate::telemetry;
     use crate::template::{CrySlCodeGenerator, TemplateMethod};
     use crysl::RuleSet;
     use javamodel::ast::JavaType;
@@ -471,6 +403,8 @@ mod tests {
             &jca_type_table(),
             &SelectionOptions::default(),
             None,
+            None,
+            telemetry::noop(),
         );
         // The cached path must be observably identical to the cold path.
         let cache = OrderCache::new();
@@ -480,7 +414,9 @@ mod tests {
             &links,
             &jca_type_table(),
             &SelectionOptions::default(),
+            None,
             Some(&cache),
+            telemetry::noop(),
         );
         match (&uncached, &cached) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "cache changed path selection"),

@@ -1,18 +1,28 @@
 //! Step 4 of the pipeline: resolving values for rule variables
 //! (paper Fig. 6, step 4).
 //!
-//! For each method parameter the generator tries, in order:
+//! For each variable method parameter the generator tries, in order:
 //!
 //! 1. a template binding (`addParameter`),
 //! 2. an object generated earlier that carries the required predicate
 //!    (a [`Link`]),
 //! 3. a value produced by an earlier event of the same rule (a bound
 //!    return variable),
-//! 4. the rule's own instance (`this`),
-//! 5. a secure value derived from the rule's CONSTRAINTS — the first
+//! 4. a secure value derived from the rule's CONSTRAINTS — the first
 //!    literal of an `in {…}` set, or the boundary value of a comparison,
-//! 6. otherwise the parameter is *hoisted* into the wrapper method's
+//! 5. otherwise the parameter is *hoisted* into the wrapper method's
 //!    signature (the paper's compilability-over-completeness fallback).
+//!
+//! A `this` parameter is the rule's own instance, which the assembler
+//! emits directly.
+//!
+//! The walk over a path's parameters exists once, in [`resolve_path`]:
+//! it visits every variable parameter in call order, with the return
+//! variables of earlier events visible to later ones. Path selection
+//! ranks candidates by the walk's hoists; the resolve phase runs it once
+//! per selected path through [`plan_path`], whose per-rule plan (one
+//! [`Resolution`] per visited parameter) is both what the phase reports
+//! and what the assembler emits as arguments.
 
 use crysl::ast::{Atom, CmpOp, Constraint, Literal, TypeRef};
 use javamodel::ast::JavaType;
@@ -36,8 +46,6 @@ pub enum Resolution {
     },
     /// Bound by an earlier event of the same rule (`key = generateSecret(..)`).
     OwnReturn,
-    /// The rule's own instance.
-    This,
     /// A literal derived from CONSTRAINTS.
     Value(Literal),
     /// Unresolvable — hoist into the wrapper signature.
@@ -201,9 +209,9 @@ pub fn antecedent_holds(
 /// Resolves rule variable `var` of rule `idx` for a path whose earlier
 /// events bind the return variables in `own_returns`.
 ///
-/// Never returns [`Resolution::Hoist`] for `this`; instance resolution is
-/// handled separately by the assembler.
-pub fn resolve_var(
+/// Instance resolution is handled separately, by path selection and the
+/// assembler.
+fn resolve_var(
     idx: usize,
     var: &str,
     own_returns: &[&str],
@@ -211,11 +219,8 @@ pub fn resolve_var(
     links: &[Link],
     table: &TypeTable,
 ) -> Resolution {
-    let cr = &rules[idx];
-    if cr.bound_template_var(var).is_some() {
-        return Resolution::TemplateVar(
-            cr.bound_template_var(var).expect("just checked").to_owned(),
-        );
+    if let Some(tv) = rules[idx].bound_template_var(var) {
+        return Resolution::TemplateVar(tv.to_owned());
     }
     if let Some(link) = links.producer_for(idx, &Carrier::Var(var.to_owned())) {
         return Resolution::Linked {
@@ -239,27 +244,24 @@ impl Resolution {
             Resolution::TemplateVar(_) => ResolutionKind::Template,
             Resolution::Linked { .. } => ResolutionKind::Linked,
             Resolution::OwnReturn => ResolutionKind::OwnReturn,
-            Resolution::This => ResolutionKind::This,
             Resolution::Value(_) => ResolutionKind::Constraint,
             Resolution::Hoist => ResolutionKind::Hoist,
         }
     }
 }
 
-/// Replays the resolution of every event parameter of rule `idx` along
-/// `path` and reports the outcome of each as a telemetry event:
-/// [`Event::ParamResolved`] for resolved parameters,
-/// [`Event::ParamHoisted`] for fallback hoists. Pure reporting — the
-/// assembler performs the authoritative resolution; this walk applies
-/// the same rules in the same order, so the reported outcomes match
-/// what the generated code does.
-pub fn report_path_resolutions(
+/// The one resolution walk: visits every variable parameter of rule
+/// `idx`'s events along `path` in call order and hands each
+/// `(event label, rule variable, resolution)` to `visit`. The return
+/// variables of earlier events are visible to later ones, so a parameter
+/// bound by an earlier call resolves as [`Resolution::OwnReturn`].
+pub fn resolve_path(
     idx: usize,
     path: &[String],
     rules: &[CollectedRule<'_>],
     links: &[Link],
     table: &TypeTable,
-    observer: &dyn GenObserver,
+    mut visit: impl FnMut(&str, &str, Resolution),
 ) {
     let rule = rules[idx].rule;
     let mut own_returns: Vec<&str> = Vec::new();
@@ -270,23 +272,42 @@ pub fn report_path_resolutions(
         for p in &m.params {
             if let crysl::ast::ParamPattern::Var(v) = p {
                 let r = resolve_var(idx, v, &own_returns, rules, links, table);
-                match r {
-                    Resolution::Hoist => observer.event(&Event::ParamHoisted {
-                        rule: rule.class_name.as_str(),
-                        variable: v,
-                    }),
-                    resolved => observer.event(&Event::ParamResolved {
-                        rule: rule.class_name.as_str(),
-                        variable: v,
-                        via: resolved.kind(),
-                    }),
-                }
+                visit(label, v, r);
             }
         }
         if let Some(rv) = &m.return_var {
             own_returns.push(rv);
         }
     }
+}
+
+/// The resolution plan of rule `idx` along its selected `path`: one
+/// [`Resolution`] per variable parameter, in [`resolve_path`] order —
+/// the order in which the assembler fills arguments. Each entry is
+/// reported as it is planned: [`Event::ParamResolved`] for resolved
+/// parameters, [`Event::ParamHoisted`] for fallback hoists.
+pub fn plan_path(
+    idx: usize,
+    path: &[String],
+    rules: &[CollectedRule<'_>],
+    links: &[Link],
+    table: &TypeTable,
+    observer: &dyn GenObserver,
+) -> Vec<Resolution> {
+    let rule = rules[idx].rule.class_name.as_str();
+    let mut plan = Vec::new();
+    resolve_path(idx, path, rules, links, table, |_, variable, r| {
+        observer.event(&match r {
+            Resolution::Hoist => Event::ParamHoisted { rule, variable },
+            ref resolved => Event::ParamResolved {
+                rule,
+                variable,
+                via: resolved.kind(),
+            },
+        });
+        plan.push(r);
+    });
+    plan
 }
 
 #[cfg(test)]
@@ -418,6 +439,39 @@ mod tests {
         assert_eq!(
             resolve_var(0, "data", &[], &rules, &links, &jca_type_table()),
             Resolution::Hoist
+        );
+    }
+
+    #[test]
+    fn walk_visits_params_in_call_order_with_earlier_returns_visible() {
+        let (set, chain, method) = setup(
+            &["SPEC a.X\nOBJECTS byte[] out; byte[] data;\nEVENTS e1: use(out); e2: out = make(data); e3: use(out);\nORDER e1, e2, e3"],
+            CrySlCodeGenerator::get_instance().consider_crysl_rule("a.X").build(),
+            &TemplateMethod::new("go", JavaType::Void),
+        );
+        let rules = collect(&chain, &method, &set).unwrap();
+        let links = link(&rules);
+        let path: Vec<String> = ["e1", "e2", "e3"].map(String::from).to_vec();
+        let mut seen = Vec::new();
+        resolve_path(
+            0,
+            &path,
+            &rules,
+            &links,
+            &jca_type_table(),
+            |label, var, r| {
+                seen.push((label.to_owned(), var.to_owned(), r));
+            },
+        );
+        let step = |l: &str, v: &str, r| (l.to_owned(), v.to_owned(), r);
+        assert_eq!(
+            seen,
+            vec![
+                // `out` is not bound yet at its first use.
+                step("e1", "out", Resolution::Hoist),
+                step("e2", "data", Resolution::Hoist),
+                step("e3", "out", Resolution::OwnReturn),
+            ]
         );
     }
 

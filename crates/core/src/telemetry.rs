@@ -122,8 +122,6 @@ pub enum ResolutionKind {
     Linked,
     /// Bound by an earlier event of the same rule.
     OwnReturn,
-    /// The rule's own instance.
-    This,
     /// A literal derived from CONSTRAINTS.
     Constraint,
     /// Unresolvable — hoisted into the wrapper signature.
@@ -137,7 +135,6 @@ impl ResolutionKind {
             ResolutionKind::Template => "template",
             ResolutionKind::Linked => "linked",
             ResolutionKind::OwnReturn => "own_return",
-            ResolutionKind::This => "this",
             ResolutionKind::Constraint => "constraint",
             ResolutionKind::Hoist => "hoist",
         }

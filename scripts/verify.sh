@@ -51,10 +51,12 @@ echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked
 
 # Generation has two entry points over one pipeline body and no
-# process-wide ORDER cache; the deleted routes must not come back.
-old_routes='\b(shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver)\b'
+# process-wide ORDER cache, path selection has one entry point, and
+# parameters are resolved by one walk; the deleted routes must not
+# come back.
+old_routes='\b(shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return)\b'
 if matches="$(grep -nE "$old_routes" $sources)"; then
-    echo "error: deleted generation route or process-wide cache:" >&2
+    echo "error: deleted generation route, process-wide cache or resolution walk:" >&2
     echo "$matches" >&2
     exit 1
 fi

@@ -15,6 +15,8 @@
 //!                                     skips parsing and ORDER compilation
 //!                                     entirely
 //! cognicryptgen analyze <file>        run the misuse analyzer on Java text
+//!                                     against the --rules pack (default:
+//!                                     the embedded one)
 //! cognicryptgen oldgen <id>           run the XSL/Clafer baseline generator
 //! cognicryptgen report [dir]          run all use cases instrumented, print
 //!                                     the Table-1 timing/memory/metrics report
@@ -63,10 +65,12 @@
 //!                                     workload section for replay diffing
 //! ```
 //!
-//! `generate`, `batch` and `report` additionally accept
-//! `--rules <dir|pack.crpack>` — serve a rule pack other than the
-//! embedded one, auto-detected as a `*.crysl` source directory or a
-//! precompiled binary pack — and `--trace <file>`:
+//! `generate`, `batch`, `report` and `analyze` additionally accept
+//! `--rules <dir|pack.crpack|name@vN>` — serve (or, for `analyze`,
+//! check against) a rule pack other than the embedded one,
+//! auto-detected as a `*.crysl` source directory, a precompiled binary
+//! pack or a catalogued pack name — and all but `analyze` accept
+//! `--trace <file>`:
 //! the run is observed by a [`TraceRecorder`] and the span/event stream
 //! is written as Chrome Trace Event Format JSON — open the file in
 //! `chrome://tracing` or Perfetto. Traced runs build a per-invocation
@@ -107,7 +111,7 @@ use devharness::json::Json;
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
 
-const USAGE: &str = "cognicryptgen <list|generate|batch|template|rules|compile-rules|analyze|oldgen|report|report-check|trace-check|fuzz|serve|serve-check|load|load-check> [arg..] [--rules <dir|pack>] [--trace <file>]";
+const USAGE: &str = "cognicryptgen <list|generate|batch|template|rules|compile-rules|analyze|oldgen|report|report-check|trace-check|fuzz|serve|serve-check|load|load-check> [arg..] [--rules <dir|pack|name@vN>] [--trace <file>]";
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -130,8 +134,8 @@ fn main() -> ExitCode {
                 .and_then(|()| cmd_rules(args.get(1).map(String::as_str))),
             Some("compile-rules") => reject_custom(trace, pack, "compile-rules")
                 .and_then(|()| cmd_compile_rules(&args[1..])),
-            Some("analyze") => reject_custom(trace, pack, "analyze")
-                .and_then(|()| cmd_analyze(args.get(1).map(String::as_str))),
+            Some("analyze") => reject_trace(trace, "analyze")
+                .and_then(|()| cmd_analyze(args.get(1).map(String::as_str), pack)),
             Some("oldgen") => reject_custom(trace, pack, "oldgen")
                 .and_then(|()| cmd_oldgen(args.get(1).map(String::as_str))),
             Some("report") => cmd_report(args.get(1).map(String::as_str), pack, trace),
@@ -205,7 +209,7 @@ fn reject_custom(trace: Option<&str>, pack: Option<&str>, cmd: &str) -> Result<(
     reject_trace(trace, cmd)?;
     match pack {
         Some(_) => Err(Error::Usage(format!(
-            "--rules is not supported by `{cmd}` (use generate, batch, report or serve)"
+            "--rules is not supported by `{cmd}` (use generate, batch, report, analyze or serve)"
         ))),
         None => Ok(()),
     }
@@ -458,12 +462,15 @@ fn cmd_compile_rules(args: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-fn cmd_analyze(path: Option<&str>) -> Result<(), Error> {
+/// `analyze <file>` — check Java text against the rule pack `--rules`
+/// names (the embedded one by default), so code generated under a pack
+/// is judged by that same pack.
+fn cmd_analyze(path: Option<&str>, pack: Option<&str>) -> Result<(), Error> {
     let path = path.ok_or_else(|| Error::Usage("missing file to analyze".to_owned()))?;
     let source = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
     let table = jca_type_table();
     let unit = parse_java(&source, &table).map_err(|e| Error::Invalid(e.to_string()))?;
-    let rules = rules::open(PackSource::Embedded)?.rules;
+    let rules = rules::open(pack.map_or(PackSource::Embedded, PackSource::detect))?.rules;
     let misuses = analyze_unit(&unit, &rules, &table, AnalyzerOptions::default());
     if misuses.is_empty() {
         println!("no misuses found");

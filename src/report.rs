@@ -712,6 +712,27 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_metrics_match_the_committed_report() {
+        // Everything but the allocator figures (zeros in this test
+        // binary) is a pure function of the embedded pack: path
+        // selection, ORDER-cache traffic and resolution kinds.
+        let deterministic = |doc: &Json| -> Vec<(String, Json)> {
+            match doc.get("metrics") {
+                Some(Json::Obj(members)) => members
+                    .iter()
+                    .filter(|(k, _)| !k.starts_with("mem."))
+                    .cloned()
+                    .collect(),
+                other => panic!("metrics object expected, got {other:?}"),
+            }
+        };
+        let committed =
+            Json::parse(include_str!("../REPORT_table1.json")).expect("committed report parses");
+        let report = build_from(PackSource::Embedded, None).expect("report builds");
+        assert_eq!(deterministic(&to_json(&report)), deterministic(&committed));
+    }
+
+    #[test]
     fn validate_rejects_mutilated_reports() {
         let report = build_from(PackSource::Embedded, None).expect("report builds");
         let doc = to_json(&report);

@@ -1,6 +1,7 @@
 //! End-to-end CLI contract tests over the real binary: per-class exit
 //! codes, the strict `--trace` flag normalization across every
-//! subcommand, and the daemon boot → serve-check → shutdown round trip.
+//! subcommand, `analyze` under the global `--rules`, and the daemon
+//! boot → serve-check → shutdown round trip.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -102,6 +103,31 @@ fn trace_flag_normalization_is_strict() {
     ]);
     assert_eq!(exit_code(&out), 2);
     assert!(stderr(&out).contains("--trace given more than once"));
+}
+
+#[test]
+fn analyze_judges_code_by_the_rules_pack_it_was_generated_under() {
+    let dir = scratch("analyze-rules");
+    let out = run(&["batch", dir.to_str().unwrap(), "2", "--rules", "jca@v1"]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
+    let uc06 = dir.join("uc06.java");
+    let uc06 = uc06.to_str().unwrap();
+
+    // Checked against the pack that generated it, the code is clean.
+    let out = run(&["analyze", uc06, "--rules", "jca@v1"]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "no misuses found\n");
+
+    // The embedded jca@v2 rules reject v1's RSA key size.
+    let out = run(&["analyze", uc06]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        report.contains("ConstraintError on java.security.KeyPairGenerator")
+            && report.contains("keySize in {2048, 4096, 256}"),
+        "{report}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
