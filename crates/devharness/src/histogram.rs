@@ -2,7 +2,7 @@
 //!
 //! The bench harness's summary statistics ([`crate::bench`]) are built
 //! from a full in-memory sample vector, which is fine for twenty timed
-//! samples but not for a load harness recording millions of requests.
+//! samples but not for a daemon recording millions of requests.
 //! This histogram records a `u64` sample (nanoseconds, bytes, …) in
 //! O(1) into a fixed 1920-bucket table and answers quantile queries
 //! with a bounded relative error, like HdrHistogram but with none of
@@ -16,8 +16,7 @@
 //! Determinism: a histogram is a pure function of the multiset of
 //! recorded samples. [`Histogram::merge`] is commutative and
 //! associative, so per-client histograms folded in any order give the
-//! identical aggregate — the property the load harness's report
-//! depends on when client threads race.
+//! identical aggregate, however client threads race.
 
 use crate::json::Json;
 
@@ -513,8 +512,8 @@ mod tests {
     #[test]
     fn quantile_bounds_of_componentwise_smaller_samples_stay_consistent() {
         // Server-side wall time is a component of what a client times:
-        // per sample, server <= client. The comparison the load harness
-        // makes — server lower bound <= client upper bound at the same
+        // per sample, server <= client. The comparison the soak tests
+        // make — server lower bound <= client upper bound at the same
         // quantile — must hold for any such pair of streams.
         let mut rng = Xoshiro256::seed_from_u64(9);
         let mut server = Histogram::new();

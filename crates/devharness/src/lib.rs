@@ -17,9 +17,7 @@
 //! * [`histogram`] — an HDR-style log-linear latency histogram
 //!   (O(1) record, bounded-error quantiles, order-insensitive merge)
 //!   for workloads with millions of samples, where [`bench`]'s
-//!   sample-vector statistics would not scale;
-//! * [`pacing`] — open- and closed-loop pacing primitives for load
-//!   generation, with coordinated-omission-aware scheduling.
+//!   sample-vector statistics would not scale.
 //!
 //! Everything here is `std`-only by design; adding an external dependency
 //! to this crate defeats its purpose.
@@ -27,6 +25,5 @@
 pub mod bench;
 pub mod histogram;
 pub mod json;
-pub mod pacing;
 pub mod prop;
 pub mod rng;

@@ -1,562 +1,5 @@
-//! `cognicrypt-load` — the seeded load harness that simulates the
-//! million-user day against the generation stack.
-//!
-//! The generator's pitch is that its output is *dependably* secure;
-//! that promise is empty if the generator itself degrades under
-//! production pressure. This crate replays a deterministic, zipf-skewed
-//! workload — hot and cold use cases, mid-run rule-pack reloads, and
-//! hostile traffic drawn from the fuzz reproducer corpus — against any
-//! number of [`Target`]s (the in-process `GenEngine`, the daemon's
-//! HTTP transport, the daemon's Unix socket), and *asserts* while it
-//! measures:
-//!
-//! * every well-formed response is byte-identical to the one-shot
-//!   engine's output, whatever hostile traffic runs beside it;
-//! * every hostile input gets a typed error — never a panic, never a
-//!   transport failure, never an `ok`;
-//! * the well-formed p99 under mixed traffic stays within a bounded
-//!   factor of the clean-traffic baseline measured first.
-//!
-//! Latencies go into [`devharness::histogram::Histogram`]s per request
-//! class (p50/p95/p99 with bounded relative error); the report splits
-//! into a fully deterministic `workload` section (what the replay gate
-//! diffs across identical seeds) and wall-clock `results`/`latency`
-//! sections (what `bench_compare` gates across commits).
-//!
-//! The crate knows nothing about transports: a [`Target`] maps each
-//! [`workload::OpKind`] onto its protocol and classifies the response.
-//! The CLI wires up the concrete targets; tests wire up hostile stubs
-//! to prove the harness fails loudly when a target misbehaves.
+//! `cognicrypt-load` — the seeded workload model that perfbench
+//! replays: zipf-skewed well-formed traffic with hostile requests,
+//! reloads and snapshots interleaved, as a pure function of its spec.
 
-pub mod report;
 pub mod workload;
-
-use std::collections::BTreeMap;
-use std::time::Instant;
-
-use devharness::histogram::Histogram;
-use devharness::pacing::Pacer;
-
-use workload::{Op, OpKind};
-
-/// How a target classified one operation's result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutcomeClass {
-    /// The operation succeeded.
-    Ok,
-    /// A typed application-level error (the daemon's `Error` classes).
-    TypedError,
-    /// A typed transport/protocol-level refusal (400/404/405/413/431,
-    /// the UDS `protocol` class).
-    ProtocolError,
-    /// A panic — in-process caught, or the daemon's `"panic"` class.
-    /// Always a violation.
-    Panic,
-    /// The transport itself failed (connect/read/write error): the
-    /// daemon is gone or wedged. Always a violation.
-    Transport,
-}
-
-impl OutcomeClass {
-    /// Stable name used in report keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            OutcomeClass::Ok => "ok",
-            OutcomeClass::TypedError => "typed_error",
-            OutcomeClass::ProtocolError => "protocol_error",
-            OutcomeClass::Panic => "panic",
-            OutcomeClass::Transport => "transport",
-        }
-    }
-
-    /// All outcome names, in report order.
-    pub const ALL: [&'static str; 5] =
-        ["ok", "typed_error", "protocol_error", "panic", "transport"];
-}
-
-/// One operation's result, as classified by the target.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// The outcome class.
-    pub class: OutcomeClass,
-    /// For well-formed generations: whether the response matched the
-    /// expected bytes exactly. `None` for every other op kind.
-    pub bytes_match: Option<bool>,
-    /// Human-readable detail for violation messages.
-    pub detail: String,
-}
-
-impl Outcome {
-    /// A plain success.
-    pub fn ok() -> Outcome {
-        Outcome {
-            class: OutcomeClass::Ok,
-            bytes_match: None,
-            detail: String::new(),
-        }
-    }
-
-    /// A success whose payload was byte-compared.
-    pub fn verified(matched: bool) -> Outcome {
-        Outcome {
-            class: OutcomeClass::Ok,
-            bytes_match: Some(matched),
-            detail: if matched {
-                String::new()
-            } else {
-                "response bytes diverged from the one-shot engine".to_owned()
-            },
-        }
-    }
-
-    /// An outcome of `class` with a detail message.
-    pub fn classed(class: OutcomeClass, detail: impl Into<String>) -> Outcome {
-        Outcome {
-            class,
-            bytes_match: None,
-            detail: detail.into(),
-        }
-    }
-}
-
-/// A system under load: maps each operation onto a protocol and
-/// classifies the response. Implementations must be `Sync` — the
-/// runner drives one target from many client threads at once.
-pub trait Target: Sync {
-    /// Stable name used in report keys (`library`, `http`, `uds`).
-    fn name(&self) -> &'static str;
-
-    /// Executes one operation and classifies its result. Must not
-    /// panic: an in-process panic the target cannot contain is exactly
-    /// what the harness exists to detect, so contain and report it as
-    /// [`OutcomeClass::Panic`].
-    fn call(&self, op: &OpKind) -> Outcome;
-}
-
-/// Whether `outcome` is acceptable for an op of `kind`. Anything
-/// unacceptable is a violation; a single violation fails the run.
-fn acceptable(kind: &OpKind, outcome: &Outcome) -> bool {
-    match kind {
-        OpKind::WellFormed { .. } => {
-            outcome.class == OutcomeClass::Ok && outcome.bytes_match == Some(true)
-        }
-        OpKind::Reload | OpKind::Snapshot => outcome.class == OutcomeClass::Ok,
-        // A hostile selector must be *refused*: ok would mean garbage
-        // resolved to a real use case.
-        OpKind::HostileSelector { .. } => matches!(
-            outcome.class,
-            OutcomeClass::TypedError | OutcomeClass::ProtocolError
-        ),
-        // A corpus rule source may parse (the reproducers are fixed) —
-        // the assertion is only that it never panics or wedges.
-        OpKind::HostileRule { .. } => matches!(
-            outcome.class,
-            OutcomeClass::Ok | OutcomeClass::TypedError | OutcomeClass::ProtocolError
-        ),
-        OpKind::HostileProtocol { .. } => matches!(
-            outcome.class,
-            OutcomeClass::TypedError | OutcomeClass::ProtocolError
-        ),
-    }
-}
-
-/// Runner knobs.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Concurrent client threads per target.
-    pub clients: usize,
-    /// Open-loop aggregate arrival rate (ops/s) across a target's
-    /// clients; `None` runs closed-loop (back to back).
-    pub rate: Option<f64>,
-    /// Mixed-traffic well-formed p99 must stay within this factor of
-    /// the clean baseline p99.
-    pub p99_factor: f64,
-    /// Baseline p99 floor: the bound is `factor × max(clean_p99,
-    /// floor)`, so microsecond baselines don't make the gate flaky.
-    pub p99_floor_ns: u64,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            clients: 4,
-            rate: None,
-            p99_factor: 50.0,
-            p99_floor_ns: 10_000_000, // 10 ms
-        }
-    }
-}
-
-/// Aggregated measurements of one phase (clean or mixed) on one target.
-#[derive(Debug, Default)]
-pub struct PhaseRun {
-    /// Wall time of the whole phase, nanoseconds.
-    pub wall_ns: u64,
-    /// Latency histogram per op class.
-    pub latency: BTreeMap<&'static str, Histogram>,
-    /// Scheduled ops per class (deterministic).
-    pub ops: BTreeMap<&'static str, u64>,
-    /// Outcomes per class name (deterministic while the target behaves).
-    pub outcomes: BTreeMap<&'static str, u64>,
-    /// Well-formed responses verified byte-identical.
-    pub verified: u64,
-    /// Violation messages (bounded; `violation_count` holds the total).
-    pub violations: Vec<String>,
-    /// Total violations observed.
-    pub violation_count: u64,
-}
-
-impl PhaseRun {
-    fn merge(&mut self, other: PhaseRun) {
-        for (class, h) in other.latency {
-            self.latency.entry(class).or_default().merge(&h);
-        }
-        for (class, n) in other.ops {
-            *self.ops.entry(class).or_default() += n;
-        }
-        for (name, n) in other.outcomes {
-            *self.outcomes.entry(name).or_default() += n;
-        }
-        self.verified += other.verified;
-        self.violation_count += other.violation_count;
-        for v in other.violations {
-            if self.violations.len() < 20 {
-                self.violations.push(v);
-            }
-        }
-    }
-
-    /// The well-formed latency histogram, empty if none ran.
-    pub fn wellformed(&self) -> Histogram {
-        self.latency.get("wellformed").cloned().unwrap_or_default()
-    }
-
-    /// Total ops executed in this phase.
-    pub fn total_ops(&self) -> u64 {
-        self.ops.values().sum()
-    }
-
-    /// Mean sustained throughput of the phase, milli-ops per second
-    /// (integral, so the report stays float-free).
-    pub fn throughput_millihz(&self) -> u64 {
-        if self.wall_ns == 0 {
-            return 0;
-        }
-        self.total_ops() * 1_000_000_000_000 / self.wall_ns
-    }
-}
-
-/// The p99 isolation check of one target: mixed well-formed tail
-/// latency bounded by the clean baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct P99Check {
-    /// Clean-phase well-formed p99, nanoseconds.
-    pub clean_ns: u64,
-    /// Mixed-phase well-formed p99, nanoseconds.
-    pub mixed_ns: u64,
-    /// The bound the mixed p99 had to stay under.
-    pub bound_ns: u64,
-    /// Whether the check passed.
-    pub ok: bool,
-}
-
-/// A server-side latency distribution checked against the
-/// client-observed one at quantile `q`, each with the histogram's
-/// documented bucket bounds
-/// ([`devharness::histogram::Histogram::quantile_bounds`]).
-#[derive(Debug, Clone, Copy)]
-pub struct QuantileCrossCheck {
-    /// The quantile checked (e.g. 0.99).
-    pub q: f64,
-    /// Server-side quantile bucket bounds, nanoseconds.
-    pub server_ns: (u64, u64),
-    /// Client-side quantile bucket bounds, nanoseconds.
-    pub client_ns: (u64, u64),
-    /// Whether the check passed.
-    pub ok: bool,
-}
-
-/// Cross-checks a daemon-side wall-time histogram against the
-/// client-observed latency histogram for the same requests.
-///
-/// The client measures each request from its scheduled (pacer-due)
-/// time, so connect time and queueing delay are included and every
-/// client sample is at least the server's wall time for that request.
-/// Sample-wise domination bounds the quantiles the same way, so the
-/// sound assertion is one-directional: the server's lower p-`q` bucket
-/// bound must not exceed the client's upper bucket bound. A violation
-/// means the two distributions cannot describe the same requests —
-/// daemon-side recording is broken.
-pub fn cross_check_quantile(server: &Histogram, client: &Histogram, q: f64) -> QuantileCrossCheck {
-    let server_ns = server.quantile_bounds(q);
-    let client_ns = client.quantile_bounds(q);
-    QuantileCrossCheck {
-        q,
-        server_ns,
-        client_ns,
-        ok: server_ns.0 <= client_ns.1,
-    }
-}
-
-/// Everything measured about one target.
-#[derive(Debug)]
-pub struct TargetRun {
-    /// Target name (`library`, `http`, `uds`).
-    pub target: &'static str,
-    /// The clean-traffic baseline phase.
-    pub clean: PhaseRun,
-    /// The mixed hostile/well-formed phase.
-    pub mixed: PhaseRun,
-    /// The isolation check derived from the two phases.
-    pub p99: P99Check,
-}
-
-impl TargetRun {
-    /// All violation messages of both phases, clean first.
-    pub fn violations(&self) -> impl Iterator<Item = &String> {
-        self.clean
-            .violations
-            .iter()
-            .chain(self.mixed.violations.iter())
-    }
-
-    /// Total violations including the p99 breach.
-    pub fn violation_count(&self) -> u64 {
-        self.clean.violation_count + self.mixed.violation_count + u64::from(!self.p99.ok)
-    }
-}
-
-/// Executes `schedule` against `target` over `config.clients` threads
-/// and aggregates the per-client measurements. Client `c` runs the
-/// schedule's ops at positions `c, c+clients, c+2·clients, …` in
-/// order, so the per-class counts are a pure function of the schedule
-/// regardless of interleaving; only latencies vary between runs.
-pub fn run_phase(target: &dyn Target, schedule: &[Op], config: &RunConfig) -> PhaseRun {
-    let clients = config.clients.max(1);
-    let per_client_rate = config.rate.map(|r| r / clients as f64);
-    let phase_start = Instant::now();
-    let mut merged = PhaseRun::default();
-    let parts: Vec<PhaseRun> = std::thread::scope(|scope| {
-        (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let pacer = match per_client_rate {
-                        Some(rate) => Pacer::per_second(rate),
-                        None => Pacer::closed(),
-                    };
-                    let mut run = PhaseRun::default();
-                    for (j, op) in schedule.iter().skip(c).step_by(clients).enumerate() {
-                        let scheduled = pacer.due(j as u64);
-                        let outcome = target.call(&op.kind);
-                        let latency =
-                            scheduled.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        let class = op.kind.class();
-                        *run.ops.entry(class).or_default() += 1;
-                        *run.outcomes.entry(outcome.class.name()).or_default() += 1;
-                        run.latency.entry(class).or_default().record(latency);
-                        if outcome.bytes_match == Some(true) {
-                            run.verified += 1;
-                        }
-                        if !acceptable(&op.kind, &outcome) {
-                            run.violation_count += 1;
-                            if run.violations.len() < 20 {
-                                run.violations.push(format!(
-                                    "{}: op {} ({class}) got {}{}",
-                                    target.name(),
-                                    op.index,
-                                    outcome.class.name(),
-                                    if outcome.detail.is_empty() {
-                                        String::new()
-                                    } else {
-                                        format!(": {}", outcome.detail)
-                                    }
-                                ));
-                            }
-                        }
-                    }
-                    run
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|t| t.join().expect("client thread must not panic"))
-            .collect()
-    });
-    for part in parts {
-        merged.merge(part);
-    }
-    merged.wall_ns = phase_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    merged
-}
-
-/// Runs the clean baseline then the mixed phase on one target and
-/// derives the p99 isolation check.
-pub fn run_target(
-    target: &dyn Target,
-    clean_schedule: &[Op],
-    mixed_schedule: &[Op],
-    config: &RunConfig,
-) -> TargetRun {
-    let clean = run_phase(target, clean_schedule, config);
-    let mixed = run_phase(target, mixed_schedule, config);
-    let clean_ns = clean.wellformed().quantile(0.99);
-    let mixed_ns = mixed.wellformed().quantile(0.99);
-    let bound_ns =
-        (config.p99_factor * clean_ns.max(config.p99_floor_ns) as f64).min(u64::MAX as f64) as u64;
-    let ok = mixed_ns <= bound_ns;
-    TargetRun {
-        target: target.name(),
-        clean,
-        mixed,
-        p99: P99Check {
-            clean_ns,
-            mixed_ns,
-            bound_ns,
-            ok,
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use workload::WorkloadSpec;
-
-    /// A well-behaved in-memory target.
-    struct GoodTarget;
-
-    impl Target for GoodTarget {
-        fn name(&self) -> &'static str {
-            "good"
-        }
-
-        fn call(&self, op: &OpKind) -> Outcome {
-            match op {
-                OpKind::WellFormed { .. } => Outcome::verified(true),
-                OpKind::Reload | OpKind::Snapshot => Outcome::ok(),
-                OpKind::HostileSelector { .. } | OpKind::HostileProtocol { .. } => {
-                    Outcome::classed(OutcomeClass::TypedError, "refused")
-                }
-                OpKind::HostileRule { .. } => Outcome::classed(OutcomeClass::TypedError, "parse"),
-            }
-        }
-    }
-
-    /// A target that panics (contained) on one hostile class and
-    /// silently accepts another — both must surface as violations.
-    struct EvilTarget;
-
-    impl Target for EvilTarget {
-        fn name(&self) -> &'static str {
-            "evil"
-        }
-
-        fn call(&self, op: &OpKind) -> Outcome {
-            match op {
-                OpKind::WellFormed { .. } => Outcome::verified(false),
-                OpKind::HostileSelector { .. } => Outcome::ok(),
-                OpKind::HostileRule { .. } => Outcome::classed(OutcomeClass::Panic, "boom"),
-                _ => Outcome::ok(),
-            }
-        }
-    }
-
-    fn schedules() -> (Vec<Op>, Vec<Op>) {
-        let spec = WorkloadSpec::standard_catalogue(3, 400, vec![]);
-        (
-            workload::build_schedule(&spec.clean_baseline(100)),
-            workload::build_schedule(&spec),
-        )
-    }
-
-    #[test]
-    fn well_behaved_target_passes_with_zero_violations() {
-        let (clean, mixed) = schedules();
-        let run = run_target(&GoodTarget, &clean, &mixed, &RunConfig::default());
-        assert_eq!(run.violation_count(), 0);
-        assert!(run.p99.ok);
-        assert_eq!(run.clean.total_ops(), 100);
-        assert_eq!(run.mixed.total_ops(), 400);
-        assert_eq!(run.clean.verified, 100);
-        assert!(run.mixed.wellformed().count() > 0);
-        assert!(run.mixed.throughput_millihz() > 0);
-    }
-
-    #[test]
-    fn counts_are_identical_across_client_counts() {
-        let (clean, mixed) = schedules();
-        let one = run_target(
-            &GoodTarget,
-            &clean,
-            &mixed,
-            &RunConfig {
-                clients: 1,
-                ..RunConfig::default()
-            },
-        );
-        let eight = run_target(
-            &GoodTarget,
-            &clean,
-            &mixed,
-            &RunConfig {
-                clients: 8,
-                ..RunConfig::default()
-            },
-        );
-        assert_eq!(one.mixed.ops, eight.mixed.ops);
-        assert_eq!(one.mixed.outcomes, eight.mixed.outcomes);
-        assert_eq!(one.mixed.verified, eight.mixed.verified);
-        for (class, h) in &one.mixed.latency {
-            assert_eq!(h.count(), eight.mixed.latency[class].count());
-        }
-    }
-
-    #[test]
-    fn misbehaving_target_is_caught() {
-        let (clean, mixed) = schedules();
-        let run = run_target(&EvilTarget, &clean, &mixed, &RunConfig::default());
-        assert!(run.violation_count() > 0);
-        // Divergent bytes, accepted hostile selectors and panics are
-        // all individually flagged.
-        let all: Vec<&String> = run.violations().collect();
-        assert!(all.iter().any(|v| v.contains("wellformed")));
-        assert!(all.iter().any(|v| v.contains("hostile_selector")));
-        assert!(all.iter().any(|v| v.contains("panic")));
-    }
-
-    #[test]
-    fn quantile_cross_check_accepts_dominated_servers_and_flags_inversions() {
-        let mut server = Histogram::new();
-        let mut client = Histogram::new();
-        // Componentwise domination: client = server + fixed overhead.
-        for i in 1..=1000u64 {
-            server.record(i * 1000);
-            client.record(i * 1000 + 250_000);
-        }
-        for q in [0.5, 0.9, 0.99] {
-            let check = cross_check_quantile(&server, &client, q);
-            assert!(check.ok, "q={q}: {check:?}");
-            assert!(check.server_ns.0 <= check.server_ns.1);
-        }
-        // Inverted: the "server" claims a tail far above anything the
-        // client saw — impossible for the same requests.
-        let check = cross_check_quantile(&client, &server, 0.99);
-        assert!(!check.ok, "{check:?}");
-    }
-
-    #[test]
-    fn open_loop_rate_still_executes_every_op() {
-        let (clean, _) = schedules();
-        let run = run_phase(
-            &GoodTarget,
-            &clean,
-            &RunConfig {
-                clients: 2,
-                rate: Some(1_000_000.0),
-                ..RunConfig::default()
-            },
-        );
-        assert_eq!(run.total_ops(), 100);
-        assert_eq!(run.violation_count, 0);
-    }
-}

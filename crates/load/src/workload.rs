@@ -1,11 +1,11 @@
-//! The seeded workload model: which operations a load run issues, in
-//! what proportions, in what order.
+//! The seeded workload model: which operations a run issues, in what
+//! proportions, in what order.
 //!
 //! A schedule is a pure function of a [`WorkloadSpec`] — same spec,
-//! same seed, same `Vec<Op>`, byte for byte. Everything downstream that
-//! the replay-determinism gate compares (per-class counts, outcome
-//! tallies, the schedule fingerprint) follows from that purity; only
-//! wall-clock latencies differ between two runs of one spec.
+//! same seed, same `Vec<Op>`, byte for byte — so two replays of one
+//! spec issue identical traffic and only wall-clock latencies differ.
+//! Perfbench's `uds-mixed` workload replays the standard mix
+//! ([`WorkloadSpec::standard`]) and draws its hostile probes from it.
 //!
 //! The shape mimics a production day, not a microbenchmark:
 //!
@@ -25,8 +25,7 @@
 
 use devharness::rng::{RandomSource, Xoshiro256};
 
-/// One operation class. The numeric discriminants index the
-/// deterministic per-class count table in the load report.
+/// One operation class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpKind {
     /// Generate one shipped use case; the response must be
@@ -62,7 +61,7 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Stable class name used in report keys and metric names.
+    /// Stable class name.
     pub fn class(&self) -> &'static str {
         match self {
             OpKind::WellFormed { .. } => "wellformed",
@@ -73,22 +72,12 @@ impl OpKind {
             OpKind::Snapshot => "snapshot",
         }
     }
-
-    /// All class names, in report order.
-    pub const CLASSES: [&'static str; 6] = [
-        "wellformed",
-        "hostile_selector",
-        "hostile_rule",
-        "hostile_protocol",
-        "reload",
-        "snapshot",
-    ];
 }
 
 /// One scheduled operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Op {
-    /// Position in the schedule (also the pacing index).
+    /// Position in the schedule.
     pub index: u64,
     /// What to do.
     pub kind: OpKind,
@@ -134,40 +123,12 @@ impl WorkloadSpec {
             corpus,
         }
     }
-
-    /// [`standard`](Self::standard) over the full shipped catalogue —
-    /// the id universe is derived from [`usecases::all_use_cases`], not
-    /// hardcoded, so workloads scale with the catalogue.
-    pub fn standard_catalogue(seed: u64, budget: u64, corpus: Vec<String>) -> Self {
-        Self::standard(seed, budget, catalogue_ids(), corpus)
-    }
-
-    /// The clean-baseline variant of this spec: well-formed traffic
-    /// only (same seed, same skew), used to measure the p99 that the
-    /// mixed run is bounded against. Reloads and snapshots are
-    /// excluded so the baseline is pure request latency.
-    pub fn clean_baseline(&self, budget: u64) -> WorkloadSpec {
-        WorkloadSpec {
-            budget,
-            hostile_per_mille: 0,
-            reload_every: 0,
-            snapshot_every: 0,
-            ..self.clone()
-        }
-    }
 }
 
 /// Every shipped use-case id in catalogue order (hottest first under
 /// the zipf skew).
 pub fn catalogue_ids() -> Vec<u8> {
     usecases::all_use_cases().iter().map(|u| u.id).collect()
-}
-
-/// The use-case ids a named catalogue rule pack declares, for workloads
-/// that exercise a subset pack (`aead@v1`, `token@v1`, …) instead of the
-/// full catalogue. `None` when the pack is unknown.
-pub fn pack_ids(name: &str, version: Option<u32>) -> Option<Vec<u8>> {
-    rules::catalog_pack(name, version).map(|p| p.use_cases.to_vec())
 }
 
 /// A seeded zipf(s) sampler over ranks `0..n`: rank `k` has weight
@@ -311,67 +272,33 @@ pub fn build_schedule(spec: &WorkloadSpec) -> Vec<Op> {
     ops
 }
 
-/// FNV-1a fingerprint of a schedule's structure (class + payload of
-/// every op, in order). Two runs of one spec must report the same
-/// fingerprint; the replay gate diffs it.
-pub fn schedule_fingerprint(ops: &[Op]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    for op in ops {
-        eat(op.kind.class().as_bytes());
-        match &op.kind {
-            OpKind::WellFormed { uc } => eat(&[*uc]),
-            OpKind::HostileSelector { payload } => eat(payload.as_bytes()),
-            OpKind::HostileRule { source } => eat(source.as_bytes()),
-            OpKind::HostileProtocol { variant } => eat(&[*variant]),
-            OpKind::Reload | OpKind::Snapshot => {}
-        }
-        eat(&[0xff]);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
+    /// The standard mix perfbench's `uds-mixed` replays, over the
+    /// catalogue. A longer budget only extends the schedule: the first
+    /// 2000 ops are the same for any budget of at least 2000.
     fn spec() -> WorkloadSpec {
-        WorkloadSpec::standard_catalogue(7, 2_000, vec!["SPEC x.Y".to_owned()])
+        WorkloadSpec::standard(7, 2_000, catalogue_ids(), vec!["SPEC x.Y".to_owned()])
     }
 
     #[test]
-    fn id_universes_derive_from_the_catalogue_and_packs() {
+    fn id_universe_derives_from_the_catalogue() {
         let all = catalogue_ids();
         assert!(all.len() >= 25, "catalogue shrank to {}", all.len());
-        assert_eq!(all, spec().use_case_ids);
-        // Subset packs restrict the universe to their declared cases.
-        let aead = pack_ids("aead", Some(1)).expect("aead@v1 exists");
-        assert!(!aead.is_empty());
-        assert!(aead.iter().all(|id| all.contains(id)));
-        assert!(aead.len() < all.len());
-        assert_eq!(pack_ids("no-such-pack", None), None);
+        let unique: BTreeSet<u8> = all.iter().copied().collect();
+        assert_eq!(unique.len(), all.len(), "duplicate use-case id in {all:?}");
     }
 
     #[test]
     fn schedule_is_a_pure_function_of_the_spec() {
         let a = build_schedule(&spec());
-        let b = build_schedule(&spec());
-        assert_eq!(a, b);
-        assert_eq!(schedule_fingerprint(&a), schedule_fingerprint(&b));
+        assert_eq!(a, build_schedule(&spec()));
         let mut other = spec();
         other.seed = 8;
-        assert_ne!(
-            schedule_fingerprint(&a),
-            schedule_fingerprint(&build_schedule(&other))
-        );
+        assert_ne!(a, build_schedule(&other));
     }
 
     #[test]
@@ -406,17 +333,27 @@ mod tests {
             (0.15..0.35).contains(&frac),
             "hostile fraction {frac} far from 0.25"
         );
-        assert!(ops.iter().any(|o| o.kind == OpKind::Reload));
-        assert!(ops.iter().any(|o| o.kind == OpKind::Snapshot));
-    }
-
-    #[test]
-    fn clean_baseline_is_wellformed_only() {
-        let clean = build_schedule(&spec().clean_baseline(500));
-        assert_eq!(clean.len(), 500);
-        assert!(clean
+        // The replayed mix is never quietly partial: every op class
+        // and every catalogued use case occurs.
+        let classes: BTreeSet<&str> = ops.iter().map(|o| o.kind.class()).collect();
+        let expected: BTreeSet<&str> = [
+            "wellformed",
+            "hostile_selector",
+            "hostile_rule",
+            "hostile_protocol",
+            "reload",
+            "snapshot",
+        ]
+        .into();
+        assert_eq!(classes, expected);
+        let cases: BTreeSet<u8> = ops
             .iter()
-            .all(|o| matches!(o.kind, OpKind::WellFormed { .. })));
+            .filter_map(|o| match o.kind {
+                OpKind::WellFormed { uc } => Some(uc),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(cases, catalogue_ids().into_iter().collect());
     }
 
     #[test]

@@ -51,12 +51,13 @@ echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked
 
 # Generation has two entry points over one pipeline body and no
-# process-wide ORDER cache, path selection has one entry point, and
-# parameters are resolved by one walk; the deleted routes must not
-# come back.
-old_routes='\b(shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return)\b'
+# process-wide ORDER cache, path selection has one entry point,
+# parameters are resolved by one walk, and perfbench is the one
+# benchmark (the load harness's runner, CLI and pacing are gone); the
+# deleted routes must not come back.
+old_routes='\b(shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer)\b'
 if matches="$(grep -nE "$old_routes" $sources)"; then
-    echo "error: deleted generation route, process-wide cache or resolution walk:" >&2
+    echo "error: deleted generation route, process-wide cache, resolution walk or load harness:" >&2
     echo "$matches" >&2
     exit 1
 fi
@@ -173,20 +174,9 @@ serve_smoke "$workdir/serve-pack.out" "$workdir/serve-pack-profile.json" --rules
 echo "==> cli fuzz --corpus corpus/ --budget 0"
 "$cli" fuzz --corpus corpus/ --budget 0
 
-# Load-harness replay gate: two identically-seeded runs of the mixed
-# hostile/well-formed workload must both pass cleanly (any panic,
-# perturbed response or p99-isolation breach exits 6) and must agree
-# byte for byte on the deterministic workload section of their reports
-# — the schedule is a pure function of the seed, so a digest diff here
-# means determinism rotted somewhere in the harness.
-echo "==> cli load (seeded, x2) + replay digest diff"
-"$cli" load --seed 1 --budget 300 --clients 2 --corpus corpus/ \
-    --out "$workdir/load-a.json" >/dev/null
-"$cli" load --seed 1 --budget 300 --clients 2 --corpus corpus/ \
-    --out "$workdir/load-b.json" >/dev/null
-"$cli" load-check "$workdir/load-a.json"
-"$cli" load-check "$workdir/load-a.json" --digest > "$workdir/load-a.digest"
-"$cli" load-check "$workdir/load-b.json" --digest > "$workdir/load-b.digest"
-diff "$workdir/load-a.digest" "$workdir/load-b.digest"
+# Perfbench's own tests: every workload's plan is a pure function of
+# its seed, and every injected fault is caught by the reply oracle.
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> hermetic verify OK"

@@ -1,6 +1,5 @@
 //! Facade crate re-exporting the CogniCryptGEN reproduction workspace.
 pub mod error;
-pub mod loadcli;
 pub mod report;
 pub mod serve;
 
@@ -75,6 +74,32 @@ pub fn find_use_case(selector: &str) -> Result<UseCase, Error> {
         .find(|u| u.name.to_lowercase().contains(&lowered))
         .cloned()
         .ok_or_else(|| Error::Usage(format!("no use case matches `{selector}` (try `list`)")))
+}
+
+/// Whether a rule pack serves use case `id`. `declared` is
+/// [`rules::declared_use_cases`] of the pack's manifest; `None`, a pack
+/// outside the catalog, serves the whole catalogue. This is the one
+/// membership rule of every surface that generates over a chosen pack
+/// (`generate` and `batch`, the daemon's `/generate` and `/batch`, and
+/// the report), so a case is served everywhere or nowhere.
+pub fn declares(declared: Option<&[u8]>, id: u8) -> bool {
+    declared.is_none_or(|ids| ids.contains(&id))
+}
+
+/// Refuses a use case the serving pack does not [`declares`].
+///
+/// # Errors
+///
+/// [`Error::Usage`] when `uc` is outside the declared set.
+pub fn check_declared(declared: Option<&[u8]>, uc: &UseCase) -> Result<(), Error> {
+    if declares(declared, uc.id) {
+        Ok(())
+    } else {
+        Err(Error::Usage(format!(
+            "the served rule pack does not declare use case {} ({})",
+            uc.id, uc.name
+        )))
+    }
 }
 
 #[cfg(test)]

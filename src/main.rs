@@ -48,21 +48,6 @@
 //!                                     arm→capture→validate round trip
 //!                                     (writing the capture to --profile-out
 //!                                     when given), shutdown
-//! cognicryptgen load [--seed <s>] [--budget <n>] [--clients <n>]
-//!                    [--rate <ops/s>] [--corpus <dir>] [--out <file>]
-//!                    [--p99-factor <f>] [--p99-floor-ms <n>]
-//!                    [--targets library,http,uds]
-//!                                     replay a seeded zipf-skewed workload —
-//!                                     hostile traffic interleaved with
-//!                                     well-formed requests, mid-run reloads —
-//!                                     against the library engine and a booted
-//!                                     daemon; write BENCH_load.json; exit 6
-//!                                     on any panic, perturbed response or
-//!                                     breached p99 isolation bound
-//! cognicryptgen load-check <file> [--digest]
-//!                                     validate a written load report; with
-//!                                     --digest print its deterministic
-//!                                     workload section for replay diffing
 //! ```
 //!
 //! `generate`, `batch`, `report` and `analyze` additionally accept
@@ -103,7 +88,7 @@ use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
 use cognicryptgen::serve::{self, ServeConfig, Server};
 use cognicryptgen::statemachine::OrderCache;
 use cognicryptgen::usecases::{all_use_cases, UseCase};
-use cognicryptgen::{find_use_case, jca_engine, Error};
+use cognicryptgen::{check_declared, declares, find_use_case, jca_engine, Error};
 use devharness::json::Json;
 
 /// Every allocation of the CLI process is counted, so phase spans carry
@@ -111,7 +96,7 @@ use devharness::json::Json;
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
 
-const USAGE: &str = "cognicryptgen <list|generate|batch|template|rules|compile-rules|analyze|oldgen|report|report-check|trace-check|fuzz|serve|serve-check|load|load-check> [arg..] [--rules <dir|pack|name@vN>] [--trace <file>]";
+const USAGE: &str = "cognicryptgen <list|generate|batch|template|rules|compile-rules|analyze|oldgen|report|report-check|trace-check|fuzz|serve|serve-check> [arg..] [--rules <dir|pack|name@vN>] [--trace <file>]";
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -158,10 +143,6 @@ fn main() -> ExitCode {
             }
             Some("serve-check") => {
                 reject_trace(trace, "serve-check").and_then(|()| cmd_serve_check(&args[1..], pack))
-            }
-            Some("load") => reject_custom(trace, pack, "load").and_then(|()| cmd_load(&args[1..])),
-            Some("load-check") => {
-                reject_custom(trace, pack, "load-check").and_then(|()| cmd_load_check(&args[1..]))
             }
             _ => Err(Error::Usage(USAGE.to_owned())),
         }
@@ -293,7 +274,10 @@ fn cmd_list() -> Result<(), Error> {
 fn cmd_generate(uc: &UseCase, pack: Option<&str>, trace: Option<&str>) -> Result<(), Error> {
     let recorder = trace.map(|_| Arc::new(TraceRecorder::new()));
     let generated = match custom_engine(pack, recorder.clone())? {
-        Some((engine, _)) => engine.generate(&uc.template)?,
+        Some((engine, manifest)) => {
+            check_declared(rules::declared_use_cases(&manifest), uc)?;
+            engine.generate(&uc.template)?
+        }
         None => jca_engine()?.generate(&uc.template)?,
     };
     if let (Some(recorder), Some(path)) = (&recorder, trace) {
@@ -345,7 +329,7 @@ fn cmd_batch(
     let total = full.len();
     let cases: Vec<UseCase> = full
         .into_iter()
-        .filter(|uc| declared.is_none_or(|ids| ids.contains(&uc.id)))
+        .filter(|uc| declares(declared, uc.id))
         .collect();
     if cases.len() < total {
         println!(
@@ -840,34 +824,6 @@ fn cmd_serve_check(args: &[String], pack: Option<&str>) -> Result<(), Error> {
     }
     println!("serve-check: shutdown acknowledged");
     Ok(())
-}
-
-/// `load [--seed <s>] [--budget <n>] …` — the seeded load harness: a
-/// zipf-skewed workload with hostile traffic and mid-run reloads,
-/// replayed against the library engine and a daemon booted for the
-/// run. Writes `BENCH_load.json`; any isolation violation (panic,
-/// perturbed well-formed response, accepted hostile input, breached
-/// p99 bound) is the invalid-input failure, exit code 6.
-fn cmd_load(args: &[String]) -> Result<(), Error> {
-    let opts = cognicryptgen::loadcli::LoadOptions::parse(args)?;
-    cognicryptgen::loadcli::run_load(&opts)
-}
-
-/// `load-check <file> [--digest]` — validate a written load report;
-/// with `--digest`, print its deterministic workload section so the
-/// replay gate can diff two same-seed runs byte for byte.
-fn cmd_load_check(args: &[String]) -> Result<(), Error> {
-    let mut path = None;
-    let mut digest = false;
-    for arg in args {
-        match arg.as_str() {
-            "--digest" => digest = true,
-            other if path.is_none() && !other.starts_with("--") => path = Some(other),
-            other => return Err(Error::Usage(format!("unknown load-check arg `{other}`"))),
-        }
-    }
-    let path = path.ok_or_else(|| Error::Usage("missing load report file to check".to_owned()))?;
-    cognicryptgen::loadcli::check_report(path, digest)
 }
 
 /// `trace-check <file>` — parse a previously written Chrome trace and

@@ -180,7 +180,7 @@ pub(crate) fn build_served(
     let declared = rules::declared_use_cases(manifest);
     let mut rows = Vec::new();
     for uc in all_use_cases() {
-        if declared.is_some_and(|ids| !ids.contains(&uc.id)) {
+        if !crate::declares(declared, uc.id) {
             continue;
         }
         let generated = engine.generate(&uc.template)?;

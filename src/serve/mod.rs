@@ -45,7 +45,7 @@ use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,7 +57,7 @@ use rules::{PackManifest, PackSource, RulePack};
 use statemachine::OrderCache;
 use usecases::all_use_cases;
 
-use crate::{find_use_case, report, Error};
+use crate::{check_declared, declares, find_use_case, report, Error};
 
 /// How long a worker blocks in `accept` polling before rechecking the
 /// stop flag. Listeners run non-blocking; this is the shutdown latency
@@ -188,8 +188,8 @@ pub enum Request {
     /// Render the daemon + engine metrics.
     Metrics,
     /// A machine-readable load snapshot: request/error/panic totals and
-    /// the allocator gauges, as one JSON object. The load harness polls
-    /// this instead of parsing the `/metrics` text.
+    /// the allocator gauges, as one JSON object. Perfbench reads this
+    /// instead of parsing the `/metrics` text.
     Loadz,
     /// Generate one use case (id or name fragment).
     Generate(String),
@@ -550,6 +550,7 @@ impl ServerState {
             )),
             Request::Generate(selector) => {
                 let uc = find_use_case(selector)?;
+                check_declared(rules::declared_use_cases(&self.pack_info().manifest), &uc)?;
                 let generated = self.engine().generate(&uc.template)?;
                 Ok(Response::ok("text/plain", generated.java_source))
             }
@@ -562,7 +563,7 @@ impl ServerState {
                 let declared = rules::declared_use_cases(&self.pack_info().manifest);
                 let cases: Vec<_> = all_use_cases()
                     .into_iter()
-                    .filter(|uc| declared.is_none_or(|ids| ids.contains(&uc.id)))
+                    .filter(|uc| declares(declared, uc.id))
                     .collect();
                 let templates: Vec<_> = cases.iter().map(|uc| uc.template.clone()).collect();
                 let engine = self.engine();
@@ -578,7 +579,7 @@ impl ServerState {
                 ))
             }
             Request::Report => {
-                let PackInfo { manifest, boot } = self.pack_info();
+                let PackInfo { manifest, boot } = self.pack_info().clone();
                 let report = report::build_served(&self.engine(), &manifest, boot, None)?;
                 Ok(Response::ok(
                     "application/json",
@@ -720,18 +721,18 @@ impl ServerState {
         Ok(Response::ok("application/json", format!("{doc}\n")))
     }
 
-    /// A clone of the currently served pack identity.
-    fn pack_info(&self) -> PackInfo {
-        match self.pack_info.read() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+    /// The currently served pack identity, under its read lock.
+    fn pack_info(&self) -> RwLockReadGuard<'_, PackInfo> {
+        self.pack_info
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The `/loadz` payload: request, error and panic totals plus the
     /// daemon-lifetime allocator gauges, as one JSON object. Everything
     /// in it also appears in `/metrics`; this is the same data shaped
-    /// for a load harness that samples it programmatically mid-run.
+    /// for a client that samples it programmatically mid-run, as
+    /// perfbench reads it around each measured window.
     pub fn loadz_snapshot(&self) -> Json {
         use cognicrypt_core::telemetry::Metric;
         let snapshot = self.metrics.snapshot();
@@ -808,7 +809,7 @@ impl ServerState {
                 stats.peak_live_bytes.max(0) as u64,
             );
         }
-        let boot = self.pack_info().boot;
+        let boot = self.pack_info().boot.clone();
         merged.set_gauge("serve.pack.version", u64::from(boot.pack_version));
         merged.set_gauge("serve.pack.fingerprint", boot.pack_fingerprint);
         merged.set_gauge("serve.pack.rules", boot.rules as u64);

@@ -14,8 +14,8 @@
 //!   request wall time in nanoseconds, with the histogram's documented
 //!   1/32 relative-error bound. Rendered as a table (`GET /statz`), as
 //!   machine-readable JSON (`GET /statz?json=1`, the format
-//!   [`devharness::histogram::Histogram::from_json`] parses — the load
-//!   harness cross-checks its client-side p99 against it), and as
+//!   [`devharness::histogram::Histogram::from_json`] parses — the soak
+//!   tests cross-check their client-side p99 against it), and as
 //!   `serve.latency.*` gauges in `/metrics`.
 //! * **Trace capture** — [`ProfileSwitch`] is the daemon's resident
 //!   [`GenObserver`]: a single atomic-flag check per hook when idle,

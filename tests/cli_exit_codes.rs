@@ -1,7 +1,7 @@
 //! End-to-end CLI contract tests over the real binary: per-class exit
 //! codes, the strict `--trace` flag normalization across every
-//! subcommand, `analyze` under the global `--rules`, and the daemon
-//! boot → serve-check → shutdown round trip.
+//! subcommand, `generate` and `analyze` under the global `--rules`, and
+//! the daemon boot → serve-check → shutdown round trip.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -103,6 +103,18 @@ fn trace_flag_normalization_is_strict() {
     ]);
     assert_eq!(exit_code(&out), 2);
     assert!(stderr(&out).contains("--trace given more than once"));
+}
+
+#[test]
+fn generate_refuses_a_use_case_the_rules_pack_does_not_declare() {
+    // aead@v1 declares no password-based case: uc01 is a usage error,
+    // as it is for the daemon, not a generation failure over a rule the
+    // pack never shipped.
+    let out = run(&["generate", "1", "--rules", "aead@v1"]);
+    assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("does not declare use case 1"));
+    let out = run(&["generate", "4", "--rules", "aead@v1"]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
 }
 
 #[test]

@@ -336,6 +336,83 @@ fn report_describes_the_pack_the_daemon_serves() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A daemon serving a subset pack refuses a use case the pack does
+/// not declare with a typed usage error on both transports, exactly as
+/// `/batch` and the CLI leave such a case out, instead of failing
+/// generation for a rule the pack never shipped.
+#[test]
+fn undeclared_use_case_is_a_usage_error_on_both_transports() {
+    let dir = scratch("serve-undeclared");
+    let socket = dir.join("daemon.sock");
+    let config = ServeConfig {
+        http_addr: Some("127.0.0.1:0".to_owned()),
+        uds_path: Some(socket.clone()),
+        threads: 2,
+        rules_path: Some("aead@v1".into()),
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(&config).expect("daemon boots from aead@v1");
+    let addr = handle.http_addr().expect("http bound").to_string();
+    let declared = rules::catalog_pack("aead", Some(1)).unwrap().use_cases;
+    assert!(!declared.contains(&1));
+
+    let (code, body) = http::request(&addr, "GET", "/generate/1", "").unwrap();
+    assert_eq!(code, 400, "{body}");
+    let doc = Json::parse(&body).expect("error body is JSON");
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some("usage"));
+    assert_eq!(doc.get("exit_code").and_then(Json::as_u64), Some(2));
+    let (code, _) = http::request(&addr, "GET", &format!("/generate/{}", declared[0]), "").unwrap();
+    assert_eq!(code, 200);
+
+    let responses = cognicryptgen::serve::uds::request_lines(&socket, &["generate 1"]).unwrap();
+    assert_eq!(
+        responses[0].get("class").and_then(Json::as_str),
+        Some("usage")
+    );
+
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `/loadz` over HTTP: one JSON object with the counters and gauges
+/// perfbench samples, consistent before and after traffic.
+#[test]
+fn loadz_snapshot_is_served_over_http() {
+    let config = ServeConfig {
+        http_addr: Some("127.0.0.1:0".to_owned()),
+        uds_path: None,
+        threads: 2,
+        rules_path: None,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(&config).expect("daemon boots");
+    let addr = handle.http_addr().expect("http bound").to_string();
+
+    let (code, body) = http::request(&addr, "GET", "/loadz", "").unwrap();
+    assert_eq!(code, 200);
+    let doc = Json::parse(&body).expect("loadz is json");
+    let before = doc.get("requests").and_then(Json::as_u64).expect("counter");
+
+    let (code, _) = http::request(&addr, "GET", "/generate/1", "").unwrap();
+    assert_eq!(code, 200);
+    let (code, _) = http::request(&addr, "GET", "/generate/nope", "").unwrap();
+    assert_eq!(code, 400);
+
+    let (code, body) = http::request(&addr, "GET", "/loadz", "").unwrap();
+    assert_eq!(code, 200);
+    let doc = Json::parse(&body).expect("loadz is json");
+    assert!(doc.get("requests").and_then(Json::as_u64).unwrap() >= before + 2);
+    assert_eq!(doc.get("request_panics").and_then(Json::as_u64), Some(0));
+    assert_eq!(doc.get("connection_panics").and_then(Json::as_u64), Some(0));
+    let errors = doc.get("errors").expect("error class map");
+    assert!(errors.get("usage").and_then(Json::as_u64).unwrap_or(0) >= 1);
+    assert!(doc.get("order_cache").is_some());
+    // Only GET is routed.
+    let (code, _) = http::request(&addr, "POST", "/loadz", "").unwrap();
+    assert_eq!(code, 405);
+    handle.shutdown();
+}
+
 #[test]
 fn serve_config_rejects_zero_threads_and_no_transport() {
     let Err(err) = Server::start(&ServeConfig {

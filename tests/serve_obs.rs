@@ -259,3 +259,33 @@ fn uds_transport_serves_the_same_observability_verbs() {
     validate_trace(&trace).expect("uds-fetched capture passes trace-check");
     handle.shutdown();
 }
+
+/// `/loadz` over the Unix-socket line protocol: the `loadz` verb
+/// answers with the same JSON object inside one response frame.
+#[cfg(unix)]
+#[test]
+fn loadz_snapshot_is_served_over_uds() {
+    use cognicryptgen::serve::uds;
+
+    let socket = std::env::temp_dir().join(format!("cognicrypt-loadz-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let config = ServeConfig {
+        http_addr: None,
+        uds_path: Some(socket.clone()),
+        threads: 2,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(&config).expect("daemon boots");
+
+    let responses = uds::request_lines(&socket, &["generate 1", "loadz"]).unwrap();
+    assert_eq!(responses.len(), 2);
+    assert_eq!(responses[0].get("class").and_then(Json::as_str), Some("ok"));
+    assert_eq!(responses[1].get("class").and_then(Json::as_str), Some("ok"));
+    let body = responses[1].get("body").and_then(Json::as_str).unwrap();
+    let doc = Json::parse(body).expect("loadz body is json");
+    // The in-flight `loadz` request's own counter merges only after the
+    // response is written, so only the earlier generate is guaranteed.
+    assert!(doc.get("requests").and_then(Json::as_u64).unwrap() >= 1);
+    assert_eq!(doc.get("request_panics").and_then(Json::as_u64), Some(0));
+    handle.shutdown();
+}

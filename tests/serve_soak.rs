@@ -8,6 +8,14 @@
 //!   runs beside it;
 //! * hostile traffic gets typed protocol errors — never a panic, never
 //!   a hang, never a perturbed neighbour;
+//! * hostile traffic does not starve well-formed traffic: the storm's
+//!   well-formed p99 stays within 50× the p99 of a clean phase of
+//!   well-formed traffic only (with a 10 ms floor on the baseline, so
+//!   the bound is at least 500 ms and holds under the parallel test
+//!   runner);
+//! * the daemon's own `/statz` agrees with its clients: it counted
+//!   exactly the `ok` generates they received, and its p99 is
+//!   consistent with theirs;
 //! * the daemon's peak live memory stays bounded: serving N× more
 //!   requests must not grow the peak, because all request state is
 //!   per-request and the warm caches reach steady state.
@@ -15,10 +23,13 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Instant;
 
 use cognicryptgen::core::memtrack::TrackingAlloc;
 use cognicryptgen::serve::{http, ServeConfig, Server};
 use cognicryptgen::usecases::all_use_cases;
+use devharness::histogram::Histogram;
+use devharness::json::Json;
 
 /// The daemon-lifetime memory gauges are allocator-level figures, so
 /// this test binary must install the tracking allocator just as the
@@ -49,25 +60,93 @@ fn metric(metrics: &str, name: &str) -> Option<u64> {
     })
 }
 
-/// One client's storm: a deterministic mix of well-formed and hostile
-/// requests, asserting every response inline. Returns the number of
-/// well-formed generations it verified byte-identical.
-fn storm(addr: &str, seed: usize, expected: &BTreeMap<u8, String>) -> usize {
+/// Runs `client(seed)` on [`CLIENTS`] threads at once, seeds
+/// `offset..offset + CLIENTS`, and merges the latency histograms they
+/// return.
+fn fan_out(offset: usize, client: impl Fn(usize) -> Histogram + Sync) -> Histogram {
+    let client = &client;
+    std::thread::scope(|scope| {
+        (0..CLIENTS)
+            .map(|c| scope.spawn(move || client(offset + c)))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .fold(Histogram::new(), |mut merged, t| {
+                merged.merge(&t.join().expect("client thread survives"));
+                merged
+            })
+    })
+}
+
+/// Nanoseconds since `start`.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// One well-formed generation over HTTP, checked byte-for-byte against
+/// the one-shot engine; returns the client-observed latency (connect
+/// to last byte), which is never below the daemon's wall time for it.
+fn timed_generate(addr: &str, id: u8, expected: &BTreeMap<u8, String>) -> u64 {
+    let start = Instant::now();
+    let (code, body) = http::request(addr, "GET", &format!("/generate/{id}"), "").unwrap();
+    let latency = elapsed_ns(start);
+    assert_eq!(code, 200, "generate uc{id} failed mid-soak");
+    assert_eq!(
+        &body, &expected[&id],
+        "daemon output for uc{id} diverged from the one-shot engine"
+    );
+    latency
+}
+
+/// One client's clean phase: about as many well-formed generations as
+/// its storm issues, and nothing else. Returns their latencies.
+fn clean(addr: &str, seed: usize, expected: &BTreeMap<u8, String>) -> Histogram {
     let ids: Vec<u8> = expected.keys().copied().collect();
-    let mut verified = 0;
+    let mut latency = Histogram::new();
+    for i in 0..REQUESTS_PER_CLIENT / 2 {
+        latency.record(timed_generate(addr, ids[(seed + i) % ids.len()], expected));
+    }
+    latency
+}
+
+/// The `/statz` cross-check of one transport: the daemon's
+/// `<transport>.generate.ok` distribution counts exactly the `ok`
+/// generates the clients received, and its p99 is consistent with the
+/// clients' p99. A client times connect and queueing on top of the
+/// daemon's wall time, so per request server ≤ client, and the sound
+/// check is one-directional on the histogram's documented bucket
+/// bounds: the server's lower bound may not exceed the client's upper
+/// bound.
+fn cross_check_statz(statz: &Json, transport: &str, client: &Histogram) {
+    let key = format!("{transport}.generate.ok");
+    let server = Histogram::from_json(statz.get(&key).expect("statz has the generate key"))
+        .expect("statz histogram parses");
+    assert_eq!(
+        server.count(),
+        client.count(),
+        "{key}: the daemon counted {} ok generates, its clients received {}",
+        server.count(),
+        client.count()
+    );
+    let (server_lo, _) = server.quantile_bounds(0.99);
+    let (_, client_hi) = client.quantile_bounds(0.99);
+    assert!(
+        server_lo <= client_hi,
+        "{key}: server p99 ≥ {server_lo} ns exceeds the client p99 ≤ {client_hi} ns"
+    );
+}
+
+/// One client's storm: a deterministic mix of well-formed and hostile
+/// requests, asserting every response inline. Returns the latencies of
+/// the well-formed generations, each verified byte-identical.
+fn storm(addr: &str, seed: usize, expected: &BTreeMap<u8, String>) -> Histogram {
+    let ids: Vec<u8> = expected.keys().copied().collect();
+    let mut latency = Histogram::new();
     for i in 0..REQUESTS_PER_CLIENT {
         match (seed + i) % 8 {
             // Most traffic: generations checked byte-for-byte.
             0..=3 => {
                 let id = ids[(seed + i) % ids.len()];
-                let (code, body) =
-                    http::request(addr, "GET", &format!("/generate/{id}"), "").unwrap();
-                assert_eq!(code, 200, "generate uc{id} failed mid-soak");
-                assert_eq!(
-                    &body, &expected[&id],
-                    "daemon output for uc{id} diverged from the one-shot engine"
-                );
-                verified += 1;
+                latency.record(timed_generate(addr, id, expected));
             }
             4 => {
                 let (code, body) = http::request(addr, "GET", "/healthz", "").unwrap();
@@ -99,7 +178,7 @@ fn storm(addr: &str, seed: usize, expected: &BTreeMap<u8, String>) -> usize {
             }
         }
     }
-    verified
+    latency
 }
 
 #[test]
@@ -147,18 +226,21 @@ fn soak_mixed_hostile_and_well_formed_traffic() {
     // Connect-and-abandon must not wedge a worker permanently.
     drop(TcpStream::connect(&addr).unwrap());
 
-    // Round one: the concurrent storm.
-    let addr_ref = addr.as_str();
-    let expected_ref = &expected;
-    let verified: usize = std::thread::scope(|scope| {
-        (0..CLIENTS)
-            .map(|seed| scope.spawn(move || storm(addr_ref, seed, expected_ref)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|t| t.join().expect("client thread survives"))
-            .sum()
-    });
-    assert!(verified >= CLIENTS * REQUESTS_PER_CLIENT / 2);
+    // The clean baseline: well-formed traffic only, same concurrency.
+    let clean = fan_out(0, |seed| clean(&addr, seed, &expected));
+
+    // Round one: the concurrent storm. Its well-formed tail must stay
+    // isolated from the hostile traffic beside it.
+    let mixed = fan_out(0, |seed| storm(&addr, seed, &expected));
+    assert!(mixed.count() as usize >= CLIENTS * REQUESTS_PER_CLIENT / 2);
+    let clean_p99 = clean.quantile(0.99);
+    let mixed_p99 = mixed.quantile(0.99);
+    let bound = 50 * clean_p99.max(10_000_000);
+    assert!(
+        mixed_p99 <= bound,
+        "well-formed p99 {mixed_p99} ns under hostile traffic breaches 50× the clean \
+         p99 {clean_p99} ns (bound {bound} ns)"
+    );
 
     let (code, metrics_one) = http::request(&addr, "GET", "/metrics", "").unwrap();
     assert_eq!(code, 200);
@@ -181,14 +263,7 @@ fn soak_mixed_hostile_and_well_formed_traffic() {
     // Round two: same volume again. The peak must be in steady state —
     // a growing peak under repeat identical load means request state
     // leaks past the request.
-    let _: usize = std::thread::scope(|scope| {
-        (0..CLIENTS)
-            .map(|seed| scope.spawn(move || storm(addr_ref, seed + 3, expected_ref)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|t| t.join().expect("client thread survives"))
-            .sum()
-    });
+    let again = fan_out(3, |seed| storm(&addr, seed, &expected));
     let (_, metrics_two) = http::request(&addr, "GET", "/metrics", "").unwrap();
     let peak_two =
         metric(&metrics_two, "mem.daemon.peak_live_bytes").expect("daemon peak gauge present");
@@ -202,6 +277,15 @@ fn soak_mixed_hostile_and_well_formed_traffic() {
         peak_two < 512 * 1024 * 1024,
         "daemon peak {peak_two} bytes is unbounded"
     );
+
+    // Every ok generate the clients received, and nothing else, is in
+    // the daemon's own distribution.
+    let (code, body) = http::request(&addr, "GET", "/statz?json=1", "").unwrap();
+    assert_eq!(code, 200);
+    let mut client = clean;
+    client.merge(&mixed);
+    client.merge(&again);
+    cross_check_statz(&Json::parse(&body).expect("statz is JSON"), "http", &client);
 
     // The daemon is still healthy and still byte-identical after the
     // full soak.
@@ -219,15 +303,16 @@ fn soak_mixed_hostile_and_well_formed_traffic() {
 
 /// One client's storm over the Unix-socket line protocol: a scripted
 /// mix of well-formed and hostile lines pipelined through a single
-/// connection, every response frame asserted in order. Returns the
-/// number of well-formed generations verified byte-identical.
+/// connection, every response frame asserted in order. Returns one
+/// latency per well-formed generation verified byte-identical: the
+/// round trip of the script that carried it, which is never below the
+/// daemon's wall time for the generate.
 #[cfg(unix)]
-fn uds_storm(socket: &std::path::Path, seed: usize, expected: &BTreeMap<u8, String>) -> usize {
+fn uds_storm(socket: &std::path::Path, seed: usize, expected: &BTreeMap<u8, String>) -> Histogram {
     use cognicryptgen::serve::uds;
-    use devharness::json::Json;
 
     let ids: Vec<u8> = expected.keys().copied().collect();
-    let mut verified = 0;
+    let mut latency = Histogram::new();
     for round in 0..REQUESTS_PER_CLIENT / 5 {
         // One pipelined script per connection: the line protocol's
         // whole point is that hostile lines cannot desynchronise the
@@ -241,7 +326,9 @@ fn uds_storm(socket: &std::path::Path, seed: usize, expected: &BTreeMap<u8, Stri
             "frobnicate now",
             "loadz",
         ];
+        let start = Instant::now();
         let responses = uds::request_lines(socket, &script).unwrap();
+        let round_trip = elapsed_ns(start);
         assert_eq!(responses.len(), script.len(), "frame count diverged");
         let class = |i: usize| responses[i].get("class").and_then(Json::as_str).unwrap();
         assert_eq!(class(0), "ok", "generate uc{id} failed mid-soak");
@@ -250,7 +337,7 @@ fn uds_storm(socket: &std::path::Path, seed: usize, expected: &BTreeMap<u8, Stri
             Some(expected[&id].as_str()),
             "uds output for uc{id} diverged from the one-shot engine"
         );
-        verified += 1;
+        latency.record(round_trip);
         assert_eq!(class(1), "ok");
         assert_eq!(class(2), "usage", "hostile selector not typed");
         assert_eq!(class(3), "protocol", "garbage verb not typed");
@@ -268,18 +355,18 @@ fn uds_storm(socket: &std::path::Path, seed: usize, expected: &BTreeMap<u8, Stri
             );
         }
     }
-    verified
+    latency
 }
 
 /// The HTTP storm assertions, ported to the Unix-socket transport:
 /// byte-identical well-formed output beside hostile lines, zero
-/// panics, and a daemon peak that reaches steady state instead of
-/// growing with the request count.
+/// panics, a `/statz` that agrees with the clients, and a daemon peak
+/// that reaches steady state instead of growing with the request
+/// count.
 #[cfg(unix)]
 #[test]
 fn soak_uds_mixed_hostile_and_well_formed_traffic() {
     use cognicryptgen::serve::uds;
-    use devharness::json::Json;
 
     let _serialized = SOAK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let expected: BTreeMap<u8, String> = {
@@ -319,17 +406,8 @@ fn soak_uds_mixed_hostile_and_well_formed_traffic() {
     };
 
     // Round one: the concurrent storm.
-    let socket_ref = socket.as_path();
-    let expected_ref = &expected;
-    let verified: usize = std::thread::scope(|scope| {
-        (0..CLIENTS)
-            .map(|seed| scope.spawn(move || uds_storm(socket_ref, seed, expected_ref)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|t| t.join().expect("client thread survives"))
-            .sum()
-    });
-    assert!(verified >= CLIENTS * (REQUESTS_PER_CLIENT / 5));
+    let first = fan_out(0, |seed| uds_storm(&socket, seed, &expected));
+    assert!(first.count() as usize >= CLIENTS * (REQUESTS_PER_CLIENT / 5));
 
     let metrics_one = metrics_text(&socket);
     assert_eq!(
@@ -347,14 +425,7 @@ fn soak_uds_mixed_hostile_and_well_formed_traffic() {
     assert!(peak_one > 0);
 
     // Round two: same volume again — the peak must be steady-state.
-    let _: usize = std::thread::scope(|scope| {
-        (0..CLIENTS)
-            .map(|seed| scope.spawn(move || uds_storm(socket_ref, seed + 3, expected_ref)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|t| t.join().expect("client thread survives"))
-            .sum()
-    });
+    let again = fan_out(3, |seed| uds_storm(&socket, seed, &expected));
     let metrics_two = metrics_text(&socket);
     let peak_two =
         metric(&metrics_two, "mem.daemon.peak_live_bytes").expect("daemon peak gauge present");
@@ -366,6 +437,15 @@ fn soak_uds_mixed_hostile_and_well_formed_traffic() {
         peak_two < 512 * 1024 * 1024,
         "daemon peak {peak_two} bytes is unbounded"
     );
+
+    let responses = uds::request_lines(&socket, &["statz json"]).unwrap();
+    let statz = responses[0]
+        .get("body")
+        .and_then(Json::as_str)
+        .expect("statz body");
+    let mut client = first;
+    client.merge(&again);
+    cross_check_statz(&Json::parse(statz).expect("statz is JSON"), "uds", &client);
 
     // Still healthy, still byte-identical, then a protocol shutdown.
     let responses = uds::request_lines(&socket, &["generate 1", "shutdown"]).unwrap();
