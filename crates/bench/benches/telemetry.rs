@@ -6,10 +6,11 @@
 //! already includes the allocation-counting overhead the paper's memory
 //! column costs.
 //!
-//! * `observer/*` — the full catalogued-use-case warm batch under each observer
-//!   tier: `NoopObserver` (baseline), `MetricsCollector`,
-//!   `PhaseTimings`, and `TraceRecorder` (reset between iterations so
-//!   the event vector cannot grow without bound);
+//! * `observer/*` — the full catalogued-use-case warm batch under each
+//!   observer tier: `NoopObserver` (baseline: every generation still
+//!   keeps its record and folds it into the engine metrics) and
+//!   `TraceRecorder` (reset between iterations so the event vector
+//!   cannot grow without bound);
 //! * `memtrack/*` — microbenches of the raw accounting primitives: an
 //!   `AllocScope` open/close pair, and one counted heap round trip;
 //! * `serve/*` — the daemon's per-request hot path
@@ -32,7 +33,7 @@ use std::sync::Arc;
 use devharness::bench::Harness;
 
 use cognicrypt_core::memtrack::{AllocScope, TrackingAlloc};
-use cognicrypt_core::telemetry::{MetricsCollector, PhaseTimings, TraceRecorder};
+use cognicrypt_core::telemetry::TraceRecorder;
 use cognicrypt_core::{GenEngine, NoopObserver, Template};
 use javamodel::jca::jca_type_table;
 use rules::{open, PackSource};
@@ -43,9 +44,9 @@ static ALLOC: TrackingAlloc = TrackingAlloc::new();
 
 /// Highest tolerated ratio of any observed configuration's median over
 /// the noop baseline median for the same warm full-catalogue batch. The
-/// observers do strictly bounded work per hook (a few counter bumps, or
-/// one Vec push under a mutex), so 10× is generous headroom over the
-/// ~1–2× measured; crossing it means a hook started doing real work.
+/// trace recorder does strictly bounded work per hook (one Vec push
+/// under a mutex), so 10× is generous headroom over the ~1–2× measured;
+/// crossing it means a hook started doing real work.
 const MAX_OVERHEAD: f64 = 10.0;
 
 /// Highest tolerated ratio of the daemon hot path with request
@@ -57,14 +58,13 @@ const MAX_OVERHEAD: f64 = 10.0;
 /// renders Java source.
 const SERVE_MAX_OVERHEAD: f64 = 1.3;
 
-fn warm_engine(observer: Option<Arc<dyn cognicrypt_core::GenObserver>>) -> GenEngine {
-    let mut builder = GenEngine::builder()
+fn warm_engine(observer: Arc<dyn cognicrypt_core::GenObserver>) -> GenEngine {
+    let engine = GenEngine::builder()
         .rules(open(PackSource::Embedded).expect("parses").rules)
-        .type_table(jca_type_table());
-    if let Some(obs) = observer {
-        builder = builder.observer(obs);
-    }
-    let engine = builder.build().expect("rules supplied");
+        .type_table(jca_type_table())
+        .observer(observer)
+        .build()
+        .expect("rules supplied");
     engine.warm().expect("warms");
     engine
 }
@@ -82,17 +82,11 @@ fn bench_observers(h: &mut Harness) -> Vec<(String, u64)> {
     let templates: Vec<Template> = all_use_cases().into_iter().map(|uc| uc.template).collect();
     let mut medians = Vec::new();
 
-    let noop = warm_engine(Some(Arc::new(NoopObserver)));
+    let noop = warm_engine(Arc::new(NoopObserver));
     h.bench("noop_all", || run_batch(&noop, &templates));
 
-    let metrics = warm_engine(Some(Arc::new(MetricsCollector::fresh())));
-    h.bench("metrics_all", || run_batch(&metrics, &templates));
-
-    let timings = warm_engine(Some(Arc::new(PhaseTimings::new())));
-    h.bench("phase_timings_all", || run_batch(&timings, &templates));
-
     let recorder = Arc::new(TraceRecorder::new());
-    let traced = warm_engine(Some(recorder.clone()));
+    let traced = warm_engine(recorder.clone());
     h.bench("trace_recorder_all", || {
         recorder.reset();
         run_batch(&traced, &templates);

@@ -34,7 +34,7 @@ use statemachine::{CacheLookup, CacheStats, OrderCache};
 
 use crate::error::GenError;
 use crate::generator::{Generated, Generator, GeneratorOptions};
-use crate::telemetry::{Event, GenObserver, MetricsCollector, MetricsRegistry, NoopObserver, Tee};
+use crate::telemetry::{GenObserver, GenRecord, MetricsRegistry, NoopObserver};
 use crate::template::Template;
 
 /// How an engine warm-up was served, reported by
@@ -115,15 +115,12 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Fans `items` out over at most `threads` scoped workers, running
-/// `f(worker, index, item)` once per item and returning the results in
-/// input order. `worker` is the ordinal (`0..threads`) of the worker
-/// that ran the job — whatever the OS scheduler produced, so callers
-/// must treat it as observational (utilisation telemetry), never as
-/// data the results depend on.
+/// `f(index, item)` once per item and returning the results in input
+/// order.
 ///
 /// Guarantees, independent of thread count and OS scheduling:
 ///
-/// * result `i` is always `f(_, i, &items[i])` — deterministic ordering;
+/// * result `i` is always `f(i, &items[i])` — deterministic ordering;
 /// * a panicking job is reported as `Err(WorkerPanic)` in its own slot;
 ///   the worker survives and continues draining the queue, so sibling
 ///   results are never lost and the call always returns.
@@ -136,37 +133,33 @@ pub fn scatter<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, Work
 where
     T: Sync,
     R: Send,
-    F: Fn(usize, usize, &T) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
+    let job = |i: usize| {
+        catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|payload| WorkerPanic {
+            index: i,
+            message: panic_text(payload),
+        })
+    };
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let threads = threads.clamp(1, n).min(cores.max(1));
     if threads == 1 {
         // One worker: run on the caller's thread — same per-job panic
         // containment, no spawn/join overhead.
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                catch_unwind(AssertUnwindSafe(|| f(0, i, item))).map_err(|payload| WorkerPanic {
-                    index: i,
-                    message: panic_text(payload),
-                })
-            })
-            .collect();
+        return (0..n).map(job).collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<Result<R, WorkerPanic>>> = Vec::new();
     slots.resize_with(n, || None);
 
     std::thread::scope(|scope| {
+        let (job, next) = (&job, &next);
         let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let f = &f;
-                let next = &next;
+            .map(|_| {
                 scope.spawn(move || {
                     let mut produced = Vec::new();
                     loop {
@@ -174,12 +167,7 @@ where
                         if i >= n {
                             break;
                         }
-                        let outcome = catch_unwind(AssertUnwindSafe(|| f(worker, i, &items[i])))
-                            .map_err(|payload| WorkerPanic {
-                                index: i,
-                                message: panic_text(payload),
-                            });
-                        produced.push((i, outcome));
+                        produced.push((i, job(i)));
                     }
                     produced
                 })
@@ -303,10 +291,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Telemetry observer for every generation this engine runs; it also
-    /// receives the [`Event::BatchJob`] placements after each batch.
-    /// Defaults to [`NoopObserver`]. The engine's own
-    /// [`MetricsRegistry`] is always fed, independent of this hook.
+    /// Live span hooks for every generation this engine runs. Defaults
+    /// to [`NoopObserver`]. The engine's own [`MetricsRegistry`] is fed
+    /// from each generation's [`GenRecord`], independent of this hook.
     pub fn observer(mut self, observer: Arc<dyn GenObserver>) -> Self {
         self.observer = observer;
         self
@@ -386,10 +373,11 @@ impl GenEngine {
         &self.table
     }
 
-    /// The engine's accumulated metrics: ORDER-cache traffic, DFA and
-    /// path-set sizes, parameter-resolution outcomes, batch-worker
-    /// utilisation. Fed on every generation regardless of the configured
-    /// observer; batch runs fold per-worker registries in here in input
+    /// The engine's accumulated metrics: every generation's
+    /// [`GenRecord`] folded in ([`GenRecord::fold_into`]) — per-phase
+    /// span and allocation counts, ORDER-cache traffic, DFA and path-set
+    /// sizes, parameter-resolution outcomes — failed generations'
+    /// partial records included. Batch runs fold their records in input
     /// order after the fan-out joins.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
@@ -462,33 +450,32 @@ impl GenEngine {
 
     /// Generates code for one template against the engine's shared
     /// state, reusing (and extending) the compiled-ORDER cache. The
-    /// engine's observer and metrics registry see the run.
+    /// engine's observer sees the run's spans, and its record — a
+    /// failed run's partial record too — is folded into
+    /// [`GenEngine::metrics`].
     ///
     /// # Errors
     ///
     /// See [`Generator::generate_uncached`].
     pub fn generate(&self, template: &Template) -> Result<Generated, GenError> {
-        let collector = MetricsCollector::new(self.metrics.clone());
-        self.generate_into(template, &collector)
+        let (outcome, record) = self.run(template);
+        record.fold_into(&self.metrics);
+        outcome
     }
 
-    /// One generation whose metrics land in `sink` instead of directly
-    /// in the engine registry; the configured observer still sees
-    /// everything. Batch workers use this with per-job sinks so the
-    /// engine registry can be updated deterministically afterwards.
-    fn generate_into(
-        &self,
-        template: &Template,
-        sink: &MetricsCollector,
-    ) -> Result<Generated, GenError> {
-        let observer = Tee(self.observer.as_ref(), sink);
-        Generator::with_options(self.options).run(
+    /// One generation and its record, which [`Generated::record`] also
+    /// carries when the run succeeds.
+    fn run(&self, template: &Template) -> (Result<Generated, GenError>, GenRecord) {
+        let mut record = GenRecord::default();
+        let outcome = Generator::with_options(self.options).run(
             template,
             &self.rules,
             &self.table,
             Some(&self.cache),
-            &observer,
-        )
+            self.observer.as_ref(),
+            &mut record,
+        );
+        (outcome, record)
     }
 
     /// [`GenEngine::generate_batch`] with the engine's configured
@@ -504,40 +491,20 @@ impl GenEngine {
     /// or whose worker panics — yields an `Err` in its own slot without
     /// affecting siblings or deadlocking the batch.
     ///
-    /// Telemetry: each job collects its metrics into a private registry;
-    /// after the fan-out joins, the engine folds those registries into
-    /// [`GenEngine::metrics`] *in input order* and reports one
-    /// [`Event::BatchJob`] per completed job, also in input order. All
-    /// pipeline metrics are therefore identical across thread counts and
-    /// schedules; only the `engine.batch.worker.*` utilisation counters
-    /// reflect actual scheduling. The per-job sinks are load-bearing:
-    /// an event's metric write allocates inside the phase that emits
-    /// it, so writing straight into the shared registry would charge a
-    /// phase with whatever key insertions its siblings happened to make
-    /// first, and per-phase allocation figures would vary with the
-    /// schedule.
+    /// Telemetry: after the fan-out joins, the engine folds each job's
+    /// [`GenRecord`] into [`GenEngine::metrics`] in input order, so the
+    /// metrics are identical across thread counts and schedules.
     pub fn generate_batch(
         &self,
         templates: &[Template],
         threads: usize,
     ) -> Vec<Result<Generated, EngineError>> {
-        let slots = scatter(templates, threads, |worker, _, t| {
-            let sink = MetricsCollector::fresh();
-            let outcome = self.generate_into(t, &sink);
-            (worker, sink, outcome)
-        });
-        let collector = MetricsCollector::new(self.metrics.clone());
-        let observer = Tee(self.observer.as_ref(), &collector);
-        slots
+        scatter(templates, threads, |_, t| self.run(t))
             .into_iter()
-            .enumerate()
-            .map(|(index, slot)| match slot {
-                Ok((worker, sink, outcome)) => {
-                    self.metrics.merge_from(sink.registry());
-                    observer.event(&Event::BatchJob { worker, index });
-                    outcome.map_err(EngineError::Gen)
-                }
-                Err(panic) => Err(EngineError::Worker(panic)),
+            .map(|slot| {
+                let (outcome, record) = slot.map_err(EngineError::Worker)?;
+                record.fold_into(&self.metrics);
+                outcome.map_err(EngineError::Gen)
             })
             .collect()
     }
@@ -719,7 +686,7 @@ mod tests {
     #[test]
     fn scatter_contains_panics_to_their_slot() {
         let items: Vec<usize> = (0..10).collect();
-        let results = scatter(&items, 4, |_, _, &v| {
+        let results = scatter(&items, 4, |_, &v| {
             assert!(v != 5, "poisoned item");
             v * 2
         });
@@ -737,9 +704,9 @@ mod tests {
     #[test]
     fn scatter_handles_empty_and_oversized_thread_counts() {
         let empty: Vec<u8> = Vec::new();
-        assert!(scatter(&empty, 8, |_, _, _| ()).is_empty());
+        assert!(scatter(&empty, 8, |_, _| ()).is_empty());
         let one = [7u8];
-        let r = scatter(&one, 64, |_, _, &v| v + 1);
+        let r = scatter(&one, 64, |_, &v| v + 1);
         assert_eq!(r[0].as_ref().copied().unwrap(), 8);
     }
 }

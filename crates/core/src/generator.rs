@@ -14,8 +14,8 @@
 //! call chain of the template before the next phase starts. Besides
 //! matching the paper's Figure 6 structure, this gives the telemetry
 //! layer its core invariant — exactly one [`telemetry::Span`] enter/exit
-//! pair per phase per generated template, with all fine-grained events
-//! reported inside the phase they belong to.
+//! pair per phase per generated template, each closing into the phase's
+//! slot of the generation's [`GenRecord`].
 
 use javamodel::ast::{ClassDecl, CompilationUnit, MethodDecl};
 use javamodel::printer::print_unit;
@@ -31,7 +31,7 @@ use crate::error::GenError;
 use crate::link::{link, Link};
 use crate::pathsel::{select_path, SelectedPath, SelectionOptions};
 use crate::resolve::{plan_path, Resolution};
-use crate::telemetry::{self, GenObserver, Phase, Span, SpanTimer};
+use crate::telemetry::{self, GenObserver, GenRecord, Phase, Span, SpanTimer};
 use crate::template::{GeneratorChain, Template, TemplateMethod};
 
 /// Options controlling a generation run.
@@ -57,6 +57,8 @@ pub struct Generated {
     /// method — empty for all shipped use cases (mirroring the paper's
     /// observation that the fallback never fires in practice).
     pub hoisted: Vec<(String, Vec<String>)>,
+    /// What the run decided and what each phase cost.
+    pub record: GenRecord,
 }
 
 /// A configured, stateless generator: the reference path. [`generate`]
@@ -96,15 +98,23 @@ impl Generator {
         rules: &crysl::RuleSet,
         table: &TypeTable,
     ) -> Result<Generated, GenError> {
-        self.run(template, rules, table, None, telemetry::noop())
+        self.run(
+            template,
+            rules,
+            table,
+            None,
+            telemetry::noop(),
+            &mut GenRecord::default(),
+        )
     }
 
     /// The pipeline body, shared by both entry points: an optional
-    /// compiled-ORDER cache (the engine passes its own) and an observer.
-    /// Each phase runs over every call chain before the next phase
-    /// starts, so the observer sees exactly one span pair per phase. A
-    /// failing phase still closes its span (the error propagates; later
-    /// phases never open).
+    /// compiled-ORDER cache (the engine passes its own), an observer and
+    /// the record the run fills in. Each phase runs over every call
+    /// chain before the next phase starts, so the observer sees exactly
+    /// one span pair per phase. A failing phase still closes its span
+    /// and records it (the error propagates; later phases never open),
+    /// so `record` holds a failed run's partial record.
     pub(crate) fn run(
         &self,
         template: &Template,
@@ -112,9 +122,10 @@ impl Generator {
         table: &TypeTable,
         cache: Option<&OrderCache>,
         observer: &dyn GenObserver,
+        record: &mut GenRecord,
     ) -> Result<Generated, GenError> {
         let unit = template.class_name.as_str();
-        let span = |phase| SpanTimer::enter(observer, Span { unit, phase });
+        let span_of = |phase| Span { unit, phase };
 
         // Per-chain pipeline state, in template-method order (helper
         // methods carry no chain and join again at assembly).
@@ -130,7 +141,7 @@ impl Generator {
         // Phase 1: collect — gather rules and template bindings.
         let mut works: Vec<ChainWork<'_, '_>> = Vec::new();
         {
-            let _span = span(Phase::Collect);
+            let _span = SpanTimer::enter(observer, span_of(Phase::Collect), record);
             for tm in &template.methods {
                 if let Some(chain) = &tm.chain {
                     let collected = collect(chain, tm, rules)?;
@@ -148,7 +159,7 @@ impl Generator {
 
         // Phase 2: link — connect rules through ENSURES/REQUIRES.
         {
-            let _span = span(Phase::Link);
+            let _span = SpanTimer::enter(observer, span_of(Phase::Link), record);
             for w in &mut works {
                 w.links = link(&w.collected);
             }
@@ -156,7 +167,7 @@ impl Generator {
 
         // Phase 3: select — pick a method sequence per rule.
         {
-            let _span = span(Phase::Select);
+            let mut span = SpanTimer::enter(observer, span_of(Phase::Select), record);
             for w in &mut works {
                 let ret_ty = w
                     .chain
@@ -175,24 +186,31 @@ impl Generator {
                         &self.options.selection,
                         expected,
                         cache,
-                        observer,
+                        span.record(),
                     )?);
                 }
             }
         }
 
         // Phase 4: resolve — plan how every parameter of the selected
-        // paths obtains its value, reporting each resolution. The
+        // paths obtains its value, recording each resolution. The
         // assembler emits its arguments from these plans.
         {
-            let _span = span(Phase::Resolve);
+            let mut span = SpanTimer::enter(observer, span_of(Phase::Resolve), record);
             for w in &mut works {
                 w.plans = w
                     .paths
                     .iter()
                     .enumerate()
                     .map(|(idx, sp)| {
-                        plan_path(idx, &sp.labels, &w.collected, &w.links, table, observer)
+                        plan_path(
+                            idx,
+                            &sp.labels,
+                            &w.collected,
+                            &w.links,
+                            table,
+                            span.record(),
+                        )
                     })
                     .collect();
             }
@@ -200,7 +218,7 @@ impl Generator {
 
         // Phase 5: assemble — emit the Java code, the showcase class and
         // the type check.
-        let _span = span(Phase::Assemble);
+        let assemble_span = SpanTimer::enter(observer, span_of(Phase::Assemble), record);
         let mut class = ClassDecl::new(template.class_name.clone());
         let mut hoisted_report = Vec::new();
         let mut chain_methods = Vec::new();
@@ -259,10 +277,14 @@ impl Generator {
         }
 
         let java_source = print_unit(&unit);
+        // Close the span first, so the record the result carries
+        // includes this phase.
+        drop(assemble_span);
         Ok(Generated {
             unit,
             java_source,
             hoisted: hoisted_report,
+            record: *record,
         })
     }
 }
@@ -394,25 +416,8 @@ mod tests {
 
     #[test]
     fn own_return_feeds_a_later_call_on_both_paths() {
-        use crate::telemetry::Event;
+        use crate::telemetry::ResolutionKind;
         use crate::GenEngine;
-        use std::sync::{Arc, Mutex};
-
-        // Logs every resolved parameter as `<phase> <variable> <kind>`.
-        #[derive(Default)]
-        struct Resolved(Mutex<Option<Phase>>, Mutex<Vec<String>>);
-        impl GenObserver for Resolved {
-            fn span_enter(&self, span: &Span<'_>) {
-                *self.0.lock().unwrap() = Some(span.phase);
-            }
-            fn event(&self, event: &Event<'_>) {
-                if let Event::ParamResolved { variable, via, .. } = event {
-                    let phase = self.0.lock().unwrap().expect("inside a span");
-                    let entry = format!("{phase} {variable} {}", via.name());
-                    self.1.lock().unwrap().push(entry);
-                }
-            }
-        }
 
         let mut rules = crysl::RuleSet::new();
         rules
@@ -433,11 +438,9 @@ mod tests {
         let cold = Generator::new()
             .generate_uncached(&template, &rules, &jca_type_table())
             .unwrap();
-        let observed = Arc::new(Resolved::default());
         let engine = GenEngine::builder()
             .rules(rules)
             .type_table(jca_type_table())
-            .observer(observed.clone())
             .build()
             .unwrap();
         let warm = engine.generate(&template).unwrap();
@@ -449,11 +452,18 @@ mod tests {
         );
         assert!(src.contains("messageDigest.update(output);"), "{src}");
         assert_eq!(warm.java_source, cold.java_source);
-        let log = observed.1.lock().unwrap();
-        assert!(
-            log.contains(&"resolve output own_return".to_owned()),
-            "{log:?}"
-        );
+        // `update(output)` takes the value `digest` returned: the one
+        // own-return resolution, recorded by the resolve phase of both
+        // paths.
+        for generated in [&cold, &warm] {
+            assert_eq!(
+                generated.record.resolved(ResolutionKind::OwnReturn),
+                1,
+                "{:?}",
+                generated.record
+            );
+            assert_eq!(generated.record.phase(Phase::Resolve).spans, 1);
+        }
     }
 
     #[test]

@@ -50,12 +50,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Observability: the [`telemetry`] module defines the
-//! [`telemetry::GenObserver`] hook API. The pipeline opens one span per
-//! phase per template and reports fine-grained events (cache traffic,
-//! DFA sizes, path selection, parameter resolution) from inside the
-//! phases; [`telemetry::PhaseTimings`] and
-//! [`telemetry::MetricsRegistry`] are ready-made collectors.
+//! Observability: every generation returns a [`telemetry::GenRecord`]
+//! (`Generated::record`) holding each phase's wall time and allocation
+//! delta and what the phases decided (cache traffic, DFA sizes, path
+//! selection, parameter resolution); [`telemetry::GenRecord::fold_into`]
+//! turns records into [`telemetry::MetricsRegistry`] metrics. The
+//! [`telemetry::GenObserver`] hook API sees one live span per phase per
+//! template.
 
 pub mod assemble;
 pub mod collect;
@@ -74,6 +75,6 @@ pub use error::GenError;
 pub use generator::{generate, Generated, Generator, GeneratorOptions};
 pub use memtrack::{AllocDelta, AllocScope, ProcessStats, TrackingAlloc};
 pub use telemetry::{
-    validate_trace, GenObserver, MetricsRegistry, NoopObserver, Phase, PhaseTimings, TraceRecorder,
+    validate_trace, GenObserver, GenRecord, MetricsRegistry, NoopObserver, Phase, TraceRecorder,
 };
 pub use template::{CrySlCodeGenerator, Template, TemplateMethod};

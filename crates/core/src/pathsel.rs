@@ -25,7 +25,7 @@ use crate::collect::CollectedRule;
 use crate::error::GenError;
 use crate::link::{Carrier, Link, LinkSetExt};
 use crate::resolve::{resolve_path, Resolution};
-use crate::telemetry::{CacheOutcome, Event, GenObserver};
+use crate::telemetry::GenRecord;
 use javamodel::TypeTable;
 
 /// Where a rule's instance object comes from.
@@ -93,8 +93,8 @@ impl Default for SelectionOptions {
 /// `addReturnObject` nomination). When `cache` is provided, the rule's
 /// enumerated paths come from the compiled-ORDER cache (compiled on
 /// first sight) instead of a fresh NFA → DFA → enumeration run.
-/// `observer` sees how the compiled-ORDER artefact was obtained
-/// ([`Event::OrderCompiled`]) and the outcome ([`Event::PathSelected`]).
+/// `record` receives how the compiled-ORDER artefact was obtained and,
+/// once a path is chosen, the selection's candidate and hoist counts.
 ///
 /// # Errors
 ///
@@ -112,7 +112,7 @@ pub fn select_path(
     options: &SelectionOptions,
     return_type: Option<&javamodel::ast::JavaType>,
     cache: Option<&OrderCache>,
-    observer: &dyn GenObserver,
+    record: &mut GenRecord,
 ) -> Result<SelectedPath, GenError> {
     let cr = &rules[idx];
     let rule = cr.rule;
@@ -122,29 +122,21 @@ pub fn select_path(
         Some(c) => {
             let (artefact, lookup) = c.get_or_compile_traced(rule)?;
             compiled = artefact;
-            observer.event(&Event::OrderCompiled {
-                rule: rule.class_name.as_str(),
-                dfa_states: Some(compiled.dfa.state_count()),
-                accepting_paths: compiled.paths.len(),
-                cache: match lookup {
-                    CacheLookup::Hit => CacheOutcome::Hit,
-                    CacheLookup::Miss => CacheOutcome::Miss,
-                },
-            });
+            match lookup {
+                CacheLookup::Hit => record.cache_hits += 1,
+                CacheLookup::Miss => record.cache_misses += 1,
+            }
+            record.dfa_states.observe(compiled.dfa.state_count() as u64);
             &compiled.paths
         }
         None => {
             enumerated = enumerate(rule, PathLimit::default())?;
-            observer.event(&Event::OrderCompiled {
-                rule: rule.class_name.as_str(),
-                dfa_states: None,
-                accepting_paths: enumerated.len(),
-                cache: CacheOutcome::Uncached,
-            });
+            record.cache_uncached += 1;
             &enumerated
         }
     };
-    let enumerated_count = paths.len();
+    let enumerated_count = paths.len() as u64;
+    record.accepting_paths.observe(enumerated_count);
 
     let mut survivors: Vec<Candidate> = Vec::new();
     let mut with_hoists: Vec<Candidate> = Vec::new();
@@ -225,12 +217,9 @@ pub fn select_path(
     };
 
     let instance = instance_source(idx, rule, &chosen.0, links, table)?;
-    observer.event(&Event::PathSelected {
-        rule: rule.class_name.as_str(),
-        enumerated: enumerated_count,
-        chosen_len: chosen.0.len(),
-        hoisted: chosen.1.len(),
-    });
+    record.selections += 1;
+    record.candidates.observe(enumerated_count);
+    record.hoisted_params += chosen.1.len() as u64;
     Ok(SelectedPath {
         labels: chosen.0,
         hoisted: chosen.1,
@@ -378,7 +367,6 @@ mod tests {
     use super::*;
     use crate::collect::collect;
     use crate::link::link;
-    use crate::telemetry;
     use crate::template::{CrySlCodeGenerator, TemplateMethod};
     use crysl::RuleSet;
     use javamodel::ast::JavaType;
@@ -404,7 +392,7 @@ mod tests {
             &SelectionOptions::default(),
             None,
             None,
-            telemetry::noop(),
+            &mut GenRecord::default(),
         );
         // The cached path must be observably identical to the cold path.
         let cache = OrderCache::new();
@@ -416,7 +404,7 @@ mod tests {
             &SelectionOptions::default(),
             None,
             Some(&cache),
-            telemetry::noop(),
+            &mut GenRecord::default(),
         );
         match (&uncached, &cached) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "cache changed path selection"),

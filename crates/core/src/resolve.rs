@@ -30,7 +30,7 @@ use javamodel::TypeTable;
 
 use crate::collect::CollectedRule;
 use crate::link::{Carrier, Link, LinkSetExt};
-use crate::telemetry::{Event, GenObserver, ResolutionKind};
+use crate::telemetry::{GenRecord, ResolutionKind};
 
 /// How a rule variable obtains its value in the generated code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -283,28 +283,19 @@ pub fn resolve_path(
 
 /// The resolution plan of rule `idx` along its selected `path`: one
 /// [`Resolution`] per variable parameter, in [`resolve_path`] order —
-/// the order in which the assembler fills arguments. Each entry is
-/// reported as it is planned: [`Event::ParamResolved`] for resolved
-/// parameters, [`Event::ParamHoisted`] for fallback hoists.
+/// the order in which the assembler fills arguments. Each entry's
+/// [`ResolutionKind`] is counted in `record` as it is planned.
 pub fn plan_path(
     idx: usize,
     path: &[String],
     rules: &[CollectedRule<'_>],
     links: &[Link],
     table: &TypeTable,
-    observer: &dyn GenObserver,
+    record: &mut GenRecord,
 ) -> Vec<Resolution> {
-    let rule = rules[idx].rule.class_name.as_str();
     let mut plan = Vec::new();
-    resolve_path(idx, path, rules, links, table, |_, variable, r| {
-        observer.event(&match r {
-            Resolution::Hoist => Event::ParamHoisted { rule, variable },
-            ref resolved => Event::ParamResolved {
-                rule,
-                variable,
-                via: resolved.kind(),
-            },
-        });
+    resolve_path(idx, path, rules, links, table, |_, _, r| {
+        record.resolutions[r.kind().index()] += 1;
         plan.push(r);
     });
     plan

@@ -1,6 +1,6 @@
-//! Pipeline telemetry: the `GenObserver` hook API, per-phase timings
-//! and memory accounting, a metrics registry, and a Chrome-trace
-//! recorder.
+//! Pipeline telemetry: one fixed-shape [`GenRecord`] per generation,
+//! the live span hooks of [`GenObserver`], a metrics registry the
+//! records fold into, and a Chrome-trace recorder.
 //!
 //! The paper's evaluation (Table 1, RQ2/RQ3) reports *per-use-case*
 //! runtime and memory for the five-phase pipeline, and the CrySL line of
@@ -8,34 +8,32 @@
 //! is the observability layer that makes both visible without changing
 //! what the pipeline emits:
 //!
-//! * [`GenObserver`] — the hook trait. The generator opens one span per
-//!   [`Phase`] per template (enter/exit with the measured wall time and
-//!   the [`AllocDelta`] of the span, when [`crate::memtrack`] is
-//!   installed) and reports fine-grained [`Event`]s from inside the
-//!   phases: ORDER-cache hits and misses, DFA state counts, enumerated
-//!   accepting paths, per-parameter resolution outcomes, batch-worker
-//!   job placement.
-//! * [`PhaseTimings`] — an observer that accumulates monotonic per-phase
-//!   wall time *and* per-phase allocation deltas per template unit —
-//!   both of Table 1's measured columns.
-//! * [`MetricsRegistry`] — named counters, gauges and histograms with a
-//!   deterministic [`MetricsRegistry::merge_from`], so per-worker
-//!   registries collected by a batch can be folded in input order into
+//! * [`GenRecord`] — what one generation decided and what each phase
+//!   cost: per-[`Phase`] wall time and [`AllocDelta`] (when
+//!   [`crate::memtrack`] is installed), ORDER-cache hits and misses, DFA
+//!   state counts, enumerated accepting paths, path-selection candidates
+//!   and per-parameter resolution kinds. It holds no heap data, so the
+//!   phases write it without allocating; every generation returns it as
+//!   `Generated::record`.
+//! * [`GenRecord::fold_into`] — the one mapping from records onto named
+//!   metrics in a [`MetricsRegistry`]: counters, gauges and histograms
+//!   whose merges commute, so per-generation folds in input order give
 //!   one aggregate regardless of scheduling.
-//! * [`MetricsCollector`] — the observer that maps spans and events onto
-//!   a registry (see the module constants for the metric names).
-//! * [`TraceRecorder`] — an observer that records the span/event stream
-//!   with monotonic timestamps and serializes it in Chrome Trace Event
+//! * [`GenObserver`] — the live hook trait: one span per [`Phase`] per
+//!   template (enter, then exit with the measured wall time and the
+//!   span's [`AllocDelta`]).
+//! * [`TraceRecorder`] — an observer that records the span stream with
+//!   monotonic timestamps and serializes it in Chrome Trace Event
 //!   Format, openable in `chrome://tracing` or Perfetto
 //!   ([`validate_trace`] checks a written file's invariants).
 //!
-//! Everything here is `std`-only and allocation-light; the
-//! [`NoopObserver`] path adds no measurable work, and the differential
-//! suite proves telemetry-on output byte-identical to telemetry-off.
+//! Everything here is `std`-only; the [`NoopObserver`] path adds no
+//! measurable work, and the differential suite proves telemetry-on
+//! output byte-identical to telemetry-off.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -101,17 +99,6 @@ pub struct Span<'a> {
     pub phase: Phase,
 }
 
-/// How a compiled-ORDER lookup was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Served from the cache.
-    Hit,
-    /// Compiled on this lookup and inserted.
-    Miss,
-    /// No cache in play — the cold enumeration path.
-    Uncached,
-}
-
 /// How a rule parameter obtained its value (the discriminant of
 /// [`crate::resolve::Resolution`], without payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,75 +116,15 @@ pub enum ResolutionKind {
 }
 
 impl ResolutionKind {
-    /// Stable lowercase name, used in metric keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResolutionKind::Template => "template",
-            ResolutionKind::Linked => "linked",
-            ResolutionKind::OwnReturn => "own_return",
-            ResolutionKind::Constraint => "constraint",
-            ResolutionKind::Hoist => "hoist",
-        }
+    /// Position in [`GenRecord::resolutions`].
+    pub fn index(self) -> usize {
+        self as usize
     }
-}
-
-/// A fine-grained pipeline event, reported from inside a phase span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event<'a> {
-    /// A rule's compiled-ORDER artefact was obtained during selection.
-    /// `dfa_states` is `None` on the cold path, which enumerates paths
-    /// without building the minimized DFA.
-    OrderCompiled {
-        /// Rule class name.
-        rule: &'a str,
-        /// States of the minimized DFA, when compiled.
-        dfa_states: Option<usize>,
-        /// Enumerated accepting call sequences.
-        accepting_paths: usize,
-        /// How the artefact was served.
-        cache: CacheOutcome,
-    },
-    /// Path selection finished for one rule.
-    PathSelected {
-        /// Rule class name.
-        rule: &'a str,
-        /// Paths the selector considered (the enumerated set).
-        enumerated: usize,
-        /// Call count of the chosen path.
-        chosen_len: usize,
-        /// Parameters the chosen path leaves to the hoisting fallback.
-        hoisted: usize,
-    },
-    /// A method parameter of a selected path was resolved.
-    ParamResolved {
-        /// Rule class name.
-        rule: &'a str,
-        /// The CrySL variable.
-        variable: &'a str,
-        /// Which resolution rule supplied the value.
-        via: ResolutionKind,
-    },
-    /// A method parameter fell through to the hoisting fallback.
-    ParamHoisted {
-        /// Rule class name.
-        rule: &'a str,
-        /// The CrySL variable.
-        variable: &'a str,
-    },
-    /// A batch job completed on an engine worker. Reported *after* the
-    /// fan-out joins, in input order; the worker assignment itself is
-    /// scheduling-dependent.
-    BatchJob {
-        /// Worker ordinal within the batch pool.
-        worker: usize,
-        /// Index of the job in the batch input.
-        index: usize,
-    },
 }
 
 /// Observer hooks for the generation pipeline.
 ///
-/// All methods have empty defaults, so an implementation only overrides
+/// Both methods have empty defaults, so an implementation only overrides
 /// what it cares about. Implementations must be `Send + Sync`: the
 /// engine shares one observer across batch workers. Hook invariants the
 /// generator guarantees (and the test suite enforces):
@@ -205,13 +132,11 @@ pub enum Event<'a> {
 /// * spans never nest and arrive in [`Phase::ALL`] order — exactly one
 ///   `span_enter`/`span_exit` pair per phase per generated template;
 /// * `span_exit` receives the monotonic wall time of the span plus the
-///   span's [`AllocDelta`], and is called even when the phase fails
+///   span's [`AllocDelta`] — the same figures the generation's
+///   [`GenRecord`] keeps — and is called even when the phase fails
 ///   (the error still propagates);
 /// * the alloc delta is all zeros unless the binary installed
-///   [`crate::memtrack::TrackingAlloc`] as its global allocator;
-/// * events are reported between the enter and exit of the phase they
-///   belong to, except [`Event::BatchJob`], which the engine reports
-///   after the batch joins.
+///   [`crate::memtrack::TrackingAlloc`] as its global allocator.
 pub trait GenObserver: Send + Sync {
     /// A pipeline phase is starting for `span.unit`.
     fn span_enter(&self, span: &Span<'_>) {
@@ -222,11 +147,6 @@ pub trait GenObserver: Send + Sync {
     /// time, allocating `alloc` on the executing thread.
     fn span_exit(&self, span: &Span<'_>, elapsed: Duration, alloc: AllocDelta) {
         let _ = (span, elapsed, alloc);
-    }
-
-    /// A fine-grained pipeline event occurred.
-    fn event(&self, event: &Event<'_>) {
-        let _ = event;
     }
 }
 
@@ -243,105 +163,45 @@ pub fn noop() -> &'static NoopObserver {
     &NOOP
 }
 
-/// Forwards every hook to both targets, in order. Lets the engine run
-/// its own metrics collector alongside a user-supplied observer without
-/// allocating.
-#[derive(Clone, Copy)]
-pub struct Tee<'a>(pub &'a dyn GenObserver, pub &'a dyn GenObserver);
-
-impl GenObserver for Tee<'_> {
-    fn span_enter(&self, span: &Span<'_>) {
-        self.0.span_enter(span);
-        self.1.span_enter(span);
-    }
-
-    fn span_exit(&self, span: &Span<'_>, elapsed: Duration, alloc: AllocDelta) {
-        self.0.span_exit(span, elapsed, alloc);
-        self.1.span_exit(span, elapsed, alloc);
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        self.0.event(event);
-        self.1.event(event);
-    }
-}
-
-/// Forwards every hook to a list of shared observers, in order.
-#[derive(Default, Clone)]
-pub struct Fanout {
-    targets: Vec<Arc<dyn GenObserver>>,
-}
-
-impl Fanout {
-    /// An empty fan-out (equivalent to [`NoopObserver`]).
-    pub fn new() -> Self {
-        Fanout::default()
-    }
-
-    /// Adds a target observer.
-    pub fn with(mut self, target: Arc<dyn GenObserver>) -> Self {
-        self.targets.push(target);
-        self
-    }
-}
-
-impl fmt::Debug for Fanout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Fanout({} targets)", self.targets.len())
-    }
-}
-
-impl GenObserver for Fanout {
-    fn span_enter(&self, span: &Span<'_>) {
-        for t in &self.targets {
-            t.span_enter(span);
-        }
-    }
-
-    fn span_exit(&self, span: &Span<'_>, elapsed: Duration, alloc: AllocDelta) {
-        for t in &self.targets {
-            t.span_exit(span, elapsed, alloc);
-        }
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        for t in &self.targets {
-            t.event(event);
-        }
-    }
-}
-
-/// RAII span: `span_enter` on construction, `span_exit` with the
-/// measured monotonic time and the span's [`AllocDelta`] on drop — so a
+/// RAII span: `span_enter` on construction; on drop, the measured
+/// monotonic time and the span's [`AllocDelta`] go into the phase's
+/// slot of the generation's [`GenRecord`] and to `span_exit` — so a
 /// phase that errors out still closes its span and the enter/exit
 /// pairing invariant holds.
 ///
-/// The allocation scope opens *after* `span_enter` returns and the
-/// delta is computed *before* `span_exit` runs, so an observer's own
-/// bookkeeping at the span boundaries is never charged to the phase.
-/// Event-handling allocations inside the phase are in scope — they are
-/// part of what the phase cost.
-pub struct SpanTimer<'o, 'u> {
+/// The span holds the record for as long as the phase runs; the phase
+/// body adds to it through [`SpanTimer::record`]. The allocation scope
+/// opens *after* `span_enter` returns and the delta is computed
+/// *before* `span_exit` runs, so an observer's own bookkeeping at the
+/// span boundaries is never charged to the phase.
+pub struct SpanTimer<'o, 'u, 'r> {
     observer: &'o dyn GenObserver,
     span: Span<'u>,
+    record: &'r mut GenRecord,
     scope: Option<AllocScope>,
     start: Instant,
 }
 
-impl<'o, 'u> SpanTimer<'o, 'u> {
+impl<'o, 'u, 'r> SpanTimer<'o, 'u, 'r> {
     /// Opens the span and starts the clock and the allocation scope.
-    pub fn enter(observer: &'o dyn GenObserver, span: Span<'u>) -> Self {
+    pub fn enter(observer: &'o dyn GenObserver, span: Span<'u>, record: &'r mut GenRecord) -> Self {
         observer.span_enter(&span);
         SpanTimer {
             observer,
             span,
+            record,
             scope: Some(AllocScope::enter()),
             start: Instant::now(),
         }
     }
+
+    /// The generation's record, for the phase to add what it decided.
+    pub fn record(&mut self) -> &mut GenRecord {
+        self.record
+    }
 }
 
-impl Drop for SpanTimer<'_, '_> {
+impl Drop for SpanTimer<'_, '_, '_> {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed();
         let alloc = self
@@ -349,42 +209,128 @@ impl Drop for SpanTimer<'_, '_> {
             .take()
             .map(AllocScope::finish)
             .unwrap_or_default();
+        let slot = &mut self.record.phases[self.span.phase.index()];
+        slot.spans += 1;
+        slot.total += elapsed;
+        slot.alloc_bytes += alloc.allocated_bytes;
+        slot.allocations += alloc.allocations;
+        slot.peak_live_bytes = slot.peak_live_bytes.max(alloc.peak_live_bytes);
         self.observer.span_exit(&self.span, elapsed, alloc);
     }
 }
 
 // ---------------------------------------------------------------------
-// PhaseTimings
+// GenRecord
 // ---------------------------------------------------------------------
 
-/// Accumulated wall time, span count and allocation activity for one
-/// phase of one unit.
+/// Wall time, span count and allocation activity of one phase of one
+/// generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseStat {
-    /// Completed spans.
+    /// Completed spans: 1 once the phase ran, 0 when an earlier phase
+    /// failed.
     pub spans: u64,
-    /// Total monotonic wall time across those spans.
+    /// Monotonic wall time of the phase.
     pub total: Duration,
-    /// Bytes allocated across those spans (zero unless
+    /// Bytes allocated inside the phase (zero unless
     /// [`crate::memtrack::TrackingAlloc`] is installed).
     pub alloc_bytes: u64,
-    /// Allocations across those spans.
+    /// Allocations inside the phase.
     pub allocations: u64,
-    /// Largest scope-relative peak of live bytes any single span
-    /// reached.
+    /// Scope-relative peak of live bytes the phase reached.
     pub peak_live_bytes: u64,
 }
 
-/// Per-phase timings of one template unit (one Table-1 row).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnitTimings {
-    /// Template class name.
-    pub unit: String,
+/// One generation's telemetry, in a fixed shape: the five phases'
+/// [`PhaseStat`]s, written as each span closes, and the rule-level
+/// facts the select and resolve phases decide. A failed generation's
+/// record holds what ran before the failure.
+///
+/// Metric names [`GenRecord::fold_into`] writes:
+///
+/// * `phase.<phase>.spans` — completed spans per phase (counter);
+/// * `mem.phase.<phase>.alloc_bytes` — bytes allocated inside the
+///   phase (counter);
+/// * `mem.phase.<phase>.peak_live_bytes` — scope-relative peak live
+///   bytes per span (histogram; `max` is the figure of interest);
+/// * `order_cache.hits` / `order_cache.misses` / `order_cache.uncached`
+///   — compiled-ORDER lookups by outcome (counters);
+/// * `order.dfa_states`, `order.accepting_paths` — per-rule artefact
+///   sizes (histograms);
+/// * `pathsel.selections` (counter), `pathsel.candidates` (histogram),
+///   `pathsel.hoisted_params` (counter);
+/// * `resolve.params`, `resolve.hoisted` and `resolve.via.<kind>` —
+///   parameter resolution outcomes (counters).
+///
+/// A name appears only once something was counted under it. Durations
+/// are deliberately *not* folded — wall time varies across runs and
+/// would break the registry's determinism; read them from the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GenRecord {
     /// One slot per [`Phase::ALL`] entry, in phase order.
     pub phases: [PhaseStat; 5],
+    /// Compiled-ORDER lookups served from the cache.
+    pub cache_hits: u64,
+    /// Compiled-ORDER lookups that compiled and inserted the artefact.
+    pub cache_misses: u64,
+    /// Rules enumerated with no cache in play (the reference path).
+    pub cache_uncached: u64,
+    /// States of each looked-up rule's minimized DFA; the uncached
+    /// path builds none and records nothing here.
+    pub dfa_states: HistogramStat,
+    /// Accepting call sequences enumerated per rule.
+    pub accepting_paths: HistogramStat,
+    /// Paths each path selection considered.
+    pub candidates: HistogramStat,
+    /// Rules whose path selection finished.
+    pub selections: u64,
+    /// Parameters the chosen paths leave to the hoisting fallback.
+    pub hoisted_params: u64,
+    /// Planned parameters per [`ResolutionKind`], indexed by
+    /// [`ResolutionKind::index`]; the `Hoist` slot counts fallback
+    /// hoists.
+    pub resolutions: [u64; 5],
 }
 
-impl UnitTimings {
+/// `[spans, alloc_bytes, peak_live_bytes]` metric names per phase.
+const PHASE_KEYS: [[&str; 3]; 5] = [
+    [
+        "phase.collect.spans",
+        "mem.phase.collect.alloc_bytes",
+        "mem.phase.collect.peak_live_bytes",
+    ],
+    [
+        "phase.link.spans",
+        "mem.phase.link.alloc_bytes",
+        "mem.phase.link.peak_live_bytes",
+    ],
+    [
+        "phase.select.spans",
+        "mem.phase.select.alloc_bytes",
+        "mem.phase.select.peak_live_bytes",
+    ],
+    [
+        "phase.resolve.spans",
+        "mem.phase.resolve.alloc_bytes",
+        "mem.phase.resolve.peak_live_bytes",
+    ],
+    [
+        "phase.assemble.spans",
+        "mem.phase.assemble.alloc_bytes",
+        "mem.phase.assemble.peak_live_bytes",
+    ],
+];
+
+/// Metric name per [`ResolutionKind`] slot.
+const RESOLUTION_KEYS: [&str; 5] = [
+    "resolve.via.template",
+    "resolve.via.linked",
+    "resolve.via.own_return",
+    "resolve.via.constraint",
+    "resolve.hoisted",
+];
+
+impl GenRecord {
     /// The stat for one phase.
     pub fn phase(&self, phase: Phase) -> PhaseStat {
         self.phases[phase.index()]
@@ -408,68 +354,61 @@ impl UnitTimings {
             .max()
             .unwrap_or(0)
     }
-}
 
-/// An observer that collects monotonic per-phase wall time and
-/// allocation deltas per unit — the Table-1 runtime *and* memory
-/// columns, split by pipeline phase.
-///
-/// Thread-safe; share it via [`Arc`] between the engine observer slot
-/// and the reporting code that reads the snapshot afterwards.
-#[derive(Debug, Default)]
-pub struct PhaseTimings {
-    inner: Mutex<BTreeMap<String, [PhaseStat; 5]>>,
-}
-
-impl PhaseTimings {
-    /// An empty collector.
-    pub fn new() -> Self {
-        PhaseTimings::default()
+    /// Parameters planned with resolution `kind`.
+    pub fn resolved(&self, kind: ResolutionKind) -> u64 {
+        self.resolutions[kind.index()]
     }
 
-    /// The timings recorded for `unit`, if any span completed for it.
-    pub fn unit(&self, unit: &str) -> Option<UnitTimings> {
-        self.lock().get(unit).map(|phases| UnitTimings {
-            unit: unit.to_owned(),
-            phases: *phases,
-        })
+    /// Parameters planned, of every kind (`resolve.params`).
+    pub fn params(&self) -> u64 {
+        self.resolutions.iter().sum()
     }
 
-    /// All recorded units, sorted by unit name.
-    pub fn snapshot(&self) -> Vec<UnitTimings> {
-        self.lock()
-            .iter()
-            .map(|(unit, phases)| UnitTimings {
-                unit: unit.clone(),
-                phases: *phases,
-            })
-            .collect()
-    }
-
-    /// Drops all recorded timings.
-    pub fn reset(&self) {
-        self.lock().clear();
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, [PhaseStat; 5]>> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            // Writers only do field arithmetic; the map is never left
-            // mid-mutation, so continuing after a poisoned lock is sound.
-            Err(poisoned) => poisoned.into_inner(),
+    /// Adds this record to `registry` under the metric names listed on
+    /// [`GenRecord`], taking the registry's lock once.
+    pub fn fold_into(&self, registry: &MetricsRegistry) {
+        let mut map = registry.lock();
+        let mut put = |name: &str, metric| merge_metric(&mut map, name, metric);
+        for (stat, [spans, alloc, peak]) in self.phases.iter().zip(PHASE_KEYS) {
+            if stat.spans > 0 {
+                put(spans, Metric::Counter(stat.spans));
+                put(alloc, Metric::Counter(stat.alloc_bytes));
+                let mut live = HistogramStat::default();
+                live.observe(stat.peak_live_bytes);
+                put(peak, Metric::Histogram(live));
+            }
         }
-    }
-}
-
-impl GenObserver for PhaseTimings {
-    fn span_exit(&self, span: &Span<'_>, elapsed: Duration, alloc: AllocDelta) {
-        let mut map = self.lock();
-        let slot = &mut map.entry(span.unit.to_owned()).or_default()[span.phase.index()];
-        slot.spans += 1;
-        slot.total += elapsed;
-        slot.alloc_bytes += alloc.allocated_bytes;
-        slot.allocations += alloc.allocations;
-        slot.peak_live_bytes = slot.peak_live_bytes.max(alloc.peak_live_bytes);
+        let counters = [
+            ("order_cache.hits", self.cache_hits),
+            ("order_cache.misses", self.cache_misses),
+            ("order_cache.uncached", self.cache_uncached),
+            ("pathsel.selections", self.selections),
+            ("resolve.params", self.params()),
+        ];
+        for (name, n) in counters
+            .into_iter()
+            .chain(RESOLUTION_KEYS.into_iter().zip(self.resolutions))
+        {
+            if n > 0 {
+                put(name, Metric::Counter(n));
+            }
+        }
+        if self.selections > 0 {
+            put(
+                "pathsel.hoisted_params",
+                Metric::Counter(self.hoisted_params),
+            );
+        }
+        for (name, h) in [
+            ("order.dfa_states", self.dfa_states),
+            ("order.accepting_paths", self.accepting_paths),
+            ("pathsel.candidates", self.candidates),
+        ] {
+            if h.count > 0 {
+                put(name, Metric::Histogram(h));
+            }
+        }
     }
 }
 
@@ -557,13 +496,38 @@ impl Metric {
     }
 }
 
+/// Merges `metric` into the entry `name`, creating it empty first:
+/// counters add, gauges take the maximum, histograms merge. A kind
+/// mismatch leaves the entry intact (and is flagged in debug builds).
+fn merge_metric(map: &mut BTreeMap<String, Metric>, name: &str, metric: Metric) {
+    if !map.contains_key(name) {
+        let empty = match metric {
+            Metric::Counter(_) => Metric::Counter(0),
+            Metric::Gauge(_) => Metric::Gauge(0),
+            Metric::Histogram(_) => Metric::Histogram(HistogramStat::default()),
+        };
+        map.insert(name.to_owned(), empty);
+    }
+    match (map.get_mut(name).expect("inserted above"), metric) {
+        (Metric::Counter(mine), Metric::Counter(n)) => *mine += n,
+        (Metric::Gauge(mine), Metric::Gauge(g)) => *mine = (*mine).max(g),
+        (Metric::Histogram(mine), Metric::Histogram(h)) => mine.merge(&h),
+        (mine, theirs) => {
+            debug_assert!(
+                false,
+                "`{name}`: metric kind mismatch: {mine:?} vs {theirs:?}"
+            );
+        }
+    }
+}
+
 /// A thread-safe registry of named counters, gauges and histograms.
 ///
 /// Keys are sorted (`BTreeMap`), every merge operation is commutative
 /// and associative, and histograms store order-insensitive summaries —
 /// so two registries that saw the same multiset of operations are equal,
-/// and folding per-worker registries in input order after a batch yields
-/// the same aggregate at any thread count.
+/// and folding per-generation records in input order after a batch
+/// yields the same aggregate at any thread count.
 ///
 /// A name is bound to the kind of its first write; operations of a
 /// different kind on the same name are ignored (and flagged in debug
@@ -581,11 +545,7 @@ impl MetricsRegistry {
 
     /// Adds `n` to the counter `name`, creating it at zero first.
     pub fn add(&self, name: &str, n: u64) {
-        let mut map = self.lock();
-        match map.entry(name.to_owned()).or_insert(Metric::Counter(0)) {
-            Metric::Counter(c) => *c += n,
-            other => debug_assert!(false, "`{name}` is not a counter: {other:?}"),
-        }
+        merge_metric(&mut self.lock(), name, Metric::Counter(n));
     }
 
     /// Sets the gauge `name` to `value`.
@@ -599,14 +559,9 @@ impl MetricsRegistry {
 
     /// Folds `sample` into the histogram `name`.
     pub fn observe(&self, name: &str, sample: u64) {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_owned())
-            .or_insert(Metric::Histogram(HistogramStat::default()))
-        {
-            Metric::Histogram(h) => h.observe(sample),
-            other => debug_assert!(false, "`{name}` is not a histogram: {other:?}"),
-        }
+        let mut h = HistogramStat::default();
+        h.observe(sample);
+        merge_metric(&mut self.lock(), name, Metric::Histogram(h));
     }
 
     /// The metric registered under `name`.
@@ -626,21 +581,7 @@ impl MetricsRegistry {
         let theirs = other.snapshot();
         let mut map = self.lock();
         for (name, metric) in theirs {
-            match (
-                map.entry(name).or_insert(match metric {
-                    Metric::Counter(_) => Metric::Counter(0),
-                    Metric::Gauge(_) => Metric::Gauge(0),
-                    Metric::Histogram(_) => Metric::Histogram(HistogramStat::default()),
-                }),
-                metric,
-            ) {
-                (Metric::Counter(mine), Metric::Counter(n)) => *mine += n,
-                (Metric::Gauge(mine), Metric::Gauge(g)) => *mine = (*mine).max(g),
-                (Metric::Histogram(mine), Metric::Histogram(h)) => mine.merge(&h),
-                (mine, theirs) => {
-                    debug_assert!(false, "metric kind mismatch: {mine:?} vs {theirs:?}");
-                }
-            }
+            merge_metric(&mut map, &name, metric);
         }
     }
 
@@ -698,130 +639,16 @@ impl MetricsRegistry {
 }
 
 // ---------------------------------------------------------------------
-// MetricsCollector
-// ---------------------------------------------------------------------
-
-/// The observer that maps pipeline spans and events onto a
-/// [`MetricsRegistry`].
-///
-/// Metric names it writes:
-///
-/// * `phase.<phase>.spans` — completed spans per phase (counter);
-/// * `mem.phase.<phase>.alloc_bytes` — bytes allocated inside the
-///   phase's spans (counter; zero unless
-///   [`crate::memtrack::TrackingAlloc`] is installed);
-/// * `mem.phase.<phase>.peak_live_bytes` — scope-relative peak live
-///   bytes per span (histogram; `max` is the figure of interest);
-/// * `order_cache.hits` / `order_cache.misses` / `order_cache.uncached`
-///   — compiled-ORDER lookups by outcome (counters);
-/// * `order.dfa_states`, `order.accepting_paths` — per-rule artefact
-///   sizes (histograms);
-/// * `pathsel.selections` (counter), `pathsel.candidates` (histogram),
-///   `pathsel.hoisted_params` (counter);
-/// * `resolve.params`, `resolve.hoisted` and `resolve.via.<kind>` —
-///   parameter resolution outcomes (counters);
-/// * `engine.batch.worker.<NN>.jobs` — jobs per batch worker (counter;
-///   inherently scheduling-dependent, excluded from the determinism
-///   guarantees).
-///
-/// Durations are deliberately *not* recorded here — wall time varies
-/// across runs and would break the registry's determinism. Use
-/// [`PhaseTimings`] for time.
-#[derive(Debug, Clone)]
-pub struct MetricsCollector {
-    registry: Arc<MetricsRegistry>,
-}
-
-impl MetricsCollector {
-    /// A collector writing into `registry`.
-    pub fn new(registry: Arc<MetricsRegistry>) -> Self {
-        MetricsCollector { registry }
-    }
-
-    /// A collector over a fresh private registry.
-    pub fn fresh() -> Self {
-        MetricsCollector::new(Arc::new(MetricsRegistry::new()))
-    }
-
-    /// The registry this collector writes into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-}
-
-impl GenObserver for MetricsCollector {
-    fn span_exit(&self, span: &Span<'_>, _elapsed: Duration, alloc: AllocDelta) {
-        let phase = span.phase.name();
-        self.registry.add(&format!("phase.{phase}.spans"), 1);
-        self.registry.add(
-            &format!("mem.phase.{phase}.alloc_bytes"),
-            alloc.allocated_bytes,
-        );
-        self.registry.observe(
-            &format!("mem.phase.{phase}.peak_live_bytes"),
-            alloc.peak_live_bytes,
-        );
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        let r = &*self.registry;
-        match event {
-            Event::OrderCompiled {
-                dfa_states,
-                accepting_paths,
-                cache,
-                ..
-            } => {
-                let outcome = match cache {
-                    CacheOutcome::Hit => "order_cache.hits",
-                    CacheOutcome::Miss => "order_cache.misses",
-                    CacheOutcome::Uncached => "order_cache.uncached",
-                };
-                r.add(outcome, 1);
-                if let Some(states) = dfa_states {
-                    r.observe("order.dfa_states", *states as u64);
-                }
-                r.observe("order.accepting_paths", *accepting_paths as u64);
-            }
-            Event::PathSelected {
-                enumerated,
-                hoisted,
-                ..
-            } => {
-                r.add("pathsel.selections", 1);
-                r.observe("pathsel.candidates", *enumerated as u64);
-                r.add("pathsel.hoisted_params", *hoisted as u64);
-            }
-            Event::ParamResolved { via, .. } => {
-                r.add("resolve.params", 1);
-                r.add(&format!("resolve.via.{}", via.name()), 1);
-            }
-            Event::ParamHoisted { .. } => {
-                r.add("resolve.params", 1);
-                r.add("resolve.hoisted", 1);
-            }
-            Event::BatchJob { worker, .. } => {
-                r.add(&format!("engine.batch.worker.{worker:02}.jobs"), 1);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // TraceRecorder
 // ---------------------------------------------------------------------
 
-/// One recorded trace entry, already reduced to the Chrome Trace Event
-/// Format fields.
+/// One recorded span boundary, already reduced to the Chrome Trace
+/// Event Format fields.
 #[derive(Debug, Clone)]
 struct TraceEvent {
-    /// Event name (`name`): the phase name for spans, the event kind
-    /// for instants.
+    /// Event name (`name`): the phase name.
     name: &'static str,
-    /// Category (`cat`): `"phase"`, `"pipeline"` or `"engine"`.
-    cat: &'static str,
-    /// Phase type (`ph`): `'B'` (span begin), `'E'` (span end) or
-    /// `'i'` (instant).
+    /// Phase type (`ph`): `'B'` (span begin) or `'E'` (span end).
     ph: char,
     /// Microseconds since the recorder was created (`ts`).
     ts_us: f64,
@@ -839,12 +666,11 @@ struct TraceInner {
     tids: Vec<ThreadId>,
 }
 
-/// An observer that records the span/event stream with monotonic
-/// timestamps and serializes it as a [Chrome Trace Event Format]
-/// document — load the written file in `chrome://tracing` or
+/// An observer that records the span stream with monotonic timestamps
+/// and serializes it as a [Chrome Trace Event Format] document — load
+/// the written file in `chrome://tracing` or
 /// [Perfetto](https://ui.perfetto.dev) to see the pipeline's phases per
-/// thread on a timeline, with cache traffic and resolution outcomes as
-/// instant markers.
+/// thread on a timeline.
 ///
 /// Guarantees the recorder maintains (and [`validate_trace`] checks on
 /// a written file):
@@ -854,8 +680,7 @@ struct TraceInner {
 /// * timestamps are non-decreasing per `tid` (they are taken from one
 ///   monotonic clock under the recorder's lock);
 /// * `E` events carry the span's wall time and [`AllocDelta`] in
-///   `args`; instant events carry their payload (cache outcome, DFA and
-///   path-set sizes, resolution kinds) in `args`.
+///   `args`.
 ///
 /// [Chrome Trace Event Format]:
 /// https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -906,7 +731,7 @@ impl TraceRecorder {
     /// Appends one event, stamping it with the current thread's stable
     /// id and the recorder clock. The timestamp is taken under the lock
     /// so the event vector is globally time-ordered.
-    fn push(&self, name: &'static str, cat: &'static str, ph: char, args: Vec<(String, Json)>) {
+    fn push(&self, name: &'static str, ph: char, args: Vec<(String, Json)>) {
         let thread = std::thread::current().id();
         let mut inner = self.lock();
         let tid = match inner.tids.iter().position(|&t| t == thread) {
@@ -919,7 +744,6 @@ impl TraceRecorder {
         let ts_us = self.start.elapsed().as_nanos() as f64 / 1000.0;
         inner.events.push(TraceEvent {
             name,
-            cat,
             ph,
             ts_us,
             tid,
@@ -937,20 +761,15 @@ impl TraceRecorder {
     fn render<'e>(events: impl Iterator<Item = &'e TraceEvent>) -> Json {
         let events = events
             .map(|e| {
-                let mut members = vec![
+                Json::Obj(vec![
                     ("name".to_owned(), Json::Str(e.name.to_owned())),
-                    ("cat".to_owned(), Json::Str(e.cat.to_owned())),
+                    ("cat".to_owned(), Json::Str("phase".to_owned())),
                     ("ph".to_owned(), Json::Str(e.ph.to_string())),
                     ("ts".to_owned(), Json::Num(e.ts_us)),
                     ("pid".to_owned(), Json::Num(1.0)),
                     ("tid".to_owned(), Json::Num(e.tid as f64)),
-                ];
-                if e.ph == 'i' {
-                    // Instant scope: thread-level marker.
-                    members.push(("s".to_owned(), Json::Str("t".to_owned())));
-                }
-                members.push(("args".to_owned(), Json::Obj(e.args.clone())));
-                Json::Obj(members)
+                    ("args".to_owned(), Json::Obj(e.args.clone())),
+                ])
             })
             .collect();
         Json::Obj(vec![
@@ -968,7 +787,7 @@ impl TraceRecorder {
     /// whose `E` fell after disarming. Neither is recorder breakage
     /// (the full stream is balanced; the window just cut it), so this
     /// export drops exactly those unpaired events per `tid` and keeps
-    /// everything else, instants included.
+    /// everything else.
     pub fn to_balanced_json(&self) -> Json {
         let inner = self.lock();
         let mut keep = vec![true; inner.events.len()];
@@ -1009,15 +828,10 @@ impl TraceRecorder {
     }
 }
 
-fn num(n: usize) -> Json {
-    Json::Num(n as f64)
-}
-
 impl GenObserver for TraceRecorder {
     fn span_enter(&self, span: &Span<'_>) {
         self.push(
             span.phase.name(),
-            "phase",
             'B',
             vec![("unit".to_owned(), Json::Str(span.unit.to_owned()))],
         );
@@ -1026,7 +840,6 @@ impl GenObserver for TraceRecorder {
     fn span_exit(&self, span: &Span<'_>, elapsed: Duration, alloc: AllocDelta) {
         self.push(
             span.phase.name(),
-            "phase",
             'E',
             vec![
                 ("unit".to_owned(), Json::Str(span.unit.to_owned())),
@@ -1049,81 +862,6 @@ impl GenObserver for TraceRecorder {
                 ),
             ],
         );
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        let (name, cat, args) = match event {
-            Event::OrderCompiled {
-                rule,
-                dfa_states,
-                accepting_paths,
-                cache,
-            } => (
-                "order_compiled",
-                "pipeline",
-                vec![
-                    ("rule".to_owned(), Json::Str((*rule).to_owned())),
-                    (
-                        "cache".to_owned(),
-                        Json::Str(
-                            match cache {
-                                CacheOutcome::Hit => "hit",
-                                CacheOutcome::Miss => "miss",
-                                CacheOutcome::Uncached => "uncached",
-                            }
-                            .to_owned(),
-                        ),
-                    ),
-                    ("dfa_states".to_owned(), dfa_states.map_or(Json::Null, num)),
-                    ("accepting_paths".to_owned(), num(*accepting_paths)),
-                ],
-            ),
-            Event::PathSelected {
-                rule,
-                enumerated,
-                chosen_len,
-                hoisted,
-            } => (
-                "path_selected",
-                "pipeline",
-                vec![
-                    ("rule".to_owned(), Json::Str((*rule).to_owned())),
-                    ("enumerated".to_owned(), num(*enumerated)),
-                    ("chosen_len".to_owned(), num(*chosen_len)),
-                    ("hoisted".to_owned(), num(*hoisted)),
-                ],
-            ),
-            Event::ParamResolved {
-                rule,
-                variable,
-                via,
-            } => (
-                "param_resolved",
-                "pipeline",
-                vec![
-                    ("rule".to_owned(), Json::Str((*rule).to_owned())),
-                    ("variable".to_owned(), Json::Str((*variable).to_owned())),
-                    ("via".to_owned(), Json::Str(via.name().to_owned())),
-                ],
-            ),
-            Event::ParamHoisted { rule, variable } => (
-                "param_hoisted",
-                "pipeline",
-                vec![
-                    ("rule".to_owned(), Json::Str((*rule).to_owned())),
-                    ("variable".to_owned(), Json::Str((*variable).to_owned())),
-                ],
-            ),
-            Event::BatchJob { worker, index } => (
-                "batch_job",
-                "engine",
-                vec![
-                    ("worker".to_owned(), num(*worker)),
-                    ("index".to_owned(), num(*index)),
-                ],
-            ),
-        };
-        self.push(name, cat, 'i', args);
     }
 }
 
@@ -1207,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn span_timer_pairs_enter_and_exit_even_on_early_exit() {
+    fn span_timer_pairs_enter_and_exit_and_records_even_on_early_exit() {
         #[derive(Default)]
         struct Log(Mutex<Vec<(Phase, bool)>>);
         impl GenObserver for Log {
@@ -1219,14 +957,17 @@ mod tests {
             }
         }
         let log = Log::default();
-        let run = |fail: bool| -> Result<(), ()> {
-            let _span = SpanTimer::enter(
+        let mut record = GenRecord::default();
+        let mut run = |fail: bool| -> Result<(), ()> {
+            let mut span = SpanTimer::enter(
                 &log,
                 Span {
                     unit: "U",
                     phase: Phase::Select,
                 },
+                &mut record,
             );
+            span.record().selections += 1;
             if fail {
                 return Err(());
             }
@@ -1244,44 +985,9 @@ mod tests {
                 (Phase::Select, false),
             ]
         );
-    }
-
-    #[test]
-    fn phase_timings_accumulate_per_unit() {
-        let t = PhaseTimings::new();
-        let span = Span {
-            unit: "A",
-            phase: Phase::Collect,
-        };
-        let alloc = AllocDelta {
-            allocated_bytes: 100,
-            freed_bytes: 40,
-            allocations: 3,
-            peak_live_bytes: 64,
-        };
-        t.span_exit(&span, Duration::from_millis(2), alloc);
-        t.span_exit(&span, Duration::from_millis(3), alloc);
-        t.span_exit(
-            &Span {
-                unit: "B",
-                phase: Phase::Assemble,
-            },
-            Duration::from_millis(1),
-            AllocDelta::default(),
-        );
-        let a = t.unit("A").unwrap();
-        assert_eq!(a.phase(Phase::Collect).spans, 2);
-        assert_eq!(a.phase(Phase::Collect).total, Duration::from_millis(5));
-        assert_eq!(a.phase(Phase::Collect).alloc_bytes, 200);
-        assert_eq!(a.phase(Phase::Collect).allocations, 6);
-        assert_eq!(a.phase(Phase::Collect).peak_live_bytes, 64);
-        assert_eq!(a.phase(Phase::Link).spans, 0);
-        assert_eq!(a.total(), Duration::from_millis(5));
-        assert_eq!(a.alloc_total_bytes(), 200);
-        assert_eq!(a.peak_live_bytes(), 64);
-        assert_eq!(t.snapshot().len(), 2);
-        t.reset();
-        assert!(t.snapshot().is_empty());
+        assert_eq!(record.selections, 2);
+        assert_eq!(record.phase(Phase::Select).spans, 2);
+        assert_eq!(record.phase(Phase::Link).spans, 0);
     }
 
     #[test]
@@ -1364,114 +1070,80 @@ mod tests {
     }
 
     #[test]
-    fn collector_maps_events_onto_metric_names() {
-        let c = MetricsCollector::fresh();
-        c.event(&Event::OrderCompiled {
-            rule: "R",
-            dfa_states: Some(4),
-            accepting_paths: 2,
-            cache: CacheOutcome::Miss,
-        });
-        c.event(&Event::OrderCompiled {
-            rule: "R",
-            dfa_states: Some(4),
-            accepting_paths: 2,
-            cache: CacheOutcome::Hit,
-        });
-        c.event(&Event::PathSelected {
-            rule: "R",
-            enumerated: 2,
-            chosen_len: 3,
-            hoisted: 1,
-        });
-        c.event(&Event::ParamResolved {
-            rule: "R",
-            variable: "v",
-            via: ResolutionKind::Constraint,
-        });
-        c.event(&Event::ParamHoisted {
-            rule: "R",
-            variable: "w",
-        });
-        c.event(&Event::BatchJob {
-            worker: 1,
-            index: 0,
-        });
-        c.span_exit(
-            &Span {
-                unit: "U",
-                phase: Phase::Link,
-            },
-            Duration::ZERO,
-            AllocDelta {
-                allocated_bytes: 4096,
-                freed_bytes: 1024,
-                allocations: 7,
-                peak_live_bytes: 2048,
-            },
-        );
-        let r = c.registry();
-        assert_eq!(r.counter("order_cache.misses"), 1);
-        assert_eq!(r.counter("order_cache.hits"), 1);
-        assert_eq!(r.counter("pathsel.selections"), 1);
-        assert_eq!(r.counter("pathsel.hoisted_params"), 1);
-        assert_eq!(r.counter("resolve.params"), 2);
-        assert_eq!(r.counter("resolve.via.constraint"), 1);
-        assert_eq!(r.counter("resolve.hoisted"), 1);
-        assert_eq!(r.counter("engine.batch.worker.01.jobs"), 1);
-        assert_eq!(r.counter("phase.link.spans"), 1);
-        assert_eq!(r.counter("mem.phase.link.alloc_bytes"), 4096);
+    fn record_folds_onto_the_metric_names() {
+        let mut record = GenRecord::default();
+        record.phases[Phase::Link.index()] = PhaseStat {
+            spans: 1,
+            total: Duration::from_micros(3),
+            alloc_bytes: 4096,
+            allocations: 7,
+            peak_live_bytes: 2048,
+        };
+        record.cache_hits = 1;
+        record.cache_misses = 1;
+        record.dfa_states.observe(4);
+        record.dfa_states.observe(4);
+        record.accepting_paths.observe(2);
+        record.selections = 1;
+        record.candidates.observe(2);
+        record.resolutions[ResolutionKind::Constraint.index()] = 1;
+        record.resolutions[ResolutionKind::Hoist.index()] = 1;
+
+        let r = MetricsRegistry::new();
+        record.fold_into(&r);
+        record.fold_into(&r);
+        assert_eq!(r.counter("order_cache.misses"), 2);
+        assert_eq!(r.counter("order_cache.hits"), 2);
+        assert_eq!(r.counter("pathsel.selections"), 2);
+        assert_eq!(r.counter("resolve.params"), 4);
+        assert_eq!(r.counter("resolve.via.constraint"), 2);
+        assert_eq!(r.counter("resolve.hoisted"), 2);
+        assert_eq!(r.counter("phase.link.spans"), 2);
+        assert_eq!(r.counter("mem.phase.link.alloc_bytes"), 8192);
         let peak = r
             .get("mem.phase.link.peak_live_bytes")
             .unwrap()
             .as_histogram()
             .unwrap();
-        assert_eq!((peak.count, peak.max), (1, 2048));
+        assert_eq!((peak.count, peak.max), (2, 2048));
         let states = r.get("order.dfa_states").unwrap().as_histogram().unwrap();
-        assert_eq!((states.count, states.sum), (2, 8));
+        assert_eq!((states.count, states.sum), (4, 16));
+        // Zero-valued counts touch nothing, except the hoist counter of
+        // a finished selection and the memory counter of a closed span.
+        assert_eq!(r.get("pathsel.hoisted_params"), Some(Metric::Counter(0)));
+        for absent in [
+            "order_cache.uncached",
+            "resolve.via.template",
+            "phase.collect.spans",
+            "mem.phase.collect.alloc_bytes",
+        ] {
+            assert_eq!(r.get(absent), None, "{absent}");
+        }
+        GenRecord::default().fold_into(&r);
+        assert_eq!(r.counter("pathsel.selections"), 2);
     }
 
     #[test]
     fn trace_recorder_emits_paired_validated_chrome_events() {
         let rec = TraceRecorder::new();
-        {
-            let _t = SpanTimer::enter(
-                &rec,
-                Span {
-                    unit: "U",
-                    phase: Phase::Select,
-                },
-            );
-            rec.event(&Event::OrderCompiled {
-                rule: "Cipher",
-                dfa_states: Some(5),
-                accepting_paths: 2,
-                cache: CacheOutcome::Miss,
-            });
-            rec.event(&Event::ParamResolved {
-                rule: "Cipher",
-                variable: "transformation",
-                via: ResolutionKind::Constraint,
-            });
-        }
-        assert_eq!(rec.len(), 4); // B, i, i, E
+        let mut record = GenRecord::default();
+        drop(SpanTimer::enter(
+            &rec,
+            Span {
+                unit: "U",
+                phase: Phase::Select,
+            },
+            &mut record,
+        ));
+        assert_eq!(rec.len(), 2); // B, E
         let doc = rec.to_json();
         validate_trace(&doc).unwrap();
 
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("B"));
         assert_eq!(events[0].get("name").and_then(Json::as_str), Some("select"));
-        let instant = &events[1];
-        assert_eq!(instant.get("ph").and_then(Json::as_str), Some("i"));
-        assert_eq!(instant.get("s").and_then(Json::as_str), Some("t"));
-        assert_eq!(
-            instant
-                .get("args")
-                .and_then(|a| a.get("cache"))
-                .and_then(Json::as_str),
-            Some("miss")
-        );
-        let exit = &events[3];
+        assert_eq!(events[0].get("cat").and_then(Json::as_str), Some("phase"));
+        let exit = &events[1];
         assert_eq!(exit.get("ph").and_then(Json::as_str), Some("E"));
         assert!(exit
             .get("args")
@@ -1494,13 +1166,8 @@ mod tests {
             Duration::from_micros(3),
             AllocDelta::default(),
         );
-        // A complete pair with an instant inside survives untouched.
+        // A complete pair survives untouched.
         rec.span_enter(&span(Phase::Resolve));
-        rec.event(&Event::ParamResolved {
-            rule: "Cipher",
-            variable: "transformation",
-            via: ResolutionKind::Constraint,
-        });
         rec.span_exit(
             &span(Phase::Resolve),
             Duration::from_micros(7),
@@ -1520,13 +1187,13 @@ mod tests {
             .iter()
             .map(|e| e.get("ph").and_then(Json::as_str).unwrap())
             .collect();
-        assert_eq!(phases, ["B", "i", "E"]);
+        assert_eq!(phases, ["B", "E"]);
         assert_eq!(
             events[0].get("name").and_then(Json::as_str),
             Some("resolve")
         );
         assert_eq!(
-            events[2].get("name").and_then(Json::as_str),
+            events[1].get("name").and_then(Json::as_str),
             Some("resolve")
         );
     }
@@ -1569,7 +1236,7 @@ mod tests {
             ev("B", "select", 0.0, 5.0),
             ev("B", "resolve", 1.0, 1.0),
             ev("E", "select", 0.0, 6.0),
-            ev("i", "order_compiled", 1.0, 2.0),
+            ev("i", "marker", 1.0, 2.0),
             ev("E", "resolve", 1.0, 2.0),
         ]))
         .unwrap();
@@ -1588,36 +1255,5 @@ mod tests {
             assert_eq!(r.get("x"), Some(Metric::Counter(1)));
         }
         assert_eq!(r.counter("x"), 1);
-    }
-
-    #[test]
-    fn tee_and_fanout_forward_to_all_targets() {
-        #[derive(Default)]
-        struct Count(Mutex<u32>);
-        impl GenObserver for Count {
-            fn event(&self, _e: &Event<'_>) {
-                *self.0.lock().unwrap() += 1;
-            }
-        }
-        let a = Count::default();
-        let b = Count::default();
-        Tee(&a, &b).event(&Event::BatchJob {
-            worker: 0,
-            index: 0,
-        });
-        assert_eq!(*a.0.lock().unwrap(), 1);
-        assert_eq!(*b.0.lock().unwrap(), 1);
-
-        let x: Arc<Count> = Arc::new(Count::default());
-        let fan = Fanout::new().with(x.clone()).with(Arc::new(NoopObserver));
-        fan.event(&Event::BatchJob {
-            worker: 0,
-            index: 1,
-        });
-        fan.event(&Event::BatchJob {
-            worker: 0,
-            index: 2,
-        });
-        assert_eq!(*x.0.lock().unwrap(), 2);
     }
 }

@@ -52,12 +52,14 @@ cargo build --release --offline --locked
 
 # Generation has two entry points over one pipeline body and no
 # process-wide ORDER cache, path selection has one entry point,
-# parameters are resolved by one walk, and perfbench is the one
-# benchmark (the load harness's runner, CLI and pacing are gone); the
-# deleted routes must not come back.
-old_routes='\b(shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer)\b'
+# parameters are resolved by one walk, perfbench is the one benchmark
+# (the load harness's runner, CLI and pacing are gone), and telemetry
+# is one record per generation (the event stream and the observers
+# that re-derived metrics and timings from it are gone); the deleted
+# routes must not come back.
+old_routes='\b(shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob)\b'
 if matches="$(grep -nE "$old_routes" $sources)"; then
-    echo "error: deleted generation route, process-wide cache, resolution walk or load harness:" >&2
+    echo "error: deleted generation route, process-wide cache, resolution walk, load harness or telemetry event stream:" >&2
     echo "$matches" >&2
     exit 1
 fi

@@ -56,7 +56,7 @@
 //! auto-detected as a `*.crysl` source directory, a precompiled binary
 //! pack or a catalogued pack name — and all but `analyze` accept
 //! `--trace <file>`:
-//! the run is observed by a [`TraceRecorder`] and the span/event stream
+//! the run is observed by a [`TraceRecorder`] and the span stream
 //! is written as Chrome Trace Event Format JSON — open the file in
 //! `chrome://tracing` or Perfetto. Traced runs build a per-invocation
 //! engine (the shared engine has no observer attached); the generated

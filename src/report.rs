@@ -1,12 +1,13 @@
 //! The Table-1 reporter: runs every use case a rule pack declares (the
-//! whole catalogue for the embedded pack) through an instrumented
-//! engine and renders the paper's evaluation table — per-use-case,
-//! per-phase runtime *and memory* plus the pipeline metrics — as text
-//! and as a devharness-JSON document (`REPORT_table1.json`).
+//! whole catalogue for the embedded pack) through an engine and renders
+//! the paper's evaluation table — per-use-case, per-phase runtime *and
+//! memory* plus the pipeline metrics — as text and as a devharness-JSON
+//! document (`REPORT_table1.json`). Each row is one generation's
+//! [`GenRecord`]; the metrics are those records folded together.
 //!
 //! Memory comes from two instruments. Per-phase `alloc_bytes` /
-//! `peak_live_bytes` are allocator-level figures the engine's
-//! [`PhaseTimings`] observer collects through
+//! `peak_live_bytes` are allocator-level figures each record's phase
+//! spans measure through
 //! [`cognicrypt_core::memtrack`] — they are non-zero only when the
 //! running binary installed [`cognicrypt_core::memtrack::TrackingAlloc`]
 //! as its global allocator (the CLI does; library test binaries don't,
@@ -21,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cognicrypt_core::telemetry::{Fanout, GenObserver, Metric, Phase, PhaseTimings, UnitTimings};
+use cognicrypt_core::telemetry::{GenObserver, GenRecord, Metric, MetricsRegistry, Phase};
 use cognicrypt_core::GenEngine;
 use devharness::bench::{peak_rss, PeakRss};
 use devharness::json::Json;
@@ -33,8 +34,8 @@ use crate::Error;
 /// File name the CLI `report` subcommand writes.
 pub const REPORT_FILE: &str = "REPORT_table1.json";
 
-/// One Table-1 row: a use case, its generated size and its per-phase
-/// wall time.
+/// One Table-1 row: a use case, its generated size and the record of
+/// its generation.
 #[derive(Debug, Clone)]
 pub struct ReportRow {
     /// Use-case id (catalogue numbering; 1–11 are the paper's Table 1).
@@ -45,8 +46,8 @@ pub struct ReportRow {
     pub class: String,
     /// Bytes of generated Java source.
     pub java_bytes: usize,
-    /// Per-phase wall time of this use case's generation.
-    pub timings: UnitTimings,
+    /// The generation's record: per-phase wall time and memory.
+    pub record: GenRecord,
 }
 
 /// How the reporting engine booted: which rule pack it loaded, how
@@ -87,7 +88,7 @@ pub struct BootStats {
 pub struct Table1Report {
     /// Rows in use-case id order.
     pub rows: Vec<ReportRow>,
-    /// Snapshot of the instrumented engine's metrics registry.
+    /// The rows' records folded into one registry, snapshotted.
     pub metrics: std::collections::BTreeMap<String, Metric>,
     /// Whole-process peak RSS after the run, with the facility that
     /// reported it; `None` where the platform exposes neither
@@ -121,8 +122,8 @@ impl BootStats {
 /// reports on that engine ([`build_served`]); the `boot` section shows
 /// the real cold-start cost of the loading path — a compiled pack
 /// seeds every ORDER artefact and must warm with `warm_compiled == 0`.
-/// `extra` is how the CLI attaches a `--trace` recorder without a
-/// second generation pass.
+/// `observer`, when given, is the engine's observer: how the CLI
+/// attaches a `--trace` recorder without a second generation pass.
 ///
 /// # Errors
 ///
@@ -130,12 +131,16 @@ impl BootStats {
 /// declared use case fails to generate.
 pub fn build_from(
     source: PackSource,
-    extra: Option<Arc<dyn GenObserver>>,
+    observer: Option<Arc<dyn GenObserver>>,
 ) -> Result<Table1Report, Error> {
     let load_started = Instant::now();
     let pack = rules::open_uncached(source)?;
     let mut boot = BootStats::opened(&pack, load_started.elapsed().as_secs_f64() * 1e6);
-    let engine = GenEngine::builder().rules(pack.rules.clone()).build()?;
+    let mut builder = GenEngine::builder().rules(pack.rules.clone());
+    if let Some(observer) = observer {
+        builder = builder.observer(observer);
+    }
+    let engine = builder.build()?;
     boot.cache_seeded = pack.seed(engine.order_cache());
     if pack.is_precompiled() {
         // A pack boot warms eagerly and must find every artefact
@@ -147,36 +152,25 @@ pub fn build_from(
         boot.warm_hits = warm.hits;
         boot.warm_compiled = warm.compiled;
     }
-    build_served(&engine, &pack.manifest, boot, extra)
+    build_served(&engine, &pack.manifest, boot)
 }
 
-/// The report on the pack `served` runs (the daemon's `/report`): every
+/// The report on the pack `engine` runs (the daemon's `/report`): every
 /// use case `manifest` declares ([`rules::declared_use_cases`]), in id
-/// order on one thread, by a sibling engine sharing `served`'s rules,
-/// type table and ORDER cache but observed by [`PhaseTimings`] plus
-/// `extra` — `served`'s own metrics and observer see nothing. `boot`
-/// says how the pack was loaded.
+/// order on one thread, generated on `engine` itself — its observer
+/// sees the spans and its metrics the records, like any other
+/// generation. The report's own metrics are the rows' records folded
+/// into a fresh registry. `boot` says how the pack was loaded.
 ///
 /// # Errors
 ///
 /// [`Error::Generation`] when a declared use case fails to generate.
 pub(crate) fn build_served(
-    served: &GenEngine,
+    engine: &GenEngine,
     manifest: &PackManifest,
     boot: BootStats,
-    extra: Option<Arc<dyn GenObserver>>,
 ) -> Result<Table1Report, Error> {
-    let timings = Arc::new(PhaseTimings::new());
-    let observer: Arc<dyn GenObserver> = match extra {
-        Some(extra) => Arc::new(Fanout::new().with(timings.clone()).with(extra)),
-        None => timings.clone(),
-    };
-    let engine = GenEngine::builder()
-        .rules(served.rules().clone())
-        .type_table(served.table().clone())
-        .order_cache(served.order_cache().clone())
-        .observer(observer)
-        .build()?;
+    let metrics = MetricsRegistry::new();
     let declared = rules::declared_use_cases(manifest);
     let mut rows = Vec::new();
     for uc in all_use_cases() {
@@ -184,21 +178,18 @@ pub(crate) fn build_served(
             continue;
         }
         let generated = engine.generate(&uc.template)?;
-        let class = uc.template.class_name.clone();
-        let timings = timings
-            .unit(&class)
-            .expect("a successful generation records spans for its unit");
+        generated.record.fold_into(&metrics);
         rows.push(ReportRow {
             id: uc.id,
             name: uc.name.to_owned(),
-            class,
+            class: uc.template.class_name.clone(),
             java_bytes: generated.java_source.len(),
-            timings,
+            record: generated.record,
         });
     }
     Ok(Table1Report {
         rows,
-        metrics: engine.metrics().snapshot(),
+        metrics: metrics.snapshot(),
         peak_rss: peak_rss(),
         boot,
     })
@@ -228,7 +219,7 @@ pub fn render_text(report: &Table1Report) -> String {
         "bytes"
     );
     for row in &report.rows {
-        let t = &row.timings;
+        let t = &row.record;
         let _ = writeln!(
             out,
             "{:<4} {:<34} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>7}",
@@ -257,7 +248,7 @@ pub fn render_text(report: &Table1Report) -> String {
         "peak kB"
     );
     for row in &report.rows {
-        let t = &row.timings;
+        let t = &row.record;
         let kb = |p: Phase| t.phase(p).alloc_bytes as f64 / 1024.0;
         let _ = writeln!(
             out,
@@ -302,7 +293,7 @@ pub fn render_text(report: &Table1Report) -> String {
     if report
         .rows
         .iter()
-        .all(|r| r.timings.alloc_total_bytes() == 0)
+        .all(|r| r.record.alloc_total_bytes() == 0)
     {
         let _ = writeln!(
             out,
@@ -342,14 +333,14 @@ pub fn to_json(report: &Table1Report) -> Json {
                 .map(|&p| {
                     (
                         p.name().to_owned(),
-                        Json::Num(micros(row.timings.phase(p).total)),
+                        Json::Num(micros(row.record.phase(p).total)),
                     )
                 })
                 .collect();
             let mem = Phase::ALL
                 .iter()
                 .map(|&p| {
-                    let stat = row.timings.phase(p);
+                    let stat = row.record.phase(p);
                     (
                         p.name().to_owned(),
                         Json::Obj(vec![
@@ -367,18 +358,15 @@ pub fn to_json(report: &Table1Report) -> Json {
                 ("name".to_owned(), Json::Str(row.name.clone())),
                 ("class".to_owned(), Json::Str(row.class.clone())),
                 ("phases_us".to_owned(), Json::Obj(phases)),
-                (
-                    "total_us".to_owned(),
-                    Json::Num(micros(row.timings.total())),
-                ),
+                ("total_us".to_owned(), Json::Num(micros(row.record.total()))),
                 ("phases_mem".to_owned(), Json::Obj(mem)),
                 (
                     "alloc_total_bytes".to_owned(),
-                    Json::Num(row.timings.alloc_total_bytes() as f64),
+                    Json::Num(row.record.alloc_total_bytes() as f64),
                 ),
                 (
                     "peak_live_bytes".to_owned(),
-                    Json::Num(row.timings.peak_live_bytes() as f64),
+                    Json::Num(row.record.peak_live_bytes() as f64),
                 ),
                 ("java_bytes".to_owned(), Json::Num(row.java_bytes as f64)),
             ])
@@ -602,7 +590,7 @@ mod tests {
             assert!(row.java_bytes > 0, "uc{} emitted nothing", row.id);
             for phase in Phase::ALL {
                 assert_eq!(
-                    row.timings.phase(phase).spans,
+                    row.record.phase(phase).spans,
                     1,
                     "uc{} ({}) phase {phase} span count",
                     row.id,
@@ -654,13 +642,9 @@ mod tests {
             build_from(PackSource::Embedded, Some(recorder.clone())).expect("report builds");
         let expected = usecases::all_use_cases().len();
         assert_eq!(report.rows.len(), expected);
-        // The recorder saw the whole instrumented run: every use case ×
-        // 5 phases × (B + E), plus instant events from inside phases.
-        assert!(
-            recorder.len() >= expected * 10,
-            "only {} events recorded",
-            recorder.len()
-        );
+        // The recorder saw the whole run: every use case × 5 phases ×
+        // (B + E).
+        assert_eq!(recorder.len(), expected * 10);
         cognicrypt_core::telemetry::validate_trace(&recorder.to_json())
             .expect("recorded trace validates");
     }

@@ -50,7 +50,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cognicrypt_core::memtrack::{self, AllocScope};
-use cognicrypt_core::telemetry::MetricsRegistry;
+use cognicrypt_core::telemetry::{GenRecord, MetricsRegistry};
 use cognicrypt_core::GenEngine;
 use devharness::json::Json;
 use rules::{PackManifest, PackSource, RulePack};
@@ -293,6 +293,22 @@ impl Response {
     }
 }
 
+/// The ORDER-cache traffic of the generations one request completed:
+/// the sum of their records' counts, for the request's `/tracez`
+/// record.
+#[derive(Debug, Default)]
+struct CacheTraffic {
+    hits: u64,
+    misses: u64,
+}
+
+impl CacheTraffic {
+    fn add(&mut self, record: &GenRecord) {
+        self.hits += record.cache_hits;
+        self.misses += record.cache_misses;
+    }
+}
+
 /// The daemon's shared state: the swappable warm engine, the
 /// daemon-lifetime metrics registry, and the stop flag every worker
 /// polls.
@@ -430,13 +446,12 @@ impl ServerState {
         self.metrics
             .add(&format!("serve.requests.{}", request.name()), 1);
 
-        let cache_before = self.engine().cache_stats();
+        let mut cache = CacheTraffic::default();
         let scope = AllocScope::enter();
         let start = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(request)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(request, &mut cache)));
         let wall = start.elapsed();
         let alloc = scope.finish();
-        let cache_after = self.engine().cache_stats();
         self.metrics
             .observe("serve.request.peak_live_bytes", alloc.peak_live_bytes);
         self.metrics
@@ -504,8 +519,8 @@ impl ServerState {
             code: response.code,
             wall_ns,
             alloc_bytes: alloc.allocated_bytes,
-            cache_hits: cache_after.hits.saturating_sub(cache_before.hits),
-            cache_misses: cache_after.misses.saturating_sub(cache_before.misses),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
         });
         response
     }
@@ -540,7 +555,9 @@ impl ServerState {
         &self.obs
     }
 
-    fn dispatch(&self, request: &Request) -> Result<Response, Error> {
+    /// Serves one request, adding the records of the generations it
+    /// runs to `cache`.
+    fn dispatch(&self, request: &Request, cache: &mut CacheTraffic) -> Result<Response, Error> {
         match request {
             Request::Healthz => Ok(Response::ok("text/plain", "ok\n".to_owned())),
             Request::Metrics => Ok(Response::ok("text/plain", self.render_metrics())),
@@ -552,6 +569,7 @@ impl ServerState {
                 let uc = find_use_case(selector)?;
                 check_declared(rules::declared_use_cases(&self.pack_info().manifest), &uc)?;
                 let generated = self.engine().generate(&uc.template)?;
+                cache.add(&generated.record);
                 Ok(Response::ok("text/plain", generated.java_source))
             }
             Request::Batch(threads) => {
@@ -570,8 +588,9 @@ impl ServerState {
                 let results = engine.generate_batch(&templates, *threads);
                 let mut members = Vec::with_capacity(cases.len());
                 for (uc, result) in cases.iter().zip(results) {
-                    let source = result.map_err(Error::Engine)?;
-                    members.push((format!("uc{:02}", uc.id), Json::Str(source.java_source)));
+                    let generated = result.map_err(Error::Engine)?;
+                    cache.add(&generated.record);
+                    members.push((format!("uc{:02}", uc.id), Json::Str(generated.java_source)));
                 }
                 Ok(Response::ok(
                     "application/json",
@@ -580,7 +599,10 @@ impl ServerState {
             }
             Request::Report => {
                 let PackInfo { manifest, boot } = self.pack_info().clone();
-                let report = report::build_served(&self.engine(), &manifest, boot, None)?;
+                let report = report::build_served(&self.engine(), &manifest, boot)?;
+                for row in &report.rows {
+                    cache.add(&row.record);
+                }
                 Ok(Response::ok(
                     "application/json",
                     format!("{}\n", report::to_json(&report)),

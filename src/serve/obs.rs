@@ -35,7 +35,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use cognicrypt_core::memtrack::AllocDelta;
-use cognicrypt_core::telemetry::{Event, GenObserver, MetricsRegistry, Span, TraceRecorder};
+use cognicrypt_core::telemetry::{GenObserver, MetricsRegistry, Span, TraceRecorder};
 use devharness::histogram::Histogram;
 use devharness::json::Json;
 
@@ -98,11 +98,12 @@ pub struct RequestRecord {
     pub wall_ns: u64,
     /// Bytes allocated while handling the request.
     pub alloc_bytes: u64,
-    /// Compiled-ORDER cache hits observed during the request. Snapshot
-    /// deltas of the shared cache: exact when requests are serial,
-    /// approximate under concurrency.
+    /// Compiled-ORDER cache hits of the generations the request
+    /// completed: the sum over their records, so concurrent requests
+    /// never count each other's traffic. Zero for requests that
+    /// complete no generation.
     pub cache_hits: u64,
-    /// Compiled-ORDER cache misses, same caveat.
+    /// Compiled-ORDER cache misses, summed the same way.
     pub cache_misses: u64,
 }
 
@@ -296,7 +297,7 @@ pub enum ProfileFetch {
 
 /// The daemon's resident [`GenObserver`]: installed once at boot (and
 /// inherited by every hot-reload successor engine, which clones the
-/// observer `Arc`), it forwards span/event telemetry to an embedded
+/// observer `Arc`), it forwards span hooks to an embedded
 /// [`TraceRecorder`] only while a capture window is armed. When idle —
 /// the overwhelmingly common case — every hook is a single relaxed
 /// atomic load.
@@ -389,12 +390,6 @@ impl GenObserver for ProfileSwitch {
     fn span_exit(&self, span: &Span<'_>, elapsed: Duration, alloc: AllocDelta) {
         if self.forwarding.load(Ordering::Relaxed) {
             self.recorder.span_exit(span, elapsed, alloc);
-        }
-    }
-
-    fn event(&self, event: &Event<'_>) {
-        if self.forwarding.load(Ordering::Relaxed) {
-            self.recorder.event(event);
         }
     }
 }

@@ -114,7 +114,7 @@ fn poisoned_worker_is_contained_without_losing_siblings() {
     // inside the worker) must surface as Err in its own slot; all other
     // slots complete, and the call returns rather than deadlocking.
     let items: Vec<usize> = (0..11).collect();
-    let results = scatter(&items, 8, |_, _, &v| {
+    let results = scatter(&items, 8, |_, &v| {
         assert!(v != 5, "poisoned template at position 5");
         v * 10
     });
@@ -170,7 +170,7 @@ fn engine_survives_a_panicking_sibling_touching_the_shared_cache() {
     let engine = engine();
     let cases = all_use_cases();
     let templates: Vec<Template> = cases.iter().map(|uc| uc.template.clone()).collect();
-    let results = scatter(&templates, 4, |_, i, t| {
+    let results = scatter(&templates, 4, |i, t| {
         let generated = engine.generate(t).expect("generates");
         assert!(i != 7, "worker poisoned after touching the cache");
         generated.java_source

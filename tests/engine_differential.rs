@@ -68,22 +68,37 @@ fn warm_engine_emits_byte_identical_java_for_all_use_cases() {
             uc.id, uc.name
         );
         assert_eq!(c.hoisted, w.hoisted, "use case {} hoisting differs", uc.id);
+        // The two paths make the same decisions: their records differ
+        // only in how ORDER artefacts were obtained (enumerated on the
+        // spot versus served from the cache, with DFA sizes).
+        let (c, w) = (c.record, w.record);
+        assert_eq!(c.selections, w.selections, "uc{} selections", uc.id);
+        assert_eq!(c.candidates, w.candidates, "uc{} candidates", uc.id);
+        assert_eq!(
+            c.accepting_paths, w.accepting_paths,
+            "uc{} accepting paths",
+            uc.id
+        );
+        assert_eq!(c.hoisted_params, w.hoisted_params, "uc{} hoists", uc.id);
+        assert_eq!(c.resolutions, w.resolutions, "uc{} resolutions", uc.id);
+        assert_eq!(c.cache_uncached, c.selections, "uc{}", uc.id);
+        assert_eq!((w.cache_hits, w.cache_uncached), (w.selections, 0));
     }
 }
 
 #[test]
 fn observed_engine_emits_byte_identical_java_to_unobserved() {
     // Telemetry must be purely observational: an engine carrying a live
-    // observer (per-phase timings and the metrics registry running)
-    // emits exactly the bytes a no-op-observer engine emits.
-    use cognicryptgen::core::telemetry::PhaseTimings;
+    // observer (a trace recorder on top of the records and the metrics
+    // registry) emits exactly the bytes a no-op-observer engine emits.
+    use cognicryptgen::core::telemetry::TraceRecorder;
     use std::sync::Arc;
 
-    let timings = Arc::new(PhaseTimings::new());
+    let recorder = Arc::new(TraceRecorder::new());
     let observed = GenEngine::builder()
         .rules(open(PackSource::Embedded).expect("parses").rules)
         .type_table(jca_type_table())
-        .observer(timings.clone())
+        .observer(recorder.clone())
         .build()
         .expect("rules supplied");
     let unobserved = GenEngine::builder()
@@ -105,8 +120,8 @@ fn observed_engine_emits_byte_identical_java_to_unobserved() {
             uc.id
         );
     }
-    // The observer really ran: every use case has timing rows.
-    assert_eq!(timings.snapshot().len(), all_use_cases().len());
+    // The observer really ran: five span pairs per use case.
+    assert_eq!(recorder.len(), all_use_cases().len() * 10);
     assert!(!observed.metrics().is_empty());
 }
 

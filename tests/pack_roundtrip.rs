@@ -9,15 +9,13 @@
 //!   through the interpreter).
 //! * **All-hit cold start** — a pack-booted engine never compiles an
 //!   ORDER artefact: seeding from the pack makes every compiled-ORDER
-//!   lookup a cache hit, observed through `GenObserver` events.
+//!   lookup a cache hit, read from the generations' records.
 //! * **Hostile files** — truncations and bit flips at every sampled
 //!   offset of a real pack file surface as one typed `Rules` error
 //!   through `rules::open`, never a panic.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cognicryptgen::core::telemetry::{CacheOutcome, Event, GenObserver};
 use cognicryptgen::core::GenEngine;
 use cognicryptgen::interp::{Interpreter, Value};
 use cognicryptgen::javamodel::jca::jca_type_table;
@@ -25,27 +23,6 @@ use cognicryptgen::rules::{self, PackError, PackSource, RulePack, PACK_VERSION};
 use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
 use cognicryptgen::statemachine::OrderCache;
 use cognicryptgen::usecases::all_use_cases;
-
-/// Counts how compiled-ORDER lookups were served during generation.
-#[derive(Default)]
-struct CacheWatch {
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    uncached: AtomicUsize,
-}
-
-impl GenObserver for CacheWatch {
-    fn event(&self, event: &Event<'_>) {
-        if let Event::OrderCompiled { cache, .. } = event {
-            match cache {
-                CacheOutcome::Hit => &self.hits,
-                CacheOutcome::Miss => &self.misses,
-                CacheOutcome::Uncached => &self.uncached,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cgen-packrt-{tag}-{}", std::process::id()));
@@ -162,22 +139,22 @@ fn pack_boot_pre_seeds_the_cache_and_compiles_nothing() {
         "every distinct fingerprint seeds exactly one artefact"
     );
 
-    let watch = Arc::new(CacheWatch::default());
     let engine = GenEngine::builder()
         .rules(pack.rules)
         .type_table(jca_type_table())
         .order_cache(cache)
-        .observer(watch.clone() as Arc<dyn GenObserver>)
         .build()
         .unwrap();
 
+    // How the compiled-ORDER lookups were served, over every generation.
+    let (mut hits, mut misses, mut uncached) = (0, 0, 0);
     for uc in all_use_cases() {
-        engine.generate(&uc.template).unwrap();
+        let record = engine.generate(&uc.template).unwrap().record;
+        hits += record.cache_hits;
+        misses += record.cache_misses;
+        uncached += record.cache_uncached;
     }
 
-    let hits = watch.hits.load(Ordering::Relaxed);
-    let misses = watch.misses.load(Ordering::Relaxed);
-    let uncached = watch.uncached.load(Ordering::Relaxed);
     assert!(hits > 0, "generation never consulted the cache");
     assert_eq!(misses, 0, "pack boot compiled {misses} ORDER artefacts");
     assert_eq!(uncached, 0, "pack boot fell back to the uncached path");

@@ -289,3 +289,84 @@ fn loadz_snapshot_is_served_over_uds() {
     assert_eq!(doc.get("request_panics").and_then(Json::as_u64), Some(0));
     handle.shutdown();
 }
+
+/// A `/report` runs on the served engine, so an armed `/profilez`
+/// window that the report closes holds every span of the report's
+/// generations: five B/E pairs per declared use case.
+#[test]
+fn profilez_captures_a_report() {
+    let (handle, addr) = http_daemon(obs::DEFAULT_RING_CAPACITY);
+    let (code, body) = http::request(&addr, "POST", "/profilez", "1").unwrap();
+    assert_eq!(code, 200, "{body}");
+    let report = get_json(&addr, "/report");
+    let cases = report
+        .get("use_cases")
+        .and_then(Json::as_arr)
+        .expect("report rows")
+        .len();
+    assert!(cases > 0);
+
+    let trace = get_json(&addr, "/profilez");
+    validate_trace(&trace).expect("captured report passes trace-check");
+    let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let count = |ph: &str| {
+        events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+            .count()
+    };
+    assert_eq!(count("B"), 5 * cases, "one span per phase per report row");
+    assert_eq!(count("E"), 5 * cases);
+    assert_eq!(events.len(), 10 * cases);
+    handle.shutdown();
+}
+
+/// `/tracez` cache counts are the sums of each request's own
+/// generation records: two clients generating different use cases at
+/// the same time on one warm daemon never count each other's ORDER
+/// lookups, and a request that generates nothing counts none.
+#[test]
+fn tracez_cache_counts_are_exact_per_request_under_concurrency() {
+    let (handle, addr) = http_daemon(obs::DEFAULT_RING_CAPACITY);
+    let engine = cognicryptgen::jca_engine().expect("shipped rules parse");
+    let lookups = |id: &str| {
+        let uc = cognicryptgen::find_use_case(id).unwrap();
+        engine.generate(&uc.template).unwrap().record.selections
+    };
+    let cases = [("1", lookups("1")), ("11", lookups("11"))];
+    assert_ne!(cases[0].1, cases[1].1, "the cases must differ to tell");
+
+    let (code, _) = http::request(&addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(code, 200);
+    let start = std::sync::Barrier::new(cases.len());
+    std::thread::scope(|scope| {
+        for (id, _) in cases {
+            let (addr, start) = (&addr, &start);
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..20 {
+                    let path = format!("/generate/{id}");
+                    let (code, _) = http::request(addr, "GET", &path, "").unwrap();
+                    assert_eq!(code, 200);
+                }
+            });
+        }
+    });
+
+    let doc = get_json(&addr, "/tracez");
+    let records = doc.get("records").and_then(Json::as_arr).unwrap();
+    assert_eq!(records.len(), 41);
+    for record in records {
+        let count = |field: &str| record.get(field).and_then(Json::as_u64).unwrap();
+        let lookups = count("cache_hits") + count("cache_misses");
+        match record.get("selector").and_then(Json::as_str) {
+            Some(selector) => {
+                let (_, solo) = cases.iter().find(|(id, _)| *id == selector).unwrap();
+                assert_eq!(lookups, *solo, "uc{selector}: {record:?}");
+                assert_eq!(count("cache_misses"), 0, "a warm daemon only hits");
+            }
+            None => assert_eq!(lookups, 0, "{record:?}"),
+        }
+    }
+    handle.shutdown();
+}

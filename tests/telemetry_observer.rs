@@ -1,20 +1,21 @@
-//! Telemetry suite: the `GenObserver` hook contract and the determinism
-//! guarantees of the metrics registry.
+//! Telemetry suite: the `GenObserver` span contract, the per-generation
+//! `GenRecord`, and the determinism guarantees of the metrics registry.
 //!
-//! * Hook ordering — every generated template sees exactly one
+//! * Span ordering — every generated template sees exactly one
 //!   `span_enter`/`span_exit` pair per pipeline phase, in
-//!   `Phase::ALL` order, never nested, with fine-grained events
-//!   reported inside the phase that owns them.
-//! * Metrics determinism — engine metrics (minus the
-//!   scheduling-dependent `engine.batch.*` worker counters, the
-//!   `order_cache.*` hit/miss split, which races benignly on the shared
-//!   cache, and the `mem.*` allocation metrics, whose cold-engine
-//!   values depend on that same race — `tests/memtrack_trace.rs` pins
-//!   them down on a warmed engine) are identical across thread counts
-//!   and seeded input shuffles; total cache traffic is identical
-//!   everywhere.
-//! * `PhaseTimings` — covers every unit of a batch with one span per
-//!   phase.
+//!   `Phase::ALL` order, never nested; its record shows one span per
+//!   phase, one selection per rule its chains name, and resolution
+//!   counts that sum to `resolve.params`.
+//! * Batch records — slot `i` of a batch carries the record a solo
+//!   generate of template `i` produces, at any thread count.
+//! * Metrics determinism — engine metrics (minus the `order_cache.*`
+//!   hit/miss split, which races benignly on the shared cache, and the
+//!   `mem.*` allocation metrics, whose cold-engine values depend on
+//!   that same race — `tests/memtrack_trace.rs` pins them down on a
+//!   warmed engine) are identical across thread counts and seeded
+//!   input shuffles; total cache traffic is identical everywhere.
+//! * Phase timings — every unit of a batch has one timed span per
+//!   phase in its record.
 //! * Builder — `GenEngine::builder()` validation.
 
 use std::collections::BTreeMap;
@@ -23,7 +24,9 @@ use std::time::Duration;
 
 use cognicryptgen::core::engine::EngineBuildError;
 use cognicryptgen::core::memtrack::AllocDelta;
-use cognicryptgen::core::telemetry::{Event, GenObserver, Metric, Phase, PhaseTimings, Span};
+use cognicryptgen::core::telemetry::{
+    GenObserver, GenRecord, Metric, MetricsRegistry, Phase, PhaseStat, Span,
+};
 use cognicryptgen::core::{GenEngine, Template};
 use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::rules::{open, PackSource};
@@ -34,12 +37,9 @@ use devharness::rng::{RandomSource, Xoshiro256};
 enum Entry {
     Enter(String, Phase),
     Exit(String, Phase),
-    /// Event kind name, recorded between the spans it arrived in. The
-    /// payload is the batch input index for `BatchJob` events.
-    Event(&'static str, Option<usize>),
 }
 
-/// Observer that records the hook sequence it sees.
+/// Observer that records the span sequence it sees.
 #[derive(Default)]
 struct Recorder {
     log: Mutex<Vec<Entry>>,
@@ -65,20 +65,30 @@ impl GenObserver for Recorder {
             .unwrap()
             .push(Entry::Exit(span.unit.to_owned(), span.phase));
     }
-
-    fn event(&self, event: &Event<'_>) {
-        let (kind, index) = match event {
-            Event::OrderCompiled { .. } => ("order_compiled", None),
-            Event::PathSelected { .. } => ("path_selected", None),
-            Event::ParamResolved { .. } => ("param_resolved", None),
-            Event::ParamHoisted { .. } => ("param_hoisted", None),
-            Event::BatchJob { index, .. } => ("batch_job", Some(*index)),
-        };
-        self.log.lock().unwrap().push(Entry::Event(kind, index));
-    }
 }
 
-fn observed_engine() -> (GenEngine, Arc<Recorder>) {
+fn engine() -> GenEngine {
+    GenEngine::builder()
+        .rules(open(PackSource::Embedded).expect("parses").rules)
+        .type_table(jca_type_table())
+        .build()
+        .expect("rules supplied")
+}
+
+/// `record` with the measured fields — wall time and allocation —
+/// zeroed, leaving what the generation decided and its span counts.
+fn decisions(mut record: GenRecord) -> GenRecord {
+    for stat in &mut record.phases {
+        *stat = PhaseStat {
+            spans: stat.spans,
+            ..PhaseStat::default()
+        };
+    }
+    record
+}
+
+#[test]
+fn one_span_pair_per_phase_in_pipeline_order_for_every_use_case() {
     let recorder = Arc::new(Recorder::default());
     let engine = GenEngine::builder()
         .rules(open(PackSource::Embedded).expect("parses").rules)
@@ -86,50 +96,24 @@ fn observed_engine() -> (GenEngine, Arc<Recorder>) {
         .observer(recorder.clone())
         .build()
         .expect("rules supplied");
-    (engine, recorder)
-}
-
-/// Which phase an event kind must be reported from.
-fn owning_phase(kind: &str) -> Phase {
-    match kind {
-        "order_compiled" | "path_selected" => Phase::Select,
-        "param_resolved" | "param_hoisted" => Phase::Resolve,
-        other => panic!("event `{other}` has no owning phase in a single generate call"),
-    }
-}
-
-#[test]
-fn one_span_pair_per_phase_in_pipeline_order_for_every_use_case() {
-    let (engine, recorder) = observed_engine();
     for uc in all_use_cases() {
-        engine.generate(&uc.template).expect("generates");
+        let record = engine.generate(&uc.template).expect("generates").record;
         let unit = uc.template.class_name.as_str();
-        let log = recorder.take();
 
         let mut open: Option<Phase> = None;
         let mut pairs_seen = Vec::new();
-        for entry in &log {
+        for entry in recorder.take() {
             match entry {
                 Entry::Enter(u, p) => {
                     assert_eq!(u, unit, "uc{}: span for a foreign unit", uc.id);
                     assert_eq!(open, None, "uc{}: nested span {p} inside {open:?}", uc.id);
-                    open = Some(*p);
+                    open = Some(p);
                 }
                 Entry::Exit(u, p) => {
                     assert_eq!(u, unit, "uc{}: span for a foreign unit", uc.id);
-                    assert_eq!(open, Some(*p), "uc{}: exit without matching enter", uc.id);
+                    assert_eq!(open, Some(p), "uc{}: exit without matching enter", uc.id);
                     open = None;
-                    pairs_seen.push(*p);
-                }
-                Entry::Event(kind, _) => {
-                    let inside = open
-                        .unwrap_or_else(|| panic!("uc{}: event `{kind}` outside any span", uc.id));
-                    assert_eq!(
-                        inside,
-                        owning_phase(kind),
-                        "uc{}: event `{kind}` reported from the wrong phase",
-                        uc.id
-                    );
+                    pairs_seen.push(p);
                 }
             }
         }
@@ -141,41 +125,71 @@ fn one_span_pair_per_phase_in_pipeline_order_for_every_use_case() {
             uc.id
         );
 
-        // Selection and resolution really happened (the events exist).
-        let kinds: Vec<&str> = log
+        // The record agrees: one span per phase, one selection (and one
+        // ORDER lookup) per rule the template's chains name.
+        for phase in Phase::ALL {
+            assert_eq!(record.phase(phase).spans, 1, "uc{} {phase}", uc.id);
+        }
+        let rules: u64 = uc
+            .template
+            .methods
             .iter()
-            .filter_map(|e| match e {
-                Entry::Event(k, _) => Some(*k),
-                _ => None,
-            })
-            .collect();
-        assert!(kinds.contains(&"order_compiled"), "uc{}", uc.id);
-        assert!(kinds.contains(&"path_selected"), "uc{}", uc.id);
-        assert!(kinds.contains(&"param_resolved"), "uc{}", uc.id);
+            .filter_map(|m| m.chain.as_ref())
+            .map(|chain| chain.entries.len() as u64)
+            .sum();
+        assert_eq!(record.selections, rules, "uc{}", uc.id);
+        assert_eq!(record.candidates.count, rules, "uc{}", uc.id);
+        assert_eq!(
+            record.cache_hits + record.cache_misses,
+            rules,
+            "uc{}",
+            uc.id
+        );
+        // The resolution counts sum to `resolve.params`.
+        let registry = MetricsRegistry::new();
+        record.fold_into(&registry);
+        let by_kind: u64 = registry
+            .snapshot()
+            .iter()
+            .filter(|(k, _)| k.starts_with("resolve.via.") || *k == "resolve.hoisted")
+            .filter_map(|(_, m)| m.as_counter())
+            .sum();
+        assert!(record.params() > 0, "uc{}: nothing resolved", uc.id);
+        assert_eq!(registry.counter("resolve.params"), record.params());
+        assert_eq!(by_kind, record.params(), "uc{}", uc.id);
     }
 }
 
 #[test]
-fn batch_jobs_are_reported_once_per_input_in_input_order() {
-    let (engine, recorder) = observed_engine();
+fn batch_slot_records_equal_solo_records_at_every_thread_count() {
     let templates: Vec<Template> = all_use_cases().into_iter().map(|uc| uc.template).collect();
-    let results = engine.generate_batch(&templates, 4);
-    assert!(results.iter().all(Result::is_ok));
-    let indices: Vec<usize> = recorder
-        .take()
+    // Warmed engines serve every ORDER lookup from the cache, so the
+    // cache outcomes do not depend on which job looked a rule up first.
+    let solo_engine = engine();
+    solo_engine.warm().expect("warms");
+    let solo: Vec<GenRecord> = templates
         .iter()
-        .filter_map(|e| match e {
-            Entry::Event("batch_job", Some(i)) => Some(*i),
-            _ => None,
-        })
+        .map(|t| decisions(solo_engine.generate(t).expect("generates").record))
         .collect();
-    // The engine reports batch jobs after the join, in input order.
-    assert_eq!(indices, (0..templates.len()).collect::<Vec<usize>>());
+    for threads in [1usize, 2, 8] {
+        let engine = engine();
+        engine.warm().expect("warms");
+        let results = engine.generate_batch(&templates, threads);
+        assert_eq!(results.len(), templates.len());
+        for (i, result) in results.into_iter().enumerate() {
+            let record = result.expect("generates").record;
+            assert_eq!(
+                decisions(record),
+                solo[i],
+                "slot {i} at {threads} threads differs from a solo generate"
+            );
+        }
+    }
 }
 
 /// Engine metrics with the scheduling-dependent keys removed: the
-/// per-worker job counters, the hit/miss split of the shared ORDER
-/// cache (two workers can race a first lookup and both record a miss),
+/// hit/miss split of the shared ORDER cache (two workers can race a
+/// first lookup and both record a miss),
 /// and the `mem.*` allocation metrics, since that same race changes how
 /// much compilation work — and thus allocation — each cold run performs
 /// (`tests/memtrack_trace.rs` asserts `mem.*` determinism on a warmed
@@ -185,11 +199,7 @@ fn stable_metrics(engine: &GenEngine) -> BTreeMap<String, Metric> {
         .metrics()
         .snapshot()
         .into_iter()
-        .filter(|(k, _)| {
-            !k.starts_with("engine.batch.")
-                && !k.starts_with("order_cache.")
-                && !k.starts_with("mem.")
-        })
+        .filter(|(k, _)| !k.starts_with("order_cache.") && !k.starts_with("mem."))
         .collect()
 }
 
@@ -206,11 +216,7 @@ fn metrics_are_deterministic_across_thread_counts_and_shuffles() {
     let templates: Vec<Template> = cases.iter().map(|uc| uc.template.clone()).collect();
 
     let run = |order: &[usize], threads: usize| {
-        let engine = GenEngine::builder()
-            .rules(open(PackSource::Embedded).expect("parses").rules)
-            .type_table(jca_type_table())
-            .build()
-            .expect("rules supplied");
+        let engine = engine();
         let permuted: Vec<Template> = order.iter().map(|&i| templates[i].clone()).collect();
         let results = engine.generate_batch(&permuted, threads);
         assert!(results.iter().all(Result::is_ok));
@@ -253,39 +259,24 @@ fn metrics_are_deterministic_across_thread_counts_and_shuffles() {
 
 #[test]
 fn phase_timings_cover_every_unit_of_a_batch() {
-    let timings = Arc::new(PhaseTimings::new());
-    let engine = GenEngine::builder()
-        .rules(open(PackSource::Embedded).expect("parses").rules)
-        .type_table(jca_type_table())
-        .observer(timings.clone())
-        .build()
-        .expect("rules supplied");
     let cases = all_use_cases();
     let templates: Vec<Template> = cases.iter().map(|uc| uc.template.clone()).collect();
-    let results = engine.generate_batch(&templates, 4);
-    assert!(results.iter().all(Result::is_ok));
-
-    let snapshot = timings.snapshot();
-    assert_eq!(snapshot.len(), cases.len(), "one timing row per use case");
+    let results = engine().generate_batch(&templates, 4);
+    assert_eq!(results.len(), cases.len(), "one record per use case");
     let mut total = Duration::ZERO;
-    for uc in &cases {
-        let unit = timings
-            .unit(&uc.template.class_name)
-            .unwrap_or_else(|| panic!("no timings for {}", uc.template.class_name));
+    for (uc, result) in cases.iter().zip(results) {
+        let record = result.expect("generates").record;
         for phase in Phase::ALL {
             assert_eq!(
-                unit.phase(phase).spans,
+                record.phase(phase).spans,
                 1,
                 "{} phase {phase} span count",
                 uc.template.class_name
             );
         }
-        total += unit.total();
+        total += record.total();
     }
     assert!(total > Duration::ZERO, "the batch took measurable time");
-
-    timings.reset();
-    assert!(timings.snapshot().is_empty(), "reset clears the collector");
 }
 
 #[test]
