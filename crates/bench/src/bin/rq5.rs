@@ -6,55 +6,33 @@
 //! full analysis pipeline — SUS/NPS scoring, latin-square assignment,
 //! Wilcoxon signed-rank tests — re-derives every reported number.
 //!
+//! The output is the markdown EXPERIMENTS.md embeds, and
+//! `crates/bench/tests/experiments.rs` fails when the two differ.
+//!
 //! Run with: `cargo run --release -p cognicrypt-bench --bin rq5`
 
 use stats::study::{evaluate, replayed_study};
 
 fn main() {
-    let data = replayed_study();
-    let report = evaluate(&data);
-
-    println!("RQ5 — Usability study (replayed, 16 participants)");
-    println!();
-    println!("{:<34} {:>12} {:>12}", "Metric", "measured", "paper");
+    let r = evaluate(&replayed_study());
+    println!("| Metric | measured | paper |");
+    println!("|---|---|---|");
+    println!("| SUS, CogniCryptGEN | {:.1} | 76.3 |", r.sus_gen_mean);
+    println!("| SUS, CogniCrypt_old-gen | {:.1} | 50.8 |", r.sus_old_mean);
+    println!("| NPS, CogniCryptGEN | {:.1} | 56.3 |", r.nps_gen);
+    println!("| NPS, CogniCrypt_old-gen | {:.1} | -43.7 |", r.nps_old);
+    println!("| Wilcoxon p (SUS) | {:.4} | 0.005 |", r.p_sus);
+    println!("| Wilcoxon p (NPS) | {:.4} | 0.005 |", r.p_nps);
     println!(
-        "{:<34} {:>12.1} {:>12}",
-        "SUS, CogniCryptGEN", report.sus_gen_mean, "76.3"
+        "| Wilcoxon p (completion times) | {:.4} | > 0.05 |",
+        r.p_times
     );
     println!(
-        "{:<34} {:>12.1} {:>12}",
-        "SUS, CogniCrypt_old-gen", report.sus_old_mean, "50.8"
+        "| Encryption task slowdown (GEN) | {:.1}% | 38% |",
+        r.encryption_slowdown_pct
     );
     println!(
-        "{:<34} {:>12.1} {:>12}",
-        "NPS, CogniCryptGEN", report.nps_gen, "56.3"
+        "| Hashing task speedup (GEN) | {:.1}% | 63.2% |",
+        r.hashing_speedup_pct
     );
-    println!(
-        "{:<34} {:>12.1} {:>12}",
-        "NPS, CogniCrypt_old-gen", report.nps_old, "-43.7"
-    );
-    println!(
-        "{:<34} {:>12.4} {:>12}",
-        "Wilcoxon p (SUS)", report.p_sus, "0.005"
-    );
-    println!(
-        "{:<34} {:>12.4} {:>12}",
-        "Wilcoxon p (NPS)", report.p_nps, "0.005"
-    );
-    println!(
-        "{:<34} {:>12.4} {:>12}",
-        "Wilcoxon p (completion times)", report.p_times, "> 0.05"
-    );
-    println!(
-        "{:<34} {:>11.1}% {:>12}",
-        "Encryption task slowdown (GEN)", report.encryption_slowdown_pct, "38%"
-    );
-    println!(
-        "{:<34} {:>11.1}% {:>12}",
-        "Hashing task speedup (GEN)", report.hashing_speedup_pct, "63.2%"
-    );
-    println!();
-    println!("Conclusions hold: usability differences significant (p < 0.01), completion-time");
-    println!("differences mixed and not significant (p > 0.05), SUS above the 68 'usable' bar");
-    println!("for CogniCryptGEN only.");
 }

@@ -3,15 +3,18 @@
 //! for the old generator vs. the Java code template for CogniCryptGEN.
 //!
 //! The numbers come from the *actual artefacts in this repository*: the
-//! eight XSL/Clafer files in `crates/oldgen` and the eleven templates in
+//! eight XSL/Clafer files in `crates/oldgen` and the matching templates in
 //! `crates/usecases` (rendered to the Java the expert would write). The
 //! shape to compare against the paper: the new generator's templates are
 //! a fraction of the old artefacts, and need no extra languages.
 //!
+//! The output is the markdown EXPERIMENTS.md embeds, and
+//! `crates/bench/tests/experiments.rs` fails when the two differ.
+//!
 //! Run with: `cargo run --release -p cognicrypt-bench --bin table2`
 
-use cognicrypt_bench::loc;
 use cognicrypt_core::template::render_java;
+use javamodel::printer::count_loc;
 use oldgen::old_gen_use_cases;
 use usecases::all_use_cases;
 
@@ -19,54 +22,35 @@ fn main() {
     let old = old_gen_use_cases();
     let new = all_use_cases();
 
-    println!("Table 2 — Artefact LoC: CogniCrypt_old-gen vs CogniCryptGEN (reproduction)");
-    println!(
-        "{:<3} {:<32} {:>6} {:>8} {:>12} {:>8}",
-        "#", "Use Case", "XSL", "Clafer", "old total", "Java"
-    );
+    println!("| # | Use case | XSL | Clafer | old total | Java template |");
+    println!("|---|----------|-----|--------|-----------|---------------|");
     let mut sum_old = 0usize;
     let mut sum_new = 0usize;
-    let mut rows = 0usize;
     for o in &old {
         let n = new
             .iter()
             .find(|u| u.id == o.id)
             .expect("old-gen use cases are a subset of the new ones");
-        let xsl = loc(o.xsl_source);
-        let clafer = loc(o.clafer_source);
-        let java = loc(&render_java(&n.template));
+        let xsl = count_loc(o.xsl_source);
+        let clafer = count_loc(o.clafer_source);
+        let java = count_loc(&render_java(&n.template));
         println!(
-            "{:<3} {:<32} {:>6} {:>8} {:>12} {:>8}",
+            "| {} | {} | {xsl} | {clafer} | {} | {java} |",
             o.id,
             o.name,
-            xsl,
-            clafer,
-            xsl + clafer,
-            java
+            xsl + clafer
         );
         sum_old += xsl + clafer;
         sum_new += java;
-        rows += 1;
     }
     println!(
-        "{:<3} {:<32} {:>6} {:>8} {:>12} {:>8}",
-        "",
-        "mean",
-        "",
-        "",
-        sum_old / rows,
-        sum_new / rows
+        "| — | mean | — | — | {} | {} |",
+        sum_old / old.len(),
+        sum_new / old.len()
     );
     println!();
     println!(
-        "Old artefacts require {} LoC total across two extra languages (XSL, Clafer);",
-        sum_old
-    );
-    println!(
-        "CogniCryptGEN templates require {} LoC of plain Java — {:.0}% of the old effort.",
-        sum_new,
+        "CogniCryptGEN templates: {sum_new} LoC of plain Java against {sum_old} LoC of XSL + Clafer, {:.0}% of the old effort.",
         100.0 * sum_new as f64 / sum_old as f64
     );
-    println!("Paper reference: old-gen averages 136 LoC XSL + 91 LoC Clafer per use case,");
-    println!("new-gen averages 60 LoC Java (~25% of the lines to maintain).");
 }

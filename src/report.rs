@@ -1,9 +1,10 @@
 //! The Table-1 reporter: runs every use case a rule pack declares (the
 //! whole catalogue for the embedded pack) through an engine and renders
 //! the paper's evaluation table — per-use-case, per-phase runtime *and
-//! memory* plus the pipeline metrics — as text and as a devharness-JSON
-//! document (`REPORT_table1.json`). Each row is one generation's
-//! [`GenRecord`]; the metrics are those records folded together.
+//! memory*, the CogniCryptSAST misuse count of the generated code, plus
+//! the pipeline metrics — as text and as a devharness-JSON document
+//! (`REPORT_table1.json`). Each row is one generation's [`GenRecord`];
+//! the metrics are those records folded together.
 //!
 //! Memory comes from two instruments. Per-phase `alloc_bytes` /
 //! `peak_live_bytes` are allocator-level figures each record's phase
@@ -27,6 +28,7 @@ use cognicrypt_core::GenEngine;
 use devharness::bench::{peak_rss, PeakRss};
 use devharness::json::Json;
 use rules::{PackManifest, PackSource, RulePack};
+use sast::{analyze_unit, AnalyzerOptions};
 use usecases::all_use_cases;
 
 use crate::Error;
@@ -46,6 +48,9 @@ pub struct ReportRow {
     pub class: String,
     /// Bytes of generated Java source.
     pub java_bytes: usize,
+    /// Misuses CogniCryptSAST finds in the generated code under the
+    /// engine's own rules (RQ1: must be 0).
+    pub sast_misuses: usize,
     /// The generation's record: per-phase wall time and memory.
     pub record: GenRecord,
 }
@@ -179,11 +184,21 @@ pub(crate) fn build_served(
         }
         let generated = engine.generate(&uc.template)?;
         generated.record.fold_into(&metrics);
+        // Analysed after `generate` returns, so no phase span or record
+        // includes the analysis.
+        let sast_misuses = analyze_unit(
+            &generated.unit,
+            engine.rules(),
+            engine.table(),
+            AnalyzerOptions::default(),
+        )
+        .len();
         rows.push(ReportRow {
             id: uc.id,
             name: uc.name.to_owned(),
             class: uc.template.class_name.clone(),
             java_bytes: generated.java_source.len(),
+            sast_misuses,
             record: generated.record,
         });
     }
@@ -207,7 +222,7 @@ pub fn render_text(report: &Table1Report) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<4} {:<34} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>7}",
+        "{:<4} {:<34} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>7} {:>5}",
         "#",
         "Use case (paper Table 1)",
         "collect",
@@ -216,13 +231,14 @@ pub fn render_text(report: &Table1Report) -> String {
         "resolve",
         "assemble",
         "total µs",
-        "bytes"
+        "bytes",
+        "SAST"
     );
     for row in &report.rows {
         let t = &row.record;
         let _ = writeln!(
             out,
-            "{:<4} {:<34} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>7}",
+            "{:<4} {:<34} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>7} {:>5}",
             row.id,
             row.name,
             micros(t.phase(Phase::Collect).total),
@@ -232,6 +248,7 @@ pub fn render_text(report: &Table1Report) -> String {
             micros(t.phase(Phase::Assemble).total),
             micros(t.total()),
             row.java_bytes,
+            row.sast_misuses,
         );
     }
     let _ = writeln!(
@@ -369,6 +386,10 @@ pub fn to_json(report: &Table1Report) -> Json {
                     Json::Num(row.record.peak_live_bytes() as f64),
                 ),
                 ("java_bytes".to_owned(), Json::Num(row.java_bytes as f64)),
+                (
+                    "sast_misuses".to_owned(),
+                    Json::Num(row.sast_misuses as f64),
+                ),
             ])
         })
         .collect();
@@ -443,8 +464,9 @@ pub fn to_json(report: &Table1Report) -> Json {
 /// cover distinct catalogued use cases — every one of them when the
 /// embedded pack booted, a non-empty subset for other packs, which may
 /// declare fewer — each with all five phase timings and a total, plus
-/// per-phase `alloc_bytes`/`peak_live_bytes` memory figures and row
-/// totals; carry a non-empty metrics object,
+/// per-phase `alloc_bytes`/`peak_live_bytes` memory figures, row
+/// totals and an integer `sast_misuses` of 0 (RQ1: the generated code
+/// passes CogniCryptSAST); carry a non-empty metrics object,
 /// declare its whole-process `peak_rss_kb` with the source that
 /// measured it (both may be null where the platform exposes neither),
 /// and carry a `boot` section naming the rule-pack origin and its
@@ -523,6 +545,11 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             if case.get(key).and_then(Json::as_u64).is_none() {
                 return Err(format!("use case {id} missing integer `{key}`"));
             }
+        }
+        match case.get("sast_misuses").and_then(Json::as_u64) {
+            Some(0) => {}
+            Some(n) => return Err(format!("use case {id} has {n} SAST misuses (must be 0)")),
+            None => return Err(format!("use case {id} missing integer `sast_misuses`")),
         }
     }
     match doc.get("metrics") {
@@ -736,19 +763,34 @@ mod tests {
         assert!(validate(&strip(&doc, "peak_rss_kb")).is_err());
         assert!(validate(&strip(&doc, "peak_rss_source")).is_err());
 
-        // A row without its memory columns is rejected.
-        if let Json::Obj(mut members) = doc.clone() {
-            for (k, v) in &mut members {
-                if k == "use_cases" {
-                    if let Json::Arr(cases) = v {
-                        cases[0] = strip(&cases[0], "phases_mem");
+        // `doc` with its first row replaced by `edit` of it.
+        let edit_first_case = |edit: &dyn Fn(&Json) -> Json| -> Json {
+            let mut doc = doc.clone();
+            if let Json::Obj(members) = &mut doc {
+                for (k, v) in members.iter_mut() {
+                    if k == "use_cases" {
+                        if let Json::Arr(cases) = v {
+                            cases[0] = edit(&cases[0]);
+                        }
                     }
                 }
             }
-            assert!(validate(&Json::Obj(members))
-                .unwrap_err()
-                .contains("phases_mem"));
+            doc
+        };
+        // A row without its memory columns or its SAST count is rejected,
+        // and so is a row whose generated code has a misuse.
+        for key in ["phases_mem", "sast_misuses"] {
+            let err = validate(&edit_first_case(&|case| strip(case, key))).unwrap_err();
+            assert!(err.contains(key), "{err}");
         }
+        let misused = edit_first_case(&|case| match strip(case, "sast_misuses") {
+            Json::Obj(mut members) => {
+                members.push(("sast_misuses".to_owned(), Json::Num(1.0)));
+                Json::Obj(members)
+            }
+            other => other,
+        });
+        assert!(validate(&misused).unwrap_err().contains("1 SAST misuses"));
 
         // Ten use cases is not Table 1.
         if let Json::Obj(mut members) = doc.clone() {
