@@ -25,9 +25,8 @@ if matches="$(grep -nE "$banned" $manifests)"; then
 fi
 
 # The pre-0.3 constructors are gone; call sites must use
-# rules::load()/load_shared()/load_uncached() and GenEngine::builder().
-# No source file may mention the old names, not even their one-time
-# defining modules.
+# rules::open(PackSource) and GenEngine::builder(). No source file may
+# mention the old names, not even their one-time defining modules.
 old_apis='jca_rules\(|try_jca_rules\(|shared_jca_rules\(|GenEngine::new\(|GenEngine::with_options\('
 sources="$(git ls-files '*.rs')"
 if matches="$(grep -nE "$old_apis" $sources)"; then
@@ -53,13 +52,14 @@ cargo build --release --offline --locked
 # Generation has two entry points over one pipeline body and no
 # process-wide ORDER cache, path selection has one entry point,
 # parameters are resolved by one walk, perfbench is the one benchmark
-# (the load harness's runner, CLI and pacing are gone), and telemetry
-# is one record per generation (the event stream and the observers
-# that re-derived metrics and timings from it are gone); the deleted
-# routes must not come back.
-old_routes='\b(shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob)\b'
+# (the load harness's runner, CLI and pacing are gone), telemetry is
+# one record per generation (the event stream and the observers that
+# re-derived metrics and timings from it are gone), and the CLI's
+# serve-check daemon probe is gone (the serve tests probe the daemon);
+# the deleted routes must not come back.
+old_routes='\b(cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob)\b'
 if matches="$(grep -nE "$old_routes" $sources)"; then
-    echo "error: deleted generation route, process-wide cache, resolution walk, load harness or telemetry event stream:" >&2
+    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream or daemon probe:" >&2
     echo "$matches" >&2
     exit 1
 fi
@@ -70,28 +70,17 @@ fi
 echo "==> cargo test -q --workspace --offline --locked"
 cargo test -q --workspace --offline --locked
 
-# The CLI's cached batch path must emit exactly what the single-shot
-# generate path emits for every use case — a divergence means the
-# engine's compiled-ORDER cache changed observable output.
-echo "==> cli batch vs single-shot generate"
-cli="target/release/cognicryptgen"
-workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
-mkdir -p "$workdir/batch" "$workdir/single"
-"$cli" batch "$workdir/batch" 8 >/dev/null
-# The id universe comes from the batch output itself, so this loop can
-# never silently lag behind a growing catalogue.
-ids="$(find "$workdir/batch" -name 'uc*.java' -printf '%f\n' | sed -E 's/^uc0*([0-9]+)\.java$/\1/' | sort -n)"
-test -n "$ids"
-for id in $ids; do
-    "$cli" generate "$id" > "$workdir/single/$(printf 'uc%02d.java' "$id")"
-done
-diff -r "$workdir/batch" "$workdir/single"
+# That run includes tests/golden_catalogue.rs, which checks every
+# generation path (library, CLI, traced, batch, `.crpack` boot, daemon)
+# against the golden files in tests/golden/.
 
 # The Table-1 telemetry report must cover every catalogued use case with
 # all five phase timings and non-empty metrics; report-check validates
 # the schema of the file report just wrote.
 echo "==> cli report -> REPORT_table1.json"
+cli="target/release/cognicryptgen"
+workdir="$(mktemp -d)"
+trap 'rm -rf "$workdir"' EXIT
 "$cli" report "$workdir/report" >/dev/null
 report="$workdir/report/REPORT_table1.json"
 test -s "$report"
@@ -108,66 +97,6 @@ if [ "$generated_rows" -lt "$committed_rows" ]; then
     exit 1
 fi
 echo "==> report covers $generated_rows use cases (committed baseline: $committed_rows)"
-
-# Trace export: a traced generate and a traced batch must both produce
-# structurally valid Chrome traces (paired B/E spans, monotonic per-tid
-# timestamps — trace-check enforces the schema), and tracing must be
-# purely observational: traced output diffs clean against untraced.
-echo "==> cli --trace -> chrome trace + trace-check"
-mkdir -p "$workdir/traced-batch"
-"$cli" generate 1 --trace "$workdir/trace-gen.json" > "$workdir/traced-uc01.java"
-"$cli" trace-check "$workdir/trace-gen.json"
-diff "$workdir/traced-uc01.java" "$workdir/single/uc01.java"
-"$cli" batch "$workdir/traced-batch" 8 --trace "$workdir/trace-batch.json" >/dev/null
-"$cli" trace-check "$workdir/trace-batch.json"
-diff -r "$workdir/traced-batch" "$workdir/single"
-
-# Daemon obs-smoke: boot `serve` on an ephemeral port, wait for the
-# parseable announce line, then let `serve-check` probe it end to end —
-# healthz, metrics, a generation diffed byte-for-byte against a local
-# engine, a hot-reload, the observability surfaces (mixed hostile and
-# well-formed traffic with both outcome classes visible in /tracez,
-# /statz quantiles, a /profilez capture window), shutdown. The daemon
-# must exit 0 afterwards, and the fetched capture must pass the same
-# trace-check gate as the CLI's own --trace exports.
-serve_smoke() {
-    local log="$1"; local profile="$2"; shift 2
-    "$cli" serve --listen 127.0.0.1:0 --threads 2 "$@" > "$log" &
-    local pid=$!
-    local addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^listening http=//p' "$log" | head -n1)"
-        [ -n "$addr" ] && break
-        if ! kill -0 "$pid" 2>/dev/null; then
-            echo "error: serve daemon died before announcing its endpoint" >&2
-            cat "$log" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "error: serve daemon never announced its endpoint" >&2
-        kill "$pid" 2>/dev/null || true
-        exit 1
-    fi
-    "$cli" serve-check "$addr" --profile-out "$profile"
-    wait "$pid"
-    "$cli" trace-check "$profile"
-}
-echo "==> cli serve + serve-check round trip (obs probes + profilez capture)"
-serve_smoke "$workdir/serve.out" "$workdir/serve-profile.json"
-
-# Precompiled rule packs: `compile-rules` must produce a pack whose
-# boot is observably identical to a source boot. The pack-booted batch
-# diffs clean against the source-booted outputs for every use case,
-# and a pack-booted daemon survives the same end-to-end serve-check
-# (including a hot reload, now of the `.crpack` file).
-echo "==> compile-rules -> pack-booted batch diff + serve-check"
-"$cli" compile-rules --embedded "$workdir/jca.crpack" >/dev/null
-mkdir -p "$workdir/pack-batch"
-"$cli" batch "$workdir/pack-batch" 8 --rules "$workdir/jca.crpack" >/dev/null
-diff -r "$workdir/pack-batch" "$workdir/single"
-serve_smoke "$workdir/serve-pack.out" "$workdir/serve-pack-profile.json" --rules "$workdir/jca.crpack"
 
 # Corpus replay: every committed fuzz reproducer must pass the oracles
 # it once crashed. A budget of 0 replays the corpus and runs nothing

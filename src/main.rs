@@ -40,14 +40,6 @@
 //!                                     /statz latency quantiles, /profilez
 //!                                     on-demand trace capture; --slow-ms
 //!                                     logs slow requests to stderr)
-//! cognicryptgen serve-check <addr> [--profile-out <file>]
-//!                                     probe a running daemon end to end:
-//!                                     healthz, metrics, generate (compared
-//!                                     byte-for-byte against a local engine),
-//!                                     reload, tracez/statz, a profilez
-//!                                     arm→capture→validate round trip
-//!                                     (writing the capture to --profile-out
-//!                                     when given), shutdown
 //! ```
 //!
 //! `generate`, `batch`, `report` and `analyze` additionally accept
@@ -60,7 +52,7 @@
 //! is written as Chrome Trace Event Format JSON — open the file in
 //! `chrome://tracing` or Perfetto. Traced runs build a per-invocation
 //! engine (the shared engine has no observer attached); the generated
-//! Java is byte-identical either way, which the differential suite
+//! Java is byte-identical either way, which the golden-catalogue suite
 //! asserts.
 //!
 //! The binary installs [`TrackingAlloc`] as its global allocator, so
@@ -85,7 +77,7 @@ use cognicryptgen::javamodel::parser::parse_java;
 use cognicryptgen::report::{self, REPORT_FILE};
 use cognicryptgen::rules::{self, PackManifest, PackSource};
 use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
-use cognicryptgen::serve::{self, ServeConfig, Server};
+use cognicryptgen::serve::{ServeConfig, Server};
 use cognicryptgen::statemachine::OrderCache;
 use cognicryptgen::usecases::{all_use_cases, UseCase};
 use cognicryptgen::{check_declared, declares, find_use_case, jca_engine, Error};
@@ -96,7 +88,7 @@ use devharness::json::Json;
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
 
-const USAGE: &str = "cognicryptgen <list|generate|batch|template|rules|compile-rules|analyze|oldgen|report|report-check|trace-check|fuzz|serve|serve-check> [arg..] [--rules <dir|pack|name@vN>] [--trace <file>]";
+const USAGE: &str = "cognicryptgen <list|generate|batch|template|rules|compile-rules|analyze|oldgen|report|report-check|trace-check|fuzz|serve> [arg..] [--rules <dir|pack|name@vN>] [--trace <file>]";
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -140,9 +132,6 @@ fn main() -> ExitCode {
                     serve_args.push(path);
                 }
                 cmd_serve(&serve_args)
-            }
-            Some("serve-check") => {
-                reject_trace(trace, "serve-check").and_then(|()| cmd_serve_check(&args[1..], pack))
             }
             _ => Err(Error::Usage(USAGE.to_owned())),
         }
@@ -629,200 +618,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
     let _ = std::io::stdout().flush();
     handle.join();
     eprintln!("serve: shut down cleanly");
-    Ok(())
-}
-
-/// `serve-check <addr> [--profile-out <file>] [--case <id>]
-/// [--rules <pack>]` — end-to-end probe of a running daemon: healthz,
-/// metrics, a generation compared byte-for-byte against a local
-/// engine, a hot-reload, the same generation again, the observability
-/// surface (`/tracez` with a hostile probe showing up as a rejection,
-/// `/statz` in both renderings, a `/profilez` arm→capture→validate
-/// round trip with a 409 on double-arm), shutdown. Probing a daemon
-/// booted on a non-embedded pack needs `--rules` with that same pack,
-/// so the local comparison engine uses the same rules; the probed use
-/// case then defaults to the first one the pack declares (`--case`
-/// overrides). With `--profile-out` the captured trace is also written
-/// to a file, ready for `trace-check`. Exits non-zero on the first
-/// discrepancy, so scripts can gate on it.
-fn cmd_serve_check(args: &[String], pack: Option<&str>) -> Result<(), Error> {
-    let mut args = args.to_vec();
-    let profile_out = extract_flag(&mut args, "--profile-out", "an output file path")?;
-    let case = extract_flag(&mut args, "--case", "a use-case id or name")?;
-    let addr = match args.as_slice() {
-        [addr] => addr.as_str(),
-        [] => return Err(Error::Usage("missing daemon address".to_owned())),
-        _ => {
-            return Err(Error::Usage(
-                "serve-check takes one daemon address".to_owned(),
-            ))
-        }
-    };
-    let http_err = |e: std::io::Error| Error::Invalid(format!("daemon at {addr}: {e}"));
-
-    let (code, body) = serve::http::request(addr, "GET", "/healthz", "").map_err(http_err)?;
-    if code != 200 || body.trim() != "ok" {
-        return Err(Error::Invalid(format!(
-            "healthz: expected 200 ok, got {code} {body:?}"
-        )));
-    }
-    println!("serve-check: healthz ok");
-
-    let (code, body) = serve::http::request(addr, "GET", "/metrics", "").map_err(http_err)?;
-    if code != 200 || !body.contains("serve.requests") {
-        return Err(Error::Invalid(format!(
-            "metrics: expected 200 with serve.requests, got {code}"
-        )));
-    }
-    println!("serve-check: metrics ok ({} lines)", body.lines().count());
-
-    let custom = custom_engine(pack, None)?;
-    let declared = custom
-        .as_ref()
-        .and_then(|(_, m)| rules::declared_use_cases(m));
-    let selector = match case {
-        Some(sel) => sel,
-        None => declared
-            .and_then(|ids| ids.first())
-            .map_or_else(|| "1".to_owned(), u8::to_string),
-    };
-    let uc = find_use_case(&selector)?;
-    let local = match &custom {
-        Some((engine, _)) => engine.generate(&uc.template)?.java_source,
-        None => jca_engine()?.generate(&uc.template)?.java_source,
-    };
-    let gen_path = format!("/generate/{}", uc.id);
-    let (code, remote) = serve::http::request(addr, "GET", &gen_path, "").map_err(http_err)?;
-    if code != 200 || remote != local {
-        return Err(Error::Invalid(format!(
-            "generate: daemon output differs from local engine (status {code}, {} vs {} bytes)",
-            remote.len(),
-            local.len()
-        )));
-    }
-    println!(
-        "serve-check: generate uc{:02} byte-identical ({} bytes)",
-        uc.id,
-        local.len()
-    );
-
-    let (code, _) = serve::http::request(addr, "POST", "/reload", "").map_err(http_err)?;
-    if code != 200 {
-        return Err(Error::Invalid(format!("reload: expected 200, got {code}")));
-    }
-    let (code, remote) = serve::http::request(addr, "GET", &gen_path, "").map_err(http_err)?;
-    if code != 200 || remote != local {
-        return Err(Error::Invalid(format!(
-            "generate after reload: output diverged (status {code})"
-        )));
-    }
-    println!("serve-check: reload preserved output");
-
-    // Observability surface. A deliberately unroutable probe first, so
-    // /tracez?errors=1 provably shows rejected traffic.
-    let (code, _) = serve::http::request(addr, "GET", "/no-such-route", "").map_err(http_err)?;
-    if code != 404 {
-        return Err(Error::Invalid(format!(
-            "hostile probe: expected 404, got {code}"
-        )));
-    }
-    let (code, body) = serve::http::request(addr, "GET", "/tracez", "").map_err(http_err)?;
-    let tracez = Json::parse(&body).map_err(|e| Error::Invalid(format!("tracez: {e}")))?;
-    let records = tracez
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| Error::Invalid("tracez: no records array".to_owned()))?;
-    if code != 200 || records.is_empty() {
-        return Err(Error::Invalid(format!(
-            "tracez: expected 200 with records, got {code} with {}",
-            records.len()
-        )));
-    }
-    let (code, body) =
-        serve::http::request(addr, "GET", "/tracez?errors=1", "").map_err(http_err)?;
-    let errors_doc = Json::parse(&body).map_err(|e| Error::Invalid(format!("tracez: {e}")))?;
-    let rejected = errors_doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .is_some_and(|records| {
-            records
-                .iter()
-                .any(|r| r.get("endpoint").and_then(Json::as_str) == Some("rejected"))
-        });
-    if code != 200 || !rejected {
-        return Err(Error::Invalid(
-            "tracez?errors=1: hostile probe not visible as a rejected record".to_owned(),
-        ));
-    }
-    println!(
-        "serve-check: tracez ok ({} records, rejections visible)",
-        records.len()
-    );
-
-    let (code, body) = serve::http::request(addr, "GET", "/statz", "").map_err(http_err)?;
-    if code != 200 || !body.contains("http.generate.ok") {
-        return Err(Error::Invalid(format!(
-            "statz: expected 200 with an http.generate.ok row, got {code}"
-        )));
-    }
-    let (code, body) = serve::http::request(addr, "GET", "/statz?json=1", "").map_err(http_err)?;
-    let statz = Json::parse(&body).map_err(|e| Error::Invalid(format!("statz: {e}")))?;
-    if code != 200 || statz.get("http.generate.ok").is_none() {
-        return Err(Error::Invalid(format!(
-            "statz?json=1: expected 200 with an http.generate.ok histogram, got {code}"
-        )));
-    }
-    println!("serve-check: statz ok");
-
-    let (code, _) = serve::http::request(addr, "POST", "/profilez", "2").map_err(http_err)?;
-    if code != 200 {
-        return Err(Error::Invalid(format!(
-            "profilez arm: expected 200, got {code}"
-        )));
-    }
-    let (code, _) = serve::http::request(addr, "POST", "/profilez", "5").map_err(http_err)?;
-    if code != 409 {
-        return Err(Error::Invalid(format!(
-            "profilez double-arm: expected 409, got {code}"
-        )));
-    }
-    for _ in 0..2 {
-        let (code, _) = serve::http::request(addr, "GET", &gen_path, "").map_err(http_err)?;
-        if code != 200 {
-            return Err(Error::Invalid(format!(
-                "generate during capture: expected 200, got {code}"
-            )));
-        }
-    }
-    let (code, body) = serve::http::request(addr, "GET", "/profilez", "").map_err(http_err)?;
-    if code != 200 {
-        return Err(Error::Invalid(format!(
-            "profilez fetch: expected 200, got {code}"
-        )));
-    }
-    let capture = Json::parse(&body).map_err(|e| Error::Invalid(format!("profilez: {e}")))?;
-    validate_trace(&capture).map_err(|e| Error::Invalid(format!("profilez capture: {e}")))?;
-    let events = capture
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .map_or(0, |events| events.len());
-    if events == 0 {
-        return Err(Error::Invalid(
-            "profilez capture: no events recorded".to_owned(),
-        ));
-    }
-    if let Some(path) = &profile_out {
-        std::fs::write(path, &body).map_err(|e| Error::io(path, e))?;
-    }
-    println!("serve-check: profilez round trip ok ({events} events)");
-
-    let (code, _) = serve::http::request(addr, "POST", "/shutdown", "").map_err(http_err)?;
-    if code != 200 {
-        return Err(Error::Invalid(format!(
-            "shutdown: expected 200, got {code}"
-        )));
-    }
-    println!("serve-check: shutdown acknowledged");
     Ok(())
 }
 

@@ -123,10 +123,11 @@ impl BootStats {
     }
 }
 
-/// Opens `source` uncached and timed, boots an engine from it, and
-/// reports on that engine ([`build_served`]); the `boot` section shows
-/// the real cold-start cost of the loading path — a compiled pack
-/// seeds every ORDER artefact and must warm with `warm_compiled == 0`.
+/// Opens `source` uncached and timed, boots an engine from it, warms
+/// it, and reports on that engine ([`build_served`]); the `boot`
+/// section shows the real cold-start cost of the loading path — a
+/// source pack compiles every ORDER artefact during warm-up, a
+/// compiled pack seeds them all and must warm with `warm_compiled == 0`.
 /// `observer`, when given, is the engine's observer: how the CLI
 /// attaches a `--trace` recorder without a second generation pass.
 ///
@@ -147,16 +148,13 @@ pub fn build_from(
     }
     let engine = builder.build()?;
     boot.cache_seeded = pack.seed(engine.order_cache());
-    if pack.is_precompiled() {
-        // A pack boot warms eagerly and must find every artefact
-        // seeded: `warm_compiled == 0` is the claim a `.crpack` makes.
-        // A source boot keeps the historical lazy behaviour so the
-        // report's cache-traffic metrics stay first-sight-miss /
-        // revisit-hit deterministic.
-        let warm = engine.warm_traced()?;
-        boot.warm_hits = warm.hits;
-        boot.warm_compiled = warm.compiled;
-    }
+    // Every boot warms before the rows, so each row times a warm
+    // generation and no row pays for compiling an ORDER automaton. A
+    // pack boot must find every artefact seeded: `warm_compiled == 0`
+    // is the claim a `.crpack` makes.
+    let warm = engine.warm_traced()?;
+    boot.warm_hits = warm.hits;
+    boot.warm_compiled = warm.compiled;
     build_served(&engine, &pack.manifest, boot)
 }
 
@@ -625,10 +623,11 @@ mod tests {
                 );
             }
         }
-        // Cache traffic was recorded: 16 rules, several shared across
-        // use cases, so hits must outnumber first-sight misses.
+        // Cache traffic was recorded, and the boot warmed every rule's
+        // ORDER automaton, so no row compiled one.
         assert!(report.metrics.contains_key("order_cache.hits"));
-        assert!(report.metrics.contains_key("order_cache.misses"));
+        assert!(!report.metrics.contains_key("order_cache.misses"));
+        assert!(report.boot.warm_compiled > 0);
 
         let doc = to_json(&report);
         validate(&doc).expect("fresh report validates");

@@ -5,9 +5,8 @@
 //! parser stateless and makes hostile connection reuse a non-issue.
 //!
 //! The same module carries the client side ([`request`]): the
-//! `serve-check` subcommand and the integration tests speak to the
-//! daemon through it, so client and server agree on the framing by
-//! construction.
+//! integration tests speak to the daemon through it, so client and
+//! server agree on the framing by construction.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -281,8 +280,7 @@ fn write_response(mut stream: TcpStream, response: &Response) {
 }
 
 /// Client side: one HTTP exchange against `addr`. Returns the status
-/// code and body. Used by `cognicryptgen serve-check`, the verify
-/// script and the integration tests.
+/// code and body. Used by the integration tests.
 ///
 /// # Errors
 ///

@@ -1,11 +1,15 @@
 //! End-to-end CLI contract tests over the real binary: per-class exit
 //! codes, the strict `--trace` flag normalization across every
-//! subcommand, `generate` and `analyze` under the global `--rules`, and
-//! the daemon boot → serve-check → shutdown round trip.
+//! subcommand, `generate` and `analyze` under the global `--rules`, the
+//! daemon's clean exit on a shutdown request and its typed refusal of a
+//! truncated rule pack.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+use cognicryptgen::serve::http;
 
 const BIN: &str = env!("CARGO_BIN_EXE_cognicryptgen");
 
@@ -49,7 +53,6 @@ fn usage_failures_all_exit_2() {
     assert_eq!(exit_code(&run(&["generate"])), 2);
     assert_eq!(exit_code(&run(&["generate", "no-such-use-case"])), 2);
     assert_eq!(exit_code(&run(&["serve", "--no-such-flag"])), 2);
-    assert_eq!(exit_code(&run(&["serve-check"])), 2);
 }
 
 #[test]
@@ -67,7 +70,6 @@ fn trace_flag_is_rejected_uniformly_where_unsupported() {
         vec!["trace-check", "--trace", "/tmp/t.json"],
         vec!["fuzz", "--trace", "/tmp/t.json"],
         vec!["serve", "--trace", "/tmp/t.json"],
-        vec!["serve-check", "--trace", "/tmp/t.json"],
     ] {
         let out = run(&args);
         assert_eq!(
@@ -143,7 +145,7 @@ fn analyze_judges_code_by_the_rules_pack_it_was_generated_under() {
 }
 
 #[test]
-fn serve_boots_passes_serve_check_and_shuts_down_cleanly() {
+fn serve_exits_0_after_a_shutdown_request() {
     let mut daemon = Command::new(BIN)
         .args(["serve", "--listen", "127.0.0.1:0", "--threads", "2"])
         .stdout(Stdio::piped())
@@ -153,35 +155,53 @@ fn serve_boots_passes_serve_check_and_shuts_down_cleanly() {
 
     // The daemon announces its bound endpoint as a parseable line.
     let stdout = daemon.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let announce = lines
+    let announce = BufReader::new(stdout)
+        .lines()
         .next()
         .expect("daemon prints its endpoint")
         .expect("readable stdout");
     let addr = announce
         .strip_prefix("listening http=")
-        .unwrap_or_else(|| panic!("unexpected announce line {announce:?}"))
-        .to_owned();
+        .unwrap_or_else(|| panic!("unexpected announce line {announce:?}"));
 
-    // serve-check probes the daemon end to end and, as its last step,
-    // asks it to shut down.
-    let check = run(&["serve-check", &addr]);
-    assert_eq!(
-        exit_code(&check),
-        0,
-        "serve-check failed:\n{}\n{}",
-        String::from_utf8_lossy(&check.stdout),
-        stderr(&check)
-    );
-
+    let (code, body) = http::request(addr, "POST", "/shutdown", "").expect("shutdown request");
+    assert_eq!(code, 200, "shutdown refused: {body}");
     let status = daemon.wait().expect("daemon exits after shutdown");
     assert_eq!(status.code(), Some(0), "daemon must exit cleanly");
 }
 
 #[test]
-fn serve_check_against_nothing_is_a_typed_failure() {
-    // Port 9 (discard) on localhost is practically never bound; the
-    // probe must fail with the invalid-input code, not hang or panic.
-    let out = run(&["serve-check", "127.0.0.1:9"]);
-    assert_eq!(exit_code(&out), 6, "stderr: {}", stderr(&out));
+fn serve_on_a_truncated_pack_exits_3() {
+    let dir = scratch("serve-truncated");
+    let pack = dir.join("jca.crpack");
+    let out = run(&["compile-rules", "--embedded", pack.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
+    let broken = dir.join("broken.crpack");
+    std::fs::write(&broken, &std::fs::read(&pack).unwrap()[..100]).unwrap();
+
+    let mut daemon = Command::new(BIN)
+        .args(["serve", "--listen", "127.0.0.1:0", "--rules"])
+        .arg(&broken)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    // A daemon that booted anyway would serve forever: give it a deadline.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().expect("waitable") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = daemon.kill();
+            let _ = daemon.wait();
+            panic!("serve booted from a truncated pack");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut err = String::new();
+    let _ = daemon.stderr.take().unwrap().read_to_string(&mut err);
+    assert_eq!(status.code(), Some(3), "stderr: {err}");
+    assert!(err.contains("invalid rule pack"), "stderr: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

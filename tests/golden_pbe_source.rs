@@ -1,67 +1,14 @@
 //! Golden-source regression test for the paper's central artifact: the
 //! complete generated PBE implementation (use case 3). Any change to the
-//! generator's output shape shows up here as a diff.
+//! generator's output shape shows up here as a diff. The expected text is
+//! the embedded pack's golden file, shared with `golden_catalogue.rs`.
 
 use cognicryptgen::core::generate;
 use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::rules::{open, PackSource};
 use cognicryptgen::usecases::pbe::pbe_byte_arrays;
 
-const EXPECTED: &str = r#"package de.crypto.cognicrypt;
-
-public class SecureByteArrayEncryptor {
-    public SecretKey getKey(char[] pwd) {
-        byte[] salt = new byte[32];
-        SecretKey encryptionKey = null;
-        SecureRandom secureRandom = SecureRandom.getInstance("SHA1PRNG");
-        secureRandom.nextBytes(salt);
-        PBEKeySpec pBEKeySpec = new PBEKeySpec(pwd, salt, 10000, 128);
-        SecretKeyFactory secretKeyFactory = SecretKeyFactory.getInstance("PBKDF2WithHmacSHA256");
-        SecretKey key = secretKeyFactory.generateSecret(pBEKeySpec);
-        byte[] keyMaterial = key.getEncoded();
-        SecretKeySpec secretKeySpec = new SecretKeySpec(keyMaterial, "AES");
-        encryptionKey = secretKeySpec;
-        pBEKeySpec.clearPassword();
-        return encryptionKey;
-    }
-
-    public byte[] encrypt(byte[] plainText, SecretKey key) {
-        byte[] ivBytes = new byte[16];
-        byte[] cipherText = null;
-        SecureRandom secureRandom = SecureRandom.getInstance("SHA1PRNG");
-        secureRandom.nextBytes(ivBytes);
-        IvParameterSpec ivParameterSpec = new IvParameterSpec(ivBytes);
-        Cipher cipher = Cipher.getInstance("AES/CBC/PKCS5Padding");
-        cipher.init(1, key, ivParameterSpec);
-        byte[] cipherText2 = cipher.doFinal(plainText);
-        cipherText = cipherText2;
-        return ByteArrays.concat(ivBytes, cipherText);
-    }
-
-    public byte[] decrypt(byte[] data, SecretKey key) {
-        byte[] ivBytes = ByteArrays.slice(data, 0, 16);
-        byte[] encrypted = ByteArrays.slice(data, 16, ByteArrays.length(data));
-        int mode = 2;
-        byte[] decrypted = null;
-        IvParameterSpec ivParameterSpec = new IvParameterSpec(ivBytes);
-        Cipher cipher = Cipher.getInstance("AES/CBC/PKCS5Padding");
-        cipher.init(mode, key, ivParameterSpec);
-        byte[] cipherText = cipher.doFinal(encrypted);
-        decrypted = cipherText;
-        return decrypted;
-    }
-}
-
-public class OutputClass {
-    public void templateUsage(char[] pwd, byte[] plainText) {
-        // generated by CogniCryptGEN: shows how to use the generated class
-        SecureByteArrayEncryptor secureByteArrayEncryptor = new SecureByteArrayEncryptor();
-        SecretKey result1 = secureByteArrayEncryptor.getKey(pwd);
-        byte[] result2 = secureByteArrayEncryptor.encrypt(plainText, result1);
-        byte[] result3 = secureByteArrayEncryptor.decrypt(result2, result1);
-    }
-}
-"#;
+const EXPECTED: &str = include_str!("golden/jca@v2/uc03.java");
 
 #[test]
 fn pbe_byte_arrays_generates_exactly_the_golden_source() {

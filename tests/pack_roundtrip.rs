@@ -3,10 +3,11 @@
 //! except cold-start cost.
 //!
 //! * **Output identity** — for every shipped use case, a pack-booted
-//!   engine produces byte-identical Java, identical compilation units
-//!   (so SAST verdicts and interpreter transcripts are identical by
-//!   construction — asserted directly anyway for SAST, and spot-checked
-//!   through the interpreter).
+//!   engine produces identical compilation units (so SAST verdicts and
+//!   interpreter transcripts are identical by construction — asserted
+//!   directly anyway for SAST, and spot-checked through the
+//!   interpreter). The emitted Java of both boots is pinned by
+//!   `tests/golden_catalogue.rs`.
 //! * **All-hit cold start** — a pack-booted engine never compiles an
 //!   ORDER artefact: seeding from the pack makes every compiled-ORDER
 //!   lookup a cache hit, read from the generations' records.
@@ -44,7 +45,7 @@ fn compiled_pack(dir: &std::path::Path) -> (std::path::PathBuf, RulePack) {
 }
 
 #[test]
-fn pack_boot_is_byte_identical_to_source_boot_for_all_use_cases() {
+fn pack_boot_generates_the_source_boots_units_for_all_use_cases() {
     let dir = temp_dir("identity");
     let (_, pack) = compiled_pack(&dir);
     assert!(pack.is_precompiled());
@@ -70,11 +71,6 @@ fn pack_boot_is_byte_identical_to_source_boot_for_all_use_cases() {
     for uc in &cases {
         let s = from_source.generate(&uc.template).unwrap();
         let p = from_pack.generate(&uc.template).unwrap();
-        assert_eq!(
-            s.java_source, p.java_source,
-            "use case {} ({}) Java diverged",
-            uc.id, uc.name
-        );
         assert_eq!(s.unit, p.unit, "use case {} unit diverged", uc.id);
 
         // Identical units make SAST identity a tautology — assert it
