@@ -122,17 +122,27 @@ fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Unescaped runs go out as one `write_str` each: a long Java body
+    // is a handful of runs between its quotes and newlines, not one
+    // write per char. Every escaped char is ASCII, so scanning bytes
+    // never splits a multi-byte char.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= b' ' && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -264,12 +274,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or backslash in one
+                // push. Both are ASCII, so the run ends on a char
+                // boundary of the `&str` input and is valid UTF-8.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .map_or(bytes.len(), |n| *pos + n);
+                let text = std::str::from_utf8(&bytes[*pos..run])
                     .map_err(|_| JsonError::at(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
@@ -350,11 +365,72 @@ mod tests {
         );
     }
 
+    /// The escaping rule, one char at a time: what the run-wise writer
+    /// must reproduce byte for byte.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
     #[test]
     fn string_escapes() {
-        let v = Json::Str("a\"b\\c\nd\te\u{1}".to_owned());
-        let text = v.to_string();
-        assert_eq!(Json::parse(&text).unwrap(), v);
+        let control: String = (0u8..0x20).map(char::from).collect();
+        let cases = [
+            "a\"b\\c\nd\te\u{1}".to_owned(),
+            String::new(),
+            "plain ascii".to_owned(),
+            "héllo wörld — ✓ 𝄞 日本".to_owned(),
+            "\"quoted\" \\ back\nline\r\ttab".to_owned(),
+            control.clone(),
+            format!("é{control}✓\"𝄞\\x\u{7f}"),
+            "\"\"\\\\\n\n".to_owned(),
+            "class A {\n    String s = \"ü\";\n}\n".repeat(40),
+        ];
+        for case in cases {
+            let text = Json::Str(case.clone()).to_string();
+            assert_eq!(text, escaped_per_char(&case));
+            assert_eq!(Json::parse(&text).unwrap(), Json::Str(case.clone()));
+            // As an object key, too.
+            let obj = Json::Obj(vec![(case.clone(), Json::Str(case))]);
+            assert_eq!(Json::parse(&obj.to_string()).unwrap(), obj);
+        }
+    }
+
+    #[test]
+    fn every_input_escape_decodes() {
+        let v = Json::parse(r#""a\"b\\c\/d\ne\rf\tg\bh\fi\u00e9j\u2713""#).unwrap();
+        assert_eq!(v, Json::Str("a\"b\\c/d\ne\rf\tg\u{8}h\u{c}iéj✓".to_owned()));
+    }
+
+    #[test]
+    fn string_error_offsets_are_stable() {
+        assert_eq!(Json::parse("\"abc").unwrap_err().offset, 4);
+        assert_eq!(Json::parse("\"é✓").unwrap_err().offset, 6);
+        assert_eq!(Json::parse(r#""ab\q""#).unwrap_err().offset, 4);
+        assert_eq!(Json::parse(r#""ab\u12""#).unwrap_err().offset, 4);
+        assert_eq!(Json::parse("\"ab\\").unwrap_err().offset, 4);
+    }
+
+    #[test]
+    fn a_one_mib_string_parses_in_one_pass() {
+        // Re-validating the rest of the input per char made this
+        // quadratic: minutes for 1 MiB.
+        let body = "public void f() { int é = 1; }\t✓\n".repeat(1 << 15);
+        assert!(body.len() >= 1 << 20);
+        let text = Json::Str(body.clone()).to_string();
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(body));
     }
 
     #[test]

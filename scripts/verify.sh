@@ -54,12 +54,13 @@ cargo build --release --offline --locked
 # parameters are resolved by one walk, perfbench is the one benchmark
 # (the load harness's runner, CLI and pacing are gone), telemetry is
 # one record per generation (the event stream and the observers that
-# re-derived metrics and timings from it are gone), and the CLI's
-# serve-check daemon probe is gone (the serve tests probe the daemon);
-# the deleted routes must not come back.
-old_routes='\b(cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob)\b'
+# re-derived metrics and timings from it are gone), the CLI's
+# serve-check daemon probe is gone (the serve tests probe the daemon),
+# and the daemon's workers block in accept instead of polling a
+# non-blocking listener; the deleted routes must not come back.
+old_routes='\b(cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob|ACCEPT_POLL)\b'
 if matches="$(grep -nE "$old_routes" $sources)"; then
-    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream or daemon probe:" >&2
+    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream, daemon probe or accept poll:" >&2
     echo "$matches" >&2
     exit 1
 fi

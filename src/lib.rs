@@ -49,6 +49,14 @@ pub fn jca_engine() -> Result<&'static GenEngine, Error> {
     Ok(ENGINE.get_or_init(|| engine))
 }
 
+/// The shipped use cases in id order, built once per process: every
+/// served request resolves against this table instead of rebuilding
+/// all the templates.
+pub fn catalogue() -> &'static [UseCase] {
+    static CATALOGUE: OnceLock<Vec<UseCase>> = OnceLock::new();
+    CATALOGUE.get_or_init(all_use_cases)
+}
+
 /// Resolves a use-case selector — a Table-1 id (`"3"`) or a
 /// case-insensitive name fragment (`"password"`) — against the shipped
 /// use cases. Shared by the CLI front end and the daemon protocol.
@@ -56,8 +64,8 @@ pub fn jca_engine() -> Result<&'static GenEngine, Error> {
 /// # Errors
 ///
 /// [`Error::Usage`] when nothing matches.
-pub fn find_use_case(selector: &str) -> Result<UseCase, Error> {
-    let cases = all_use_cases();
+pub fn find_use_case(selector: &str) -> Result<&'static UseCase, Error> {
+    let cases = catalogue();
     // A numeric selector is an id, never a name fragment: "0" must not
     // resolve just because some use-case name happens to contain that
     // digit.
@@ -65,14 +73,12 @@ pub fn find_use_case(selector: &str) -> Result<UseCase, Error> {
         return cases
             .iter()
             .find(|u| u.id == id)
-            .cloned()
             .ok_or_else(|| Error::Usage(format!("no use case {id} (try `list`)")));
     }
     let lowered = selector.to_lowercase();
     cases
         .iter()
         .find(|u| u.name.to_lowercase().contains(&lowered))
-        .cloned()
         .ok_or_else(|| Error::Usage(format!("no use case matches `{selector}` (try `list`)")))
 }
 

@@ -79,8 +79,8 @@ use cognicryptgen::rules::{self, PackManifest, PackSource};
 use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
 use cognicryptgen::serve::{ServeConfig, Server};
 use cognicryptgen::statemachine::OrderCache;
-use cognicryptgen::usecases::{all_use_cases, UseCase};
-use cognicryptgen::{check_declared, declares, find_use_case, jca_engine, Error};
+use cognicryptgen::usecases::UseCase;
+use cognicryptgen::{catalogue, check_declared, declares, find_use_case, jca_engine, Error};
 use devharness::json::Json;
 
 /// Every allocation of the CLI process is counted, so phase spans carry
@@ -249,12 +249,12 @@ fn with_use_case(
 ) -> Result<(), Error> {
     let selector =
         selector.ok_or_else(|| Error::Usage("missing use-case id or name".to_owned()))?;
-    f(&find_use_case(selector)?)
+    f(find_use_case(selector)?)
 }
 
 fn cmd_list() -> Result<(), Error> {
     println!("{:<4} {:<32} Sources", "#", "Use case (paper Table 1)");
-    for uc in all_use_cases() {
+    for uc in catalogue() {
         println!("{:<4} {:<32} {}", uc.id, uc.name, uc.sources);
     }
     Ok(())
@@ -314,12 +314,9 @@ fn cmd_batch(
         None => jca_engine()?,
     };
 
-    let full = all_use_cases();
+    let full = catalogue();
     let total = full.len();
-    let cases: Vec<UseCase> = full
-        .into_iter()
-        .filter(|uc| declares(declared, uc.id))
-        .collect();
+    let cases: Vec<&UseCase> = full.iter().filter(|uc| declares(declared, uc.id)).collect();
     if cases.len() < total {
         println!(
             "batch: rule pack declares {} of {} catalogued use cases",

@@ -29,9 +29,8 @@ use devharness::bench::{peak_rss, PeakRss};
 use devharness::json::Json;
 use rules::{PackManifest, PackSource, RulePack};
 use sast::{analyze_unit, AnalyzerOptions};
-use usecases::all_use_cases;
 
-use crate::Error;
+use crate::{catalogue, Error};
 
 /// File name the CLI `report` subcommand writes.
 pub const REPORT_FILE: &str = "REPORT_table1.json";
@@ -176,7 +175,7 @@ pub(crate) fn build_served(
     let metrics = MetricsRegistry::new();
     let declared = rules::declared_use_cases(manifest);
     let mut rows = Vec::new();
-    for uc in all_use_cases() {
+    for uc in catalogue() {
         if !crate::declares(declared, uc.id) {
             continue;
         }
@@ -487,7 +486,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         .ok_or("missing `use_cases` array")?;
     // The embedded pack declares the whole catalogue; others may
     // declare a subset, which the document does not name.
-    let expected = usecases::all_use_cases().len();
+    let expected = catalogue().len();
     let kind = doc.get("boot").and_then(|b| b.get("kind"));
     let embedded = kind.and_then(Json::as_str) == Some("embedded");
     if cases.is_empty() || (embedded && cases.len() != expected) {

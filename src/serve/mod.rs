@@ -11,7 +11,10 @@
 //!   compiled-ORDER cache, which hot-reload successors inherit;
 //! * two transports over one transport-agnostic request core:
 //!   minimal HTTP/1.1 on a [`std::net::TcpListener`] ([`http`]) and a
-//!   line/JSON protocol on a Unix socket ([`uds`], unix only);
+//!   line/JSON protocol on a Unix socket ([`uds`], unix only), each
+//!   served by a pool of workers blocked in `accept`; a stop wakes
+//!   them with one connection per worker
+//!   ([`ServerState::request_stop`]);
 //! * `generate`, `batch` and `report` served concurrently — batch
 //!   requests fan out over the engine's existing scatter pool;
 //! * `/metrics` rendered from the daemon's [`MetricsRegistry`] (written
@@ -41,11 +44,11 @@ pub mod obs;
 pub mod uds;
 
 use std::collections::HashSet;
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,14 +58,12 @@ use cognicrypt_core::GenEngine;
 use devharness::json::Json;
 use rules::{PackManifest, PackSource, RulePack};
 use statemachine::OrderCache;
-use usecases::all_use_cases;
 
-use crate::{check_declared, declares, find_use_case, report, Error};
+use crate::{catalogue, check_declared, declares, find_use_case, report, Error};
 
-/// How long a worker blocks in `accept` polling before rechecking the
-/// stop flag. Listeners run non-blocking; this is the shutdown latency
-/// ceiling, not a per-request cost.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long a worker sleeps after a failed `accept` (EMFILE and the
+/// like) before it retries, so a persistent error cannot spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Per-connection socket read/write timeout: a hostile client that
 /// connects and stalls forever must release its worker.
@@ -310,8 +311,8 @@ impl CacheTraffic {
 }
 
 /// The daemon's shared state: the swappable warm engine, the
-/// daemon-lifetime metrics registry, and the stop flag every worker
-/// polls.
+/// daemon-lifetime metrics registry, and the stop flag with the
+/// listeners a stop wakes.
 pub struct ServerState {
     engine: RwLock<Arc<GenEngine>>,
     metrics: Arc<MetricsRegistry>,
@@ -321,6 +322,11 @@ pub struct ServerState {
     profile: Arc<obs::ProfileSwitch>,
     slow_ns: Option<u64>,
     stop: AtomicBool,
+    /// The bound listeners, set once by [`Server::start`] before any
+    /// worker runs: [`ServerState::request_stop`] wakes their workers.
+    listeners: OnceLock<Vec<Listening>>,
+    /// Workers blocked in each listener's `accept`.
+    workers_per_listener: usize,
 }
 
 impl ServerState {
@@ -389,6 +395,8 @@ impl ServerState {
             profile,
             slow_ns: config.slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
             stop: AtomicBool::new(false),
+            listeners: OnceLock::new(),
+            workers_per_listener: config.threads,
         })
     }
 
@@ -412,13 +420,25 @@ impl ServerState {
 
     /// Whether shutdown was requested.
     pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+        self.stop.load(Ordering::Acquire)
     }
 
     /// Requests shutdown: workers finish their current connection and
-    /// exit their accept loops.
+    /// exit their accept loops. The first request sets the flag, then
+    /// wakes the workers blocked in `accept` with one connection per
+    /// worker to each bound listener, so a stop that arrives over one
+    /// transport (or in-process) also ends the other's workers. A
+    /// worker that accepts after the flag is set drops the connection
+    /// unserved and exits, so a wake is never a request.
     pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for listener in self.listeners.get().into_iter().flatten() {
+            for _ in 0..self.workers_per_listener {
+                listener.wake();
+            }
+        }
     }
 
     /// [`ServerState::handle_tagged`] with the `"inproc"` transport
@@ -567,7 +587,7 @@ impl ServerState {
             )),
             Request::Generate(selector) => {
                 let uc = find_use_case(selector)?;
-                check_declared(rules::declared_use_cases(&self.pack_info().manifest), &uc)?;
+                check_declared(rules::declared_use_cases(&self.pack_info().manifest), uc)?;
                 let generated = self.engine().generate(&uc.template)?;
                 cache.add(&generated.record);
                 Ok(Response::ok("text/plain", generated.java_source))
@@ -579,8 +599,8 @@ impl ServerState {
                     ));
                 }
                 let declared = rules::declared_use_cases(&self.pack_info().manifest);
-                let cases: Vec<_> = all_use_cases()
-                    .into_iter()
+                let cases: Vec<_> = catalogue()
+                    .iter()
                     .filter(|uc| declares(declared, uc.id))
                     .collect();
                 let templates: Vec<_> = cases.iter().map(|uc| uc.template.clone()).collect();
@@ -896,10 +916,11 @@ pub struct Server;
 
 impl Server {
     /// Binds the configured transports, spawns the accept pools and
-    /// returns immediately. `threads` workers per transport each run
-    /// an accept loop over a non-blocking listener, so shutdown needs
-    /// no self-connection tricks: workers observe the stop flag within
-    /// [`ACCEPT_POLL`].
+    /// returns immediately. `threads` workers per transport each block
+    /// in `accept` on a shared listener. Both listeners are bound, and
+    /// registered with the state for [`ServerState::request_stop`] to
+    /// wake, before the first worker starts, so a stop can never miss
+    /// a blocked worker.
     ///
     /// # Errors
     ///
@@ -907,24 +928,45 @@ impl Server {
     /// failures — all typed, nothing panics.
     pub fn start(config: &ServeConfig) -> Result<ServerHandle, Error> {
         let state = Arc::new(ServerState::new(config)?);
-        let mut workers = Vec::new();
-        let mut http_addr = None;
+        let mut listening = Vec::new();
 
+        let (mut http_addr, mut http_listener) = (None, None);
         if let Some(addr) = &config.http_addr {
             let listener =
                 TcpListener::bind(addr.as_str()).map_err(|e| Error::io(addr.clone(), e))?;
-            listener
-                .set_nonblocking(true)
+            let bound = listener
+                .local_addr()
                 .map_err(|e| Error::io(addr.clone(), e))?;
-            http_addr = Some(
-                listener
-                    .local_addr()
-                    .map_err(|e| Error::io(addr.clone(), e))?,
-            );
+            listening.push(Listening::Http(bound));
+            (http_addr, http_listener) = (Some(bound), Some(listener));
+        }
+
+        let mut uds_path = None;
+        #[cfg(unix)]
+        let mut uds_listener = None;
+        #[cfg(unix)]
+        if let Some(path) = &config.uds_path {
+            // A stale socket file from a crashed daemon blocks bind;
+            // remove it first (connect attempts to it fail anyway).
+            let _ = std::fs::remove_file(path);
+            let listener = std::os::unix::net::UnixListener::bind(path)
+                .map_err(|e| Error::io(path.display().to_string(), e))?;
+            listening.push(Listening::Uds(path.clone()));
+            (uds_path, uds_listener) = (Some(path.clone()), Some(listener));
+        }
+        #[cfg(not(unix))]
+        if config.uds_path.is_some() {
+            return Err(Error::Usage("--socket requires a unix platform".to_owned()));
+        }
+
+        let _ = state.listeners.set(listening);
+
+        let mut workers = Vec::new();
+        if let Some(listener) = http_listener {
             for ordinal in 0..config.threads {
                 let listener = listener
                     .try_clone()
-                    .map_err(|e| Error::io(addr.clone(), e))?;
+                    .map_err(|e| Error::io("clone http listener", e))?;
                 let state = state.clone();
                 workers.push(
                     std::thread::Builder::new()
@@ -940,23 +982,12 @@ impl Server {
                 );
             }
         }
-
-        let mut uds_path = None;
         #[cfg(unix)]
-        if let Some(path) = &config.uds_path {
-            // A stale socket file from a crashed daemon blocks bind;
-            // remove it first (connect attempts to it fail anyway).
-            let _ = std::fs::remove_file(path);
-            let listener = std::os::unix::net::UnixListener::bind(path)
-                .map_err(|e| Error::io(path.display().to_string(), e))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| Error::io(path.display().to_string(), e))?;
-            uds_path = Some(path.clone());
+        if let Some(listener) = uds_listener {
             for ordinal in 0..config.threads {
                 let listener = listener
                     .try_clone()
-                    .map_err(|e| Error::io(path.display().to_string(), e))?;
+                    .map_err(|e| Error::io("clone uds listener", e))?;
                 let state = state.clone();
                 workers.push(
                     std::thread::Builder::new()
@@ -972,10 +1003,6 @@ impl Server {
                 );
             }
         }
-        #[cfg(not(unix))]
-        if config.uds_path.is_some() {
-            return Err(Error::Usage("--socket requires a unix platform".to_owned()));
-        }
 
         Ok(ServerHandle {
             state,
@@ -986,8 +1013,45 @@ impl Server {
     }
 }
 
-/// One worker's accept loop: poll the non-blocking listener, serve each
-/// connection to completion, recheck the stop flag. Connection
+/// A bound listener as a client reaches it: where
+/// [`ServerState::request_stop`] connects to wake the workers blocked
+/// in its `accept`.
+enum Listening {
+    Http(SocketAddr),
+    #[cfg(unix)]
+    Uds(PathBuf),
+}
+
+impl Listening {
+    /// Connects once and hangs up at once. An error is ignored: a
+    /// connect fails when the listener is already closed, or when its
+    /// backlog is full, and then the queued connections wake the
+    /// workers instead.
+    fn wake(&self) {
+        match self {
+            Listening::Http(bound) => {
+                // A wildcard bind is reached over loopback.
+                let mut addr = *bound;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr.ip() {
+                        IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                let _ = TcpStream::connect_timeout(&addr, IO_TIMEOUT);
+            }
+            #[cfg(unix)]
+            Listening::Uds(path) => {
+                let _ = std::os::unix::net::UnixStream::connect(path);
+            }
+        }
+    }
+}
+
+/// One worker's accept loop: block in `accept`, serve each connection
+/// to completion, recheck the stop flag. A connection accepted after
+/// the flag is set — a [`ServerState::request_stop`] wake, or a client
+/// too late — is dropped unserved, so it leaves no record. Connection
 /// handling is panic-contained a second time here so even a bug in
 /// transport parsing (outside [`ServerState::handle`]'s containment)
 /// can never take the worker down.
@@ -997,17 +1061,18 @@ fn accept_loop<S>(
     serve: impl Fn(&ServerState, S),
 ) {
     while !state.stopping() {
-        match accept() {
+        let accepted = accept();
+        if state.stopping() {
+            return;
+        }
+        match accepted {
             Ok(stream) => {
                 let result = catch_unwind(AssertUnwindSafe(|| serve(state, stream)));
                 if result.is_err() {
                     state.metrics.add("serve.connection.panics", 1);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }

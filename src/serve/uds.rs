@@ -131,15 +131,18 @@ fn protocol_error(message: &str) -> Response {
 
 /// Writes one response as a single JSON line. The body rides inside
 /// the JSON string, so embedded newlines in generated Java cannot
-/// break the framing.
+/// break the framing. The frame is rendered first and written with
+/// one `write_all`: formatting straight onto the unbuffered socket
+/// would cost one `write(2)` per formatting fragment.
 fn write_line(writer: &mut UnixStream, response: &Response) -> std::io::Result<()> {
     let doc = Json::Obj(vec![
         ("class".to_owned(), Json::Str(response.class.to_owned())),
         ("code".to_owned(), Json::Num(f64::from(response.code))),
         ("body".to_owned(), Json::Str(response.body.clone())),
     ]);
-    writeln!(writer, "{doc}")?;
-    writer.flush()
+    let mut frame = doc.to_string();
+    frame.push('\n');
+    writer.write_all(frame.as_bytes())
 }
 
 /// Client side: sends request lines over `path` and returns one parsed

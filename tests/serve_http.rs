@@ -5,8 +5,10 @@
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
-use cognicryptgen::serve::{http, ServeConfig, Server};
+use cognicryptgen::serve::{http, ServeConfig, Server, ServerHandle, ServerState};
 use cognicryptgen::usecases::all_use_cases;
 use devharness::json::Json;
 
@@ -474,5 +476,93 @@ fn uds_line_protocol_frames_one_json_response_per_request() {
     let responses = uds::request_lines(&socket, &["shutdown"]).expect("shutdown accepted");
     assert_eq!(responses[0].get("class").and_then(Json::as_str), Some("ok"));
     handle.join();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// How long a stopping daemon may take to end every worker. Workers
+/// block in `accept`, so a missed wake-up would hang for good; the
+/// bound turns that into a failure.
+const STOP_BOUND: Duration = Duration::from_secs(10);
+
+/// Runs `stop` (which consumes the handle) on a thread and waits at
+/// most [`STOP_BOUND`] for it to return.
+fn stops_within_bound(handle: ServerHandle, stop: fn(ServerHandle)) {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        stop(handle);
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(STOP_BOUND)
+        .expect("every worker exits after the stop");
+}
+
+/// The request records in the daemon's `/tracez` ring, and its
+/// `serve.requests` counter.
+fn recorded(state: &ServerState) -> (usize, u64) {
+    let doc = state.obs().tracez_json(false);
+    let records = doc.get("records").and_then(Json::as_arr).unwrap().len();
+    (records, state.metrics().counter("serve.requests"))
+}
+
+fn four_worker_config(tag: &str) -> (ServeConfig, PathBuf) {
+    let dir = scratch(tag);
+    let config = ServeConfig {
+        http_addr: Some("127.0.0.1:0".to_owned()),
+        uds_path: Some(dir.join("daemon.sock")),
+        threads: 4,
+        ..ServeConfig::default()
+    };
+    (config, dir)
+}
+
+/// A protocol `shutdown` on either transport ends all eight workers of
+/// a four-worker daemon on both transports: the workers blocked in
+/// `accept` are woken by connections that leave no request record.
+#[cfg(unix)]
+#[test]
+fn protocol_shutdown_on_either_transport_stops_every_worker() {
+    use cognicryptgen::serve::uds;
+
+    for via in ["uds", "http"] {
+        let (config, dir) = four_worker_config(&format!("serve-stop-{via}"));
+        let socket = config.uds_path.clone().unwrap();
+        let handle = Server::start(&config).expect("daemon boots");
+        let addr = handle.http_addr().expect("http bound").to_string();
+        let state = handle.state().clone();
+
+        let (code, _) = http::request(&addr, "GET", "/generate/1", "").unwrap();
+        assert_eq!(code, 200);
+        let responses = uds::request_lines(&socket, &["generate 2"]).unwrap();
+        assert_eq!(responses[0].get("class").and_then(Json::as_str), Some("ok"));
+
+        if via == "uds" {
+            let responses = uds::request_lines(&socket, &["shutdown"]).unwrap();
+            assert_eq!(responses[0].get("class").and_then(Json::as_str), Some("ok"));
+        } else {
+            let (code, _) = http::request(&addr, "POST", "/shutdown", "").unwrap();
+            assert_eq!(code, 200);
+        }
+        stops_within_bound(handle, ServerHandle::join);
+
+        // Both listeners are closed, and only the three requests above
+        // were recorded: no wake-up became a `rejected` record.
+        assert!(std::net::TcpStream::connect(&addr).is_err(), "{via}");
+        assert_eq!(recorded(&state), (3, 3), "{via}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// `ServerHandle::shutdown` on a daemon that never served a request
+/// returns, and its wake-ups leave no record either.
+#[cfg(unix)]
+#[test]
+fn handle_shutdown_of_an_idle_daemon_returns() {
+    let (config, dir) = four_worker_config("serve-stop-idle");
+    let handle = Server::start(&config).expect("daemon boots");
+    let state = handle.state().clone();
+    stops_within_bound(handle, ServerHandle::shutdown);
+    assert_eq!(recorded(&state), (0, 0));
+    assert!(!config.uds_path.unwrap().exists());
     let _ = fs::remove_dir_all(&dir);
 }
