@@ -12,7 +12,11 @@
 //!   `TraceRecorder` (reset between iterations so the event vector
 //!   cannot grow without bound);
 //! * `memtrack/*` — microbenches of the raw accounting primitives: an
-//!   `AllocScope` open/close pair, and one counted heap round trip;
+//!   `AllocScope` open/close pair and one counted heap round trip, both
+//!   with process-wide accounting off; then, with it on (as in the
+//!   daemon), two threads doing counted heap round trips at once — the
+//!   row that catches shared counters back on the per-allocation path,
+//!   where two threads contend on the same cache lines;
 //! * `serve/*` — the daemon's per-request hot path
 //!   (`ServerState::handle` on a warm `generate`) with the
 //!   observability layer at its default ring capacity versus capacity 0
@@ -28,11 +32,12 @@
 //! Run with: `cargo bench -p cognicrypt-bench --bench telemetry`.
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use devharness::bench::Harness;
 
-use cognicrypt_core::memtrack::{AllocScope, TrackingAlloc};
+use cognicrypt_core::memtrack::{self, AllocScope, TrackingAlloc};
 use cognicrypt_core::telemetry::TraceRecorder;
 use cognicrypt_core::{GenEngine, NoopObserver, Template};
 use javamodel::jca::jca_type_table;
@@ -57,6 +62,12 @@ const MAX_OVERHEAD: f64 = 10.0;
 /// constant-time against a generation that parses nothing but still
 /// renders Java source.
 const SERVE_MAX_OVERHEAD: f64 = 1.3;
+
+/// Counted heap round trips each of the two threads does per iteration
+/// of `memtrack/process_heap_roundtrip_t2`: enough to lift the
+/// iteration above `bench_compare`'s 10 µs noise floor, so the gate
+/// covers it.
+const CONTENDED_ROUNDTRIPS: usize = 2048;
 
 fn warm_engine(observer: Arc<dyn cognicrypt_core::GenObserver>) -> GenEngine {
     let engine = GenEngine::builder()
@@ -104,11 +115,43 @@ fn bench_memtrack_primitives(h: &mut Harness) {
         let scope = AllocScope::enter();
         black_box(scope.finish());
     });
-    h.bench("counted_heap_roundtrip", || {
-        let v: Vec<u8> = Vec::with_capacity(black_box(4096));
-        black_box(&v);
-        drop(v);
+    h.bench("counted_heap_roundtrip", heap_roundtrip);
+
+    // Runs after the rows above so that they measure with process-wide
+    // accounting off; the `serve/*` rows that follow enable it anyway.
+    memtrack::enable_process_stats();
+    let started = AtomicUsize::new(0);
+    let finished = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut seen = 0;
+            while !stop.load(Ordering::Acquire) {
+                if started.load(Ordering::Acquire) == seen {
+                    std::thread::yield_now();
+                    continue;
+                }
+                seen += 1;
+                (0..CONTENDED_ROUNDTRIPS).for_each(|_| heap_roundtrip());
+                finished.store(seen, Ordering::Release);
+            }
+        });
+        h.bench("process_heap_roundtrip_t2", || {
+            let round = started.fetch_add(1, Ordering::AcqRel) + 1;
+            (0..CONTENDED_ROUNDTRIPS).for_each(|_| heap_roundtrip());
+            while finished.load(Ordering::Acquire) != round {
+                std::thread::yield_now();
+            }
+        });
+        stop.store(true, Ordering::Release);
     });
+}
+
+/// One counted heap round trip: a 4 KiB allocation and its free.
+fn heap_roundtrip() {
+    let v: Vec<u8> = Vec::with_capacity(black_box(4096));
+    black_box(&v);
+    drop(v);
 }
 
 fn bench_serve_hot_path(h: &mut Harness) -> (u64, u64) {

@@ -19,6 +19,14 @@
 //!   *scope-relative* peak of live bytes. Scopes nest; a scope dropped
 //!   on an error path restores the enclosing scope's peak tracking
 //!   exactly as a finished one does.
+//! * [`process_stats`] — opt-in process-wide totals for a long-lived
+//!   daemon ([`enable_process_stats`]): allocated, live and peak live
+//!   bytes across every thread. Each thread keeps accumulating in its
+//!   `Cell`s and publishes its drift into shared atomics only once per
+//!   [`BATCH`] bytes, when its outermost [`AllocScope`] closes, or when
+//!   it calls [`process_stats`] itself — so the figures may lag the
+//!   truth by less than `BATCH` per allocating thread, and worker
+//!   threads do not contend on shared cache lines per allocation.
 //!
 //! Determinism: every [`AllocDelta`] field depends only on the
 //! allocation/free sequence executed *inside* the scope on its own
@@ -47,18 +55,28 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 /// allocations measured" from "the tracking allocator is not installed".
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-/// Process-wide accounting is opt-in: a long-lived daemon needs a
-/// *daemon-lifetime* peak that spans every worker thread, but the
-/// cross-thread atomics that requires would tax the allocation hot path
-/// of every short-lived CLI run that never asks for them.
+/// Process-wide accounting is opt-in: only a long-lived daemon needs a
+/// *daemon-lifetime* peak that spans every worker thread, so one-shot
+/// runs skip the cross-thread publishing altogether.
 static PROCESS_ENABLED: AtomicBool = AtomicBool::new(false);
-/// Bytes allocated process-wide since [`enable_process_stats`].
+/// Bytes allocated process-wide since [`enable_process_stats`], as
+/// published by the threads (see [`BATCH`]).
 static PROCESS_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 /// Net live bytes process-wide since [`enable_process_stats`] (signed:
-/// memory allocated before enablement may be freed after it).
+/// memory allocated before enablement may be freed after it), as
+/// published by the threads.
 static PROCESS_LIVE: AtomicI64 = AtomicI64::new(0);
 /// Running maximum of [`PROCESS_LIVE`].
 static PROCESS_PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// How far, in bytes, a thread's allocated or live count may drift from
+/// what it last published to the process-wide counters before the
+/// allocator publishes it. Between publishes a thread touches only its
+/// own `Cell`s, so the shared cache lines see one `fetch_add` per total
+/// and one `fetch_max` per `BATCH` bytes of traffic, not per
+/// allocation. The price is lag: each [`ProcessStats`] figure may trail
+/// the truth by less than `BATCH` per thread that allocates.
+pub const BATCH: u64 = 16 * 1024;
 
 /// The per-thread counters behind the allocator and [`AllocScope`].
 struct Tls {
@@ -78,6 +96,56 @@ struct Tls {
     peak: Cell<i64>,
     /// Currently open [`AllocScope`]s on this thread.
     scope_depth: Cell<usize>,
+    /// Whether this thread has taken its baseline for the process-wide
+    /// counters: the first accounting step that sees them enabled
+    /// marks everything before it as already published, so they count
+    /// from enablement.
+    joined: Cell<bool>,
+    /// `allocated` as of this thread's last publish.
+    published_allocated: Cell<u64>,
+    /// `live` as of this thread's last publish.
+    published_live: Cell<i64>,
+}
+
+impl Tls {
+    /// Takes the baseline on the first call after enablement; returns
+    /// whether process-wide accounting is on.
+    #[inline]
+    fn join_process(&self) -> bool {
+        if !PROCESS_ENABLED.load(Ordering::Relaxed) {
+            return false;
+        }
+        if !self.joined.get() {
+            self.joined.set(true);
+            self.published_allocated.set(self.allocated.get());
+            self.published_live.set(self.live.get());
+        }
+        true
+    }
+
+    /// Adds this thread's unpublished drift to the process-wide
+    /// counters: one `fetch_add` per total, and one `fetch_max` on the
+    /// peak when live bytes grew. Out of line: it runs once per
+    /// [`BATCH`] bytes, and inlined it would bloat every record path.
+    #[cold]
+    #[inline(never)]
+    fn publish(&self) {
+        let allocated = self.allocated.get();
+        let live = self.live.get();
+        let grown = allocated.wrapping_sub(self.published_allocated.get());
+        let drift = live - self.published_live.get();
+        self.published_allocated.set(allocated);
+        self.published_live.set(live);
+        if grown != 0 {
+            PROCESS_ALLOCATED.fetch_add(grown, Ordering::Relaxed);
+        }
+        if drift != 0 {
+            let total = PROCESS_LIVE.fetch_add(drift, Ordering::Relaxed) + drift;
+            if drift > 0 {
+                PROCESS_PEAK.fetch_max(total, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 thread_local! {
@@ -90,6 +158,9 @@ thread_local! {
             live: Cell::new(0),
             peak: Cell::new(0),
             scope_depth: Cell::new(0),
+            joined: Cell::new(false),
+            published_allocated: Cell::new(0),
+            published_live: Cell::new(0),
         }
     };
 }
@@ -99,33 +170,37 @@ fn record_alloc(size: usize) {
     if !ACTIVE.load(Ordering::Relaxed) {
         ACTIVE.store(true, Ordering::Relaxed);
     }
-    if PROCESS_ENABLED.load(Ordering::Relaxed) {
-        PROCESS_ALLOCATED.fetch_add(size as u64, Ordering::Relaxed);
-        let live = PROCESS_LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-        PROCESS_PEAK.fetch_max(live, Ordering::Relaxed);
-    }
     // try_with: allocations during TLS teardown must not abort.
     let _ = TLS.try_with(|t| {
+        let process = t.join_process();
         let n = size as u64;
-        t.allocated.set(t.allocated.get().wrapping_add(n));
+        let allocated = t.allocated.get().wrapping_add(n);
+        t.allocated.set(allocated);
         t.allocations.set(t.allocations.get() + 1);
         let live = t.live.get() + size as i64;
         t.live.set(live);
         if live > t.peak.get() {
             t.peak.set(live);
         }
+        // Live drift never exceeds allocated drift, so one test bounds
+        // both from above.
+        if process && allocated.wrapping_sub(t.published_allocated.get()) >= BATCH {
+            t.publish();
+        }
     });
 }
 
 #[inline]
 fn record_free(size: usize) {
-    if PROCESS_ENABLED.load(Ordering::Relaxed) {
-        PROCESS_LIVE.fetch_sub(size as i64, Ordering::Relaxed);
-    }
     let _ = TLS.try_with(|t| {
+        let process = t.join_process();
         t.freed.set(t.freed.get().wrapping_add(size as u64));
         t.frees.set(t.frees.get() + 1);
-        t.live.set(t.live.get() - size as i64);
+        let live = t.live.get() - size as i64;
+        t.live.set(live);
+        if process && t.published_live.get() - live >= BATCH as i64 {
+            t.publish();
+        }
     });
 }
 
@@ -143,8 +218,11 @@ impl TrackingAlloc {
 }
 
 // SAFETY: every method forwards to `System` verbatim; the bookkeeping
-// around the forwarded call never allocates (plain `Cell` arithmetic)
-// and never observes the returned pointer beyond a null check.
+// around the forwarded call never allocates (`Cell` arithmetic and, once
+// per `BATCH` bytes, relaxed atomics on statics) and never observes the
+// returned pointer beyond a null check. The thread-local holds only
+// `Cell`s, so it registers no destructor: registering one can allocate
+// re-entrantly on some targets.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
@@ -186,9 +264,11 @@ pub fn is_active() -> bool {
 /// Turns on process-wide accounting (see [`process_stats`]). Counters
 /// start from zero *at the moment of the call*, so everything they
 /// report is relative to enablement — exactly the daemon-lifetime
-/// window a resident process wants. Enabling is idempotent and cannot
-/// be undone; without [`TrackingAlloc`] installed the counters simply
-/// stay zero.
+/// window a resident process wants: each thread takes its own counters
+/// at its first allocation, free or [`process_stats`] call after
+/// enablement as its baseline. Enabling is idempotent and cannot be
+/// undone; without [`TrackingAlloc`] installed the counters simply stay
+/// zero.
 pub fn enable_process_stats() {
     PROCESS_ENABLED.store(true, Ordering::Relaxed);
 }
@@ -196,6 +276,8 @@ pub fn enable_process_stats() {
 /// A snapshot of the process-wide counters accumulated since
 /// [`enable_process_stats`] — the cross-thread aggregate a daemon
 /// reports as its lifetime memory figures.
+/// Threads publish into the counters in batches, so each figure may lag
+/// the truth by less than [`BATCH`] per thread that allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProcessStats {
     /// Bytes allocated on any thread since enablement.
@@ -207,9 +289,14 @@ pub struct ProcessStats {
     pub peak_live_bytes: i64,
 }
 
-/// Reads the process-wide counters, or `None` when
-/// [`enable_process_stats`] was never called.
+/// Publishes the calling thread's drift, then reads the process-wide
+/// counters; `None` when [`enable_process_stats`] was never called.
 pub fn process_stats() -> Option<ProcessStats> {
+    let _ = TLS.try_with(|t| {
+        if t.join_process() {
+            t.publish();
+        }
+    });
     PROCESS_ENABLED
         .load(Ordering::Relaxed)
         .then(|| ProcessStats {
@@ -292,6 +379,8 @@ impl AllocDelta {
 /// becomes the max of its own and everything seen inside). A scope
 /// dropped without `finish` — e.g. on an error path unwinding through
 /// `?` — performs the same restoration, so nesting always balances.
+/// Closing a thread's outermost scope also publishes its drift to the
+/// process-wide counters when they are enabled (see [`process_stats`]).
 ///
 /// Not `Send`: the scope is meaningful only on the thread that opened
 /// it.
@@ -347,7 +436,11 @@ impl AllocScope {
                 peak_live_bytes: (t.peak.get() - self.start_live).max(0) as u64,
             };
             t.peak.set(t.peak.get().max(self.saved_peak));
-            t.scope_depth.set(t.scope_depth.get().saturating_sub(1));
+            let depth = t.scope_depth.get().saturating_sub(1);
+            t.scope_depth.set(depth);
+            if depth == 0 && t.join_process() {
+                t.publish();
+            }
             delta
         })
     }

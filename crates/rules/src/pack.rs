@@ -19,7 +19,9 @@
 //! ```
 //!
 //! Decoding verifies the checksum before any structural read, so a
-//! bit flip anywhere surfaces as one typed error, re-validates every
+//! bit flip anywhere surfaces as one typed error (on a mismatch, a walk
+//! of the structure tells a truncated file, reported with the offset
+//! where it ends, from one corrupted in place), re-validates every
 //! decoded rule with the same pass the parser runs, and enforces the
 //! seeding invariant: the artefact fingerprint set must equal the rule
 //! fingerprint set, so a decoded pack always pre-seeds the
@@ -29,7 +31,7 @@
 use std::collections::BTreeMap;
 
 use crysl::binfmt::{Reader, Writer};
-use crysl::{validate, CryslError, RuleSet};
+use crysl::{validate, CryslError, Rule, RuleSet};
 use statemachine::serial::{read_compiled_order, write_compiled_order};
 use statemachine::{order_fingerprint, CompiledOrder};
 
@@ -171,50 +173,37 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedPack, CryslError> {
     let declared = u64::from_le_bytes(trailer.try_into().expect("split_at leaves 8 bytes"));
     let actual = pack_checksum(payload);
     if declared != actual {
+        // A truncated file has no trailer: its last 8 bytes are pack
+        // content, so "declared" would be whatever they hold. Walk the
+        // structure, trailer included, over the whole file: a cut file
+        // runs out of bytes on an honest request, one no larger than the
+        // file; a read asking for more than that is a length corrupted
+        // in place.
+        let mut r = Reader::new(bytes);
+        let walk = read_body(&mut r).and_then(|_| r.u64());
+        if walk.is_err() && r.ran_out().is_some_and(|need| need <= bytes.len()) {
+            return Err(CryslError::pack(format!(
+                "truncated pack: the file ends at byte {}, inside the structure read at offset {}",
+                bytes.len(),
+                r.position()
+            )));
+        }
         return Err(CryslError::pack(format!(
             "checksum mismatch: file declares {declared:#018x}, content hashes to {actual:#018x}"
         )));
     }
 
     let mut r = Reader::new(payload);
-    let mut magic = [0u8; 4];
-    for b in &mut magic {
-        *b = r.u8()?;
-    }
-    if magic != PACK_MAGIC {
-        return Err(CryslError::pack(format!(
-            "bad magic {magic:?}: not a compiled rule pack"
-        )));
-    }
-    let version = r.u32()?;
-    if version != PACK_VERSION {
-        return Err(CryslError::pack(format!(
-            "unsupported pack format version {version} (this build reads {PACK_VERSION}); recompile the pack"
-        )));
-    }
-
-    let manifest = PackManifest {
-        name: r.str()?,
-        version: r.u32()?,
-    };
-
-    let rule_count = r.count()?;
+    let (manifest, rule_list, artefacts) = read_body(&mut r)?;
+    r.expect_end()?;
     let mut rules = RuleSet::new();
-    for _ in 0..rule_count {
-        let rule = crysl::binfmt::read_rule(&mut r)?;
+    for rule in rule_list {
         // Defense in depth: the checksum proves integrity, not honesty.
         // A well-formed pack built from a malicious writer must still
         // satisfy every invariant the parser enforces.
         validate::validate(&rule)?;
         rules.add(rule)?;
     }
-
-    let artefact_count = r.count()?;
-    let mut artefacts = Vec::with_capacity(artefact_count);
-    for _ in 0..artefact_count {
-        artefacts.push(read_compiled_order(&mut r)?);
-    }
-    r.expect_end()?;
 
     let mut rule_fps: Vec<u64> = rules.iter().map(order_fingerprint).collect();
     rule_fps.sort_unstable();
@@ -230,10 +219,48 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedPack, CryslError> {
 
     Ok(DecodedPack {
         rules,
-        version,
+        version: PACK_VERSION,
         manifest,
         artefacts,
     })
+}
+
+/// Reads everything between the start of the file and the checksum
+/// trailer: the magic and format version checks, the manifest, the
+/// rules (not yet validated) and the artefacts.
+fn read_body(
+    r: &mut Reader<'_>,
+) -> Result<(PackManifest, Vec<Rule>, Vec<CompiledOrder>), CryslError> {
+    let mut magic = [0u8; 4];
+    for b in &mut magic {
+        *b = r.u8()?;
+    }
+    if magic != PACK_MAGIC {
+        return Err(CryslError::pack(format!(
+            "bad magic {magic:?}: not a compiled rule pack"
+        )));
+    }
+    let version = r.u32()?;
+    if version != PACK_VERSION {
+        return Err(CryslError::pack(format!(
+            "unsupported pack format version {version} (this build reads {PACK_VERSION}); recompile the pack"
+        )));
+    }
+    let manifest = PackManifest {
+        name: r.str()?,
+        version: r.u32()?,
+    };
+    let rule_count = r.count()?;
+    let mut rules = Vec::with_capacity(rule_count);
+    for _ in 0..rule_count {
+        rules.push(crysl::binfmt::read_rule(r)?);
+    }
+    let artefact_count = r.count()?;
+    let mut artefacts = Vec::with_capacity(artefact_count);
+    for _ in 0..artefact_count {
+        artefacts.push(read_compiled_order(r)?);
+    }
+    Ok((manifest, rules, artefacts))
 }
 
 #[cfg(test)]
@@ -292,6 +319,11 @@ mod tests {
                 matches!(err, CryslError::Pack { .. }),
                 "offset {offset}: {err}"
             );
+            // A flip in place is not mistaken for a cut file.
+            assert!(
+                err.to_string().contains("checksum mismatch"),
+                "offset {offset}: {err}"
+            );
             corrupted[offset] = bytes[offset];
         }
         // Flipping a bit in the checksum itself is also caught.
@@ -313,6 +345,15 @@ mod tests {
         ] {
             let err = decode(&bytes[..end]).unwrap_err();
             assert!(matches!(err, CryslError::Pack { .. }), "end {end}: {err}");
+        }
+        // Past the minimum size, a cut file names truncation and where
+        // the file ends instead of reading pack content as a checksum.
+        for end in [bytes.len() / 2, bytes.len() - 1] {
+            let err = decode(&bytes[..end]).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("truncated pack: the file ends at byte {end}")),
+                "end {end}: {err}"
+            );
         }
     }
 

@@ -202,6 +202,9 @@ fn serve_on_a_truncated_pack_exits_3() {
     let mut err = String::new();
     let _ = daemon.stderr.take().unwrap().read_to_string(&mut err);
     assert_eq!(status.code(), Some(3), "stderr: {err}");
-    assert!(err.contains("invalid rule pack"), "stderr: {err}");
+    assert!(
+        err.contains("invalid rule pack: truncated pack: the file ends at byte 100"),
+        "stderr: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,7 @@
-//! Memory-accounting and trace-export suite — the only test binary that
-//! installs [`TrackingAlloc`] as its global allocator, so it exercises
-//! the full memtrack stack the CLI ships with:
+//! Memory-accounting and trace-export suite. It installs
+//! [`TrackingAlloc`] as its global allocator, so it exercises the full
+//! memtrack stack the CLI ships with (`memtrack_process.rs` covers the
+//! process-wide counters the daemon enables):
 //!
 //! * allocator counters really move, and `AllocScope` windows balance —
 //!   including on error paths that unwind through `?`;
