@@ -3,24 +3,23 @@
 //! for the old generator vs. the Java code template for CogniCryptGEN.
 //!
 //! The numbers come from the *actual artefacts in this repository*: the
-//! eight XSL/Clafer files in `crates/oldgen` and the matching templates in
-//! `crates/usecases` (rendered to the Java the expert would write). The
-//! shape to compare against the paper: the new generator's templates are
-//! a fraction of the old artefacts, and need no extra languages.
+//! eight XSL/Clafer files in `crates/oldgen` and the matching Java
+//! templates in `crates/usecases/templates/`, counted below their header
+//! line. The shape to compare against the paper: the new generator's
+//! templates are a fraction of the old artefacts, and need no extra
+//! languages.
 //!
 //! The output is the markdown EXPERIMENTS.md embeds, and
 //! `crates/bench/tests/experiments.rs` fails when the two differ.
 //!
 //! Run with: `cargo run --release -p cognicrypt-bench --bin table2`
 
-use cognicrypt_core::template::render_java;
 use javamodel::printer::count_loc;
 use oldgen::old_gen_use_cases;
-use usecases::all_use_cases;
 
 fn main() {
     let old = old_gen_use_cases();
-    let new = all_use_cases();
+    let new = usecases::catalogue();
 
     println!("| # | Use case | XSL | Clafer | old total | Java template |");
     println!("|---|----------|-----|--------|-----------|---------------|");
@@ -33,7 +32,7 @@ fn main() {
             .expect("old-gen use cases are a subset of the new ones");
         let xsl = count_loc(o.xsl_source);
         let clafer = count_loc(o.clafer_source);
-        let java = count_loc(&render_java(&n.template));
+        let java = count_loc(n.java);
         println!(
             "| {} | {} | {xsl} | {clafer} | {} | {java} |",
             o.id,

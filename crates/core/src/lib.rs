@@ -28,24 +28,26 @@
 //! # Example
 //!
 //! ```
-//! use cognicrypt_core::template::{CrySlCodeGenerator, Template, TemplateMethod};
+//! use cognicrypt_core::template::parse_template;
 //! use cognicrypt_core::generate;
-//! use javamodel::ast::{Expr, JavaType, Stmt};
 //! use javamodel::jca::jca_type_table;
 //!
-//! let chain = CrySlCodeGenerator::get_instance()
-//!     .consider_crysl_rule("java.security.MessageDigest")
-//!     .add_parameter("data", "input")
-//!     .add_return_object("hash")
-//!     .build();
-//! let method = TemplateMethod::new("hash", JavaType::byte_array())
-//!     .param(JavaType::byte_array(), "data")
-//!     .pre(Stmt::decl_init(JavaType::byte_array(), "hash", Expr::null()))
-//!     .chain(chain)
-//!     .post(Stmt::Return(Some(Expr::var("hash"))));
-//! let template = Template::new("de.crypto.cognicrypt", "Hasher").method(method);
+//! let table = jca_type_table();
+//! let template = parse_template(r#"package de.crypto.cognicrypt;
+//!
+//! public class Hasher {
+//!     public byte[] hash(byte[] data) {
+//!         byte[] hash = null;
+//!         CrySLCodeGenerator.getInstance().
+//!             considerCrySLRule("java.security.MessageDigest").
+//!             addParameter(data, "input").
+//!             addReturnObject(hash).generate();
+//!         return hash;
+//!     }
+//! }
+//! "#, &table)?;
 //! let pack = rules::open(rules::PackSource::Embedded)?;
-//! let generated = generate(&template, &pack.rules, &jca_type_table())?;
+//! let generated = generate(&template, &pack.rules, &table)?;
 //! assert!(generated.java_source.contains("MessageDigest.getInstance(\"SHA-256\")"));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

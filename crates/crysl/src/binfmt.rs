@@ -110,26 +110,12 @@ impl Writer {
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
-    ran_out: Option<usize>,
 }
 
 impl<'a> Reader<'a> {
     /// A reader over the whole input.
     pub fn new(bytes: &'a [u8]) -> Self {
-        Reader {
-            bytes,
-            pos: 0,
-            ran_out: None,
-        }
-    }
-
-    /// The byte count a read asked for when it failed because the
-    /// input ends too soon — a value, a string or a collection count
-    /// reaching past the last byte — or `None` when no read did. A
-    /// truncated input runs out on an honest, small request; one
-    /// corrupted in place tends to run out on a garbage length.
-    pub fn ran_out(&self) -> Option<usize> {
-        self.ran_out
+        Reader { bytes, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -156,7 +142,6 @@ impl<'a> Reader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CryslError> {
         if self.remaining() < n {
-            self.ran_out = Some(n);
             return Err(CryslError::pack(format!(
                 "truncated input: need {n} bytes at offset {}, {} remain",
                 self.pos,
@@ -215,7 +200,6 @@ impl<'a> Reader<'a> {
     pub fn count(&mut self) -> Result<usize, CryslError> {
         let n = self.u32()? as usize;
         if n > self.remaining() {
-            self.ran_out = Some(n);
             return Err(CryslError::pack(format!(
                 "impossible collection count {n} at offset {} ({} bytes remain)",
                 self.pos,

@@ -64,13 +64,6 @@ fn print_method(out: &mut String, m: &MethodDecl) {
     let _ = writeln!(out, "    }}");
 }
 
-/// Renders one statement at the given indentation level (four spaces per
-/// level), appending to `out`. Public so template renderers can reuse the
-/// exact statement syntax of generated code.
-pub fn print_stmt_to(out: &mut String, s: &Stmt, level: usize) {
-    print_stmt(out, s, level);
-}
-
 fn indent(out: &mut String, level: usize) {
     for _ in 0..level {
         out.push_str("    ");

@@ -126,9 +126,9 @@ impl WorkloadSpec {
 }
 
 /// Every shipped use-case id in catalogue order (hottest first under
-/// the zipf skew).
+/// the zipf skew), read from the template files' headers.
 pub fn catalogue_ids() -> Vec<u8> {
-    usecases::all_use_cases().iter().map(|u| u.id).collect()
+    usecases::catalogue().iter().map(|f| f.id).collect()
 }
 
 /// A seeded zipf(s) sampler over ranks `0..n`: rank `k` has weight

@@ -7,6 +7,8 @@
 //! ```text
 //! magic            4 bytes   "CRPK"
 //! format version   u32       PACK_VERSION
+//! total length     u64       byte length of the whole file, checksum
+//!                            included
 //! pack name        u32-length-prefixed UTF-8 ([`PackManifest::name`])
 //! pack version     u32       ([`PackManifest::version`])
 //! rule count       u32
@@ -19,9 +21,9 @@
 //! ```
 //!
 //! Decoding verifies the checksum before any structural read, so a
-//! bit flip anywhere surfaces as one typed error (on a mismatch, a walk
-//! of the structure tells a truncated file, reported with the offset
-//! where it ends, from one corrupted in place), re-validates every
+//! bit flip anywhere surfaces as one typed error (on a mismatch, a file
+//! shorter than its declared total length is reported as truncated,
+//! any other as corrupted in place), re-validates every
 //! decoded rule with the same pass the parser runs, and enforces the
 //! seeding invariant: the artefact fingerprint set must equal the rule
 //! fingerprint set, so a decoded pack always pre-seeds the
@@ -31,7 +33,7 @@
 use std::collections::BTreeMap;
 
 use crysl::binfmt::{Reader, Writer};
-use crysl::{validate, CryslError, Rule, RuleSet};
+use crysl::{validate, CryslError, RuleSet};
 use statemachine::serial::{read_compiled_order, write_compiled_order};
 use statemachine::{order_fingerprint, CompiledOrder};
 
@@ -42,12 +44,17 @@ pub const PACK_MAGIC: [u8; 4] = *b"CRPK";
 /// only accepts its own version, so stale packs fail fast with a typed
 /// error telling the operator to recompile. Version 2 added the pack
 /// manifest (name + pack version) between the format version and the
-/// rule table.
-pub const PACK_VERSION: u32 = 2;
+/// rule table; version 3 added the total length after the format
+/// version, so a cut file is told from one corrupted in place.
+pub const PACK_VERSION: u32 = 3;
 
-/// Smallest byte count any structurally plausible pack can have:
-/// magic + format version + empty manifest + two zero counts + checksum.
-const MIN_PACK_BYTES: usize = 4 + 4 + 4 + 4 + 4 + 4 + 8;
+/// Offset of the total-length field.
+const LENGTH_AT: usize = 8;
+
+/// Smallest byte count any structurally plausible pack can have: the
+/// magic, format version and total length, an empty manifest, two zero
+/// counts and the checksum.
+const MIN_PACK_BYTES: usize = 4 + 4 + 8 + 4 + 4 + 4 + 4 + 8;
 
 /// The pack manifest: which named catalog pack (at which rule-set
 /// version) the file was compiled from. Distinct from the *format*
@@ -120,9 +127,20 @@ pub fn encode(rules: &RuleSet, manifest: &PackManifest) -> Result<Vec<u8>, Crysl
             slot.insert(artefact);
         }
     }
+    Ok(write_pack(rules, manifest, artefacts.values()))
+}
+
+/// Lays out a pack: header, manifest, rules, artefacts, then the total
+/// length is filled in and the checksum appended.
+fn write_pack<'a>(
+    rules: &RuleSet,
+    manifest: &PackManifest,
+    artefacts: impl ExactSizeIterator<Item = &'a CompiledOrder>,
+) -> Vec<u8> {
     let mut w = Writer::new();
     w.raw(&PACK_MAGIC);
     w.u32(PACK_VERSION);
+    w.u64(0);
     w.str(&manifest.name);
     w.u32(manifest.version);
     w.count(rules.len());
@@ -130,13 +148,15 @@ pub fn encode(rules: &RuleSet, manifest: &PackManifest) -> Result<Vec<u8>, Crysl
         crysl::binfmt::write_rule(&mut w, rule);
     }
     w.count(artefacts.len());
-    for artefact in artefacts.values() {
+    for artefact in artefacts {
         write_compiled_order(&mut w, artefact);
     }
     let mut bytes = w.into_bytes();
+    let total = bytes.len() as u64 + 8;
+    bytes[LENGTH_AT..LENGTH_AT + 8].copy_from_slice(&total.to_le_bytes());
     let checksum = pack_checksum(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
-    Ok(bytes)
+    bytes
 }
 
 /// A successfully decoded pack: the re-validated rules, the format
@@ -164,8 +184,12 @@ pub struct DecodedPack {
 /// decoded rule fails re-validation. Never panics on hostile input.
 pub fn decode(bytes: &[u8]) -> Result<DecodedPack, CryslError> {
     if bytes.len() < MIN_PACK_BYTES {
+        let magic = &bytes[..bytes.len().min(4)];
+        if !PACK_MAGIC.starts_with(magic) {
+            return Err(bad_magic(magic));
+        }
         return Err(CryslError::pack(format!(
-            "pack of {} bytes is smaller than the {MIN_PACK_BYTES}-byte minimum",
+            "truncated pack: the file ends at byte {}, short of the {MIN_PACK_BYTES}-byte minimum",
             bytes.len()
         )));
     }
@@ -173,19 +197,14 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedPack, CryslError> {
     let declared = u64::from_le_bytes(trailer.try_into().expect("split_at leaves 8 bytes"));
     let actual = pack_checksum(payload);
     if declared != actual {
-        // A truncated file has no trailer: its last 8 bytes are pack
-        // content, so "declared" would be whatever they hold. Walk the
-        // structure, trailer included, over the whole file: a cut file
-        // runs out of bytes on an honest request, one no larger than the
-        // file; a read asking for more than that is a length corrupted
-        // in place.
-        let mut r = Reader::new(bytes);
-        let walk = read_body(&mut r).and_then(|_| r.u64());
-        if walk.is_err() && r.ran_out().is_some_and(|need| need <= bytes.len()) {
+        // A cut file has no trailer: its last 8 bytes are pack content.
+        // Its header still declares the length it had.
+        let length = &bytes[LENGTH_AT..LENGTH_AT + 8];
+        let total = u64::from_le_bytes(length.try_into().expect("an 8-byte slice"));
+        if (bytes.len() as u64) < total {
             return Err(CryslError::pack(format!(
-                "truncated pack: the file ends at byte {}, inside the structure read at offset {}",
-                bytes.len(),
-                r.position()
+                "truncated pack: the file ends at byte {}, its header declares {total} bytes",
+                bytes.len()
             )));
         }
         return Err(CryslError::pack(format!(
@@ -194,16 +213,49 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedPack, CryslError> {
     }
 
     let mut r = Reader::new(payload);
-    let (manifest, rule_list, artefacts) = read_body(&mut r)?;
-    r.expect_end()?;
+    let mut magic = [0u8; 4];
+    for b in &mut magic {
+        *b = r.u8()?;
+    }
+    if magic != PACK_MAGIC {
+        return Err(bad_magic(&magic));
+    }
+    let version = r.u32()?;
+    if version != PACK_VERSION {
+        return Err(CryslError::pack(format!(
+            "unsupported pack format version {version} (this build reads {PACK_VERSION}); recompile the pack"
+        )));
+    }
+    let total = r.u64()?;
+    if total != bytes.len() as u64 {
+        return Err(CryslError::pack(format!(
+            "the header declares {total} bytes, the file has {}",
+            bytes.len()
+        )));
+    }
+
+    let manifest = PackManifest {
+        name: r.str()?,
+        version: r.u32()?,
+    };
+
+    let rule_count = r.count()?;
     let mut rules = RuleSet::new();
-    for rule in rule_list {
+    for _ in 0..rule_count {
+        let rule = crysl::binfmt::read_rule(&mut r)?;
         // Defense in depth: the checksum proves integrity, not honesty.
         // A well-formed pack built from a malicious writer must still
         // satisfy every invariant the parser enforces.
         validate::validate(&rule)?;
         rules.add(rule)?;
     }
+
+    let artefact_count = r.count()?;
+    let mut artefacts = Vec::with_capacity(artefact_count);
+    for _ in 0..artefact_count {
+        artefacts.push(read_compiled_order(&mut r)?);
+    }
+    r.expect_end()?;
 
     let mut rule_fps: Vec<u64> = rules.iter().map(order_fingerprint).collect();
     rule_fps.sort_unstable();
@@ -219,48 +271,14 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedPack, CryslError> {
 
     Ok(DecodedPack {
         rules,
-        version: PACK_VERSION,
+        version,
         manifest,
         artefacts,
     })
 }
 
-/// Reads everything between the start of the file and the checksum
-/// trailer: the magic and format version checks, the manifest, the
-/// rules (not yet validated) and the artefacts.
-fn read_body(
-    r: &mut Reader<'_>,
-) -> Result<(PackManifest, Vec<Rule>, Vec<CompiledOrder>), CryslError> {
-    let mut magic = [0u8; 4];
-    for b in &mut magic {
-        *b = r.u8()?;
-    }
-    if magic != PACK_MAGIC {
-        return Err(CryslError::pack(format!(
-            "bad magic {magic:?}: not a compiled rule pack"
-        )));
-    }
-    let version = r.u32()?;
-    if version != PACK_VERSION {
-        return Err(CryslError::pack(format!(
-            "unsupported pack format version {version} (this build reads {PACK_VERSION}); recompile the pack"
-        )));
-    }
-    let manifest = PackManifest {
-        name: r.str()?,
-        version: r.u32()?,
-    };
-    let rule_count = r.count()?;
-    let mut rules = Vec::with_capacity(rule_count);
-    for _ in 0..rule_count {
-        rules.push(crysl::binfmt::read_rule(r)?);
-    }
-    let artefact_count = r.count()?;
-    let mut artefacts = Vec::with_capacity(artefact_count);
-    for _ in 0..artefact_count {
-        artefacts.push(read_compiled_order(r)?);
-    }
-    Ok((manifest, rules, artefacts))
+fn bad_magic(magic: &[u8]) -> CryslError {
+    CryslError::pack(format!("bad magic {magic:?}: not a compiled rule pack"))
 }
 
 #[cfg(test)]
@@ -343,17 +361,41 @@ mod tests {
             bytes.len() / 2,
             bytes.len() - 1,
         ] {
-            let err = decode(&bytes[..end]).unwrap_err();
-            assert!(matches!(err, CryslError::Pack { .. }), "end {end}: {err}");
-        }
-        // Past the minimum size, a cut file names truncation and where
-        // the file ends instead of reading pack content as a checksum.
-        for end in [bytes.len() / 2, bytes.len() - 1] {
             let err = decode(&bytes[..end]).unwrap_err().to_string();
             assert!(
                 err.contains(&format!("truncated pack: the file ends at byte {end}")),
                 "end {end}: {err}"
             );
+        }
+        assert!(decode(b"PNG")
+            .unwrap_err()
+            .to_string()
+            .contains("bad magic"));
+    }
+
+    /// What `compile-rules --embedded` writes: every cut of it reports
+    /// truncation, and no in-place bit flip outside the length field
+    /// does.
+    #[test]
+    fn cuts_read_as_truncation_and_flips_as_corruption() {
+        let bytes = crate::open_uncached(crate::PackSource::Embedded)
+            .unwrap()
+            .to_bytes()
+            .unwrap();
+        let length_field = LENGTH_AT..LENGTH_AT + 8;
+        let mut corrupted = bytes.clone();
+        for offset in (0..bytes.len()).step_by(37) {
+            let err = decode(&bytes[..offset]).unwrap_err().to_string();
+            assert!(err.contains("truncated pack"), "cut at {offset}: {err}");
+            for mask in [0x01, 0x10, 0x80] {
+                corrupted[offset] ^= mask;
+                let err = decode(&corrupted).unwrap_err().to_string();
+                assert!(
+                    length_field.contains(&offset) || !err.contains("truncated"),
+                    "flip {mask:#04x} at {offset}: {err}"
+                );
+                corrupted[offset] = bytes[offset];
+            }
         }
     }
 
@@ -384,22 +426,7 @@ mod tests {
             by_fp.into_values().collect()
         };
         artefacts.pop();
-        let mut w = Writer::new();
-        w.raw(&PACK_MAGIC);
-        w.u32(PACK_VERSION);
-        w.str("test");
-        w.u32(1);
-        w.count(rules.len());
-        for rule in rules.iter() {
-            crysl::binfmt::write_rule(&mut w, rule);
-        }
-        w.count(artefacts.len());
-        for a in &artefacts {
-            write_compiled_order(&mut w, a);
-        }
-        let mut bytes = w.into_bytes();
-        let checksum = pack_checksum(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        let bytes = write_pack(&rules, &manifest(), artefacts.iter());
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("all-hit"), "{err}");
     }

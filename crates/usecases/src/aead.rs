@@ -1,459 +1,77 @@
-//! Use cases 13–16: the authenticated-encryption family beyond plain
-//! AES-GCM (use case 12).
-//!
-//! These templates steer the widened Cipher rule towards the
-//! BouncyCastle-style AEAD providers the simulated JCA ships:
-//! `AES/GCM-SIV/NoPadding` (nonce-misuse-resistant, deterministic per
-//! key/nonce pair), `ChaCha20-Poly1305` (RFC 8439), and the unauthenticated
-//! `AES/CTR/NoPadding` stream mode for contrast. All pinning goes through
-//! the template idiom the paper's `addParameter` API enables: a pre-declared
-//! constant bound to the rule variable.
+//! Use cases 13–16, the AEAD family (`uc13.java`–`uc16.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::symmetric::generate_key_chain;
-use crate::PACKAGE;
-
-/// Chain generating a fresh ChaCha20 key: the `KeyGenerator` rule with
-/// both choice points pinned away from their AES-first defaults.
-pub fn chacha_key_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::KEY_GENERATOR)
-        .add_parameter("chachaAlg", "alg")
-        .add_parameter("chachaKeySize", "keySize")
-        .add_return_object("key")
-        .build()
-}
-
-/// AEAD encryption chain parameterized over the nonce container: GCM-family
-/// transformations take a `GCMParameterSpec`, stream AEADs an
-/// `IvParameterSpec`.
-pub(crate) fn aead_encrypt_chain(spec_rule: &str) -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::SECURE_RANDOM)
-        .add_parameter("nonce", "out")
-        .consider_crysl_rule(spec_rule)
-        .add_parameter("nonce", "iv")
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("transformation", "transformation")
-        .add_parameter("key", "key")
-        .add_parameter("plainText", "plainText")
-        .add_return_object("cipherText")
-        .build()
-}
-
-/// The matching decryption chain (`mode = 2` bound by the template).
-pub(crate) fn aead_decrypt_chain(spec_rule: &str) -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(spec_rule)
-        .add_parameter("nonce", "iv")
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("transformation", "transformation")
-        .add_parameter("mode", "encmode")
-        .add_parameter("key", "key")
-        .add_parameter("encrypted", "plainText")
-        .add_return_object("decrypted")
-        .build()
-}
-
-/// `seal(plainText, key) -> nonce || cipherText` for a pinned
-/// transformation and nonce length.
-pub(crate) fn seal_method(transformation: &str, spec_rule: &str, nonce_len: i64) -> TemplateMethod {
-    TemplateMethod::new("seal", JavaType::byte_array())
-        .param(JavaType::byte_array(), "plainText")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::string(),
-            "transformation",
-            Expr::str(transformation),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "nonce",
-            Expr::new_array(JavaType::Byte, Expr::int(nonce_len)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(aead_encrypt_chain(spec_rule))
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::BYTE_ARRAYS,
-            "concat",
-            vec![Expr::var("nonce"), Expr::var("cipherText")],
-        ))))
-}
-
-/// `open(data, key)` splitting `data = nonce || cipherText` back apart.
-pub(crate) fn open_method(transformation: &str, spec_rule: &str, nonce_len: i64) -> TemplateMethod {
-    TemplateMethod::new("open", JavaType::byte_array())
-        .param(JavaType::byte_array(), "data")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::string(),
-            "transformation",
-            Expr::str(transformation),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "nonce",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![Expr::var("data"), Expr::int(0), Expr::int(nonce_len)],
-            ),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "encrypted",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![
-                    Expr::var("data"),
-                    Expr::int(nonce_len),
-                    Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var("data")]),
-                ],
-            ),
-        ))
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(aead_decrypt_chain(spec_rule))
-        .post(Stmt::Return(Some(Expr::var("decrypted"))))
-}
-
-/// `generateKey` via the plain AES chain.
-pub(crate) fn aes_key_method() -> TemplateMethod {
-    TemplateMethod::new("generateKey", JavaType::class(names::SECRET_KEY))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "key",
-            Expr::null(),
-        ))
-        .chain(generate_key_chain())
-        .post(Stmt::Return(Some(Expr::var("key"))))
-}
-
-/// `generateKey` via the pinned ChaCha20 chain.
-fn chacha_key_method() -> TemplateMethod {
-    TemplateMethod::new("generateKey", JavaType::class(names::SECRET_KEY))
-        .pre(Stmt::decl_init(
-            JavaType::string(),
-            "chachaAlg",
-            Expr::str("ChaCha20"),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::Int,
-            "chachaKeySize",
-            Expr::int(256),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "key",
-            Expr::null(),
-        ))
-        .chain(chacha_key_chain())
-        .post(Stmt::Return(Some(Expr::var("key"))))
-}
-
-/// Use case 13: nonce-misuse-resistant encryption with AES-GCM-SIV.
-pub fn gcm_siv_encryption() -> Template {
-    Template::new(PACKAGE, "DeterministicAeadEncryptor")
-        .method(aes_key_method())
-        .method(seal_method(
-            "AES/GCM-SIV/NoPadding",
-            names::GCM_PARAMETER_SPEC,
-            12,
-        ))
-        .method(open_method(
-            "AES/GCM-SIV/NoPadding",
-            names::GCM_PARAMETER_SPEC,
-            12,
-        ))
-}
-
-/// Use case 14: ChaCha20-Poly1305 encryption of byte arrays.
-pub fn chacha_poly_encryption() -> Template {
-    Template::new(PACKAGE, "ChaChaPolyEncryptor")
-        .method(chacha_key_method())
-        .method(seal_method(
-            "ChaCha20-Poly1305",
-            names::IV_PARAMETER_SPEC,
-            12,
-        ))
-        .method(open_method(
-            "ChaCha20-Poly1305",
-            names::IV_PARAMETER_SPEC,
-            12,
-        ))
-}
-
-/// Use case 15: ChaCha20-Poly1305 encryption of strings — the same
-/// fluent-API chains as use case 14 with string glue, mirroring how the
-/// paper's use cases 1–3 and 5–7 differ only in wrapper code.
-pub fn chacha_poly_strings() -> Template {
-    let seal = TemplateMethod::new("sealText", JavaType::byte_array())
-        .param(JavaType::string(), "text")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "plainText",
-            Expr::call(Expr::var("text"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::string(),
-            "transformation",
-            Expr::str("ChaCha20-Poly1305"),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "nonce",
-            Expr::new_array(JavaType::Byte, Expr::int(12)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(aead_encrypt_chain(names::IV_PARAMETER_SPEC))
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::BYTE_ARRAYS,
-            "concat",
-            vec![Expr::var("nonce"), Expr::var("cipherText")],
-        ))));
-
-    let open = TemplateMethod::new("openText", JavaType::string())
-        .param(JavaType::byte_array(), "data")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::string(),
-            "transformation",
-            Expr::str("ChaCha20-Poly1305"),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "nonce",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![Expr::var("data"), Expr::int(0), Expr::int(12)],
-            ),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "encrypted",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![
-                    Expr::var("data"),
-                    Expr::int(12),
-                    Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var("data")]),
-                ],
-            ),
-        ))
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(aead_decrypt_chain(names::IV_PARAMETER_SPEC))
-        .post(Stmt::Return(Some(Expr::new_object(
-            names::STRING,
-            vec![Expr::var("decrypted")],
-        ))));
-
-    Template::new(PACKAGE, "ChaChaPolyStringEncryptor")
-        .method(chacha_key_method())
-        .method(seal)
-        .method(open)
-}
-
-/// Use case 16: AES-CTR stream encryption (unauthenticated, for payloads
-/// whose integrity is protected elsewhere, e.g. by a MAC from the token
-/// family). The simulated provider's CTR layout is nonce (12 bytes) plus
-/// a 4-byte block counter, so the IV length matches the AEAD modes.
-pub fn ctr_encryption() -> Template {
-    Template::new(PACKAGE, "CtrStreamEncryptor")
-        .method(aes_key_method())
-        .method(seal_method(
-            "AES/CTR/NoPadding",
-            names::IV_PARAMETER_SPEC,
-            12,
-        ))
-        .method(open_method(
-            "AES/CTR/NoPadding",
-            names::IV_PARAMETER_SPEC,
-            12,
-        ))
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{chain_rules, generated, template, Run};
+    use interp::Value;
 
-    fn generated(t: &Template) -> cognicrypt_core::Generated {
-        generate(
-            t,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap()
-    }
-
-    fn roundtrip(t: &Template, cls: &str, seal: &str, open: &str) {
-        let generated = generated(t);
-        let mut interp = Interpreter::new(&generated.unit);
-        let key = interp
-            .call_static_style(cls, "generateKey", vec![])
-            .unwrap();
-        let sealed = interp
-            .call_static_style(
-                cls,
-                seal,
-                vec![Value::bytes(b"aead family payload".to_vec()), key.clone()],
-            )
-            .unwrap();
-        let opened = interp
-            .call_static_style(cls, open, vec![sealed, key])
-            .unwrap();
-        assert_eq!(opened.as_bytes().unwrap(), b"aead family payload");
+    /// Generates case `id`, checks that its source contains every one of
+    /// `needles`, and seals then opens a payload with a fresh key.
+    fn roundtrip(id: u8, needles: &[&str]) {
+        let g = generated(id);
+        for needle in needles {
+            assert!(g.java_source.contains(needle), "{}", g.java_source);
+        }
+        let mut run = Run::new(&g);
+        let key = run.call("generateKey", vec![]);
+        let payload = b"aead family payload".to_vec();
+        let sealed = run.call("seal", vec![Value::bytes(payload.clone()), key.clone()]);
+        let opened = run.call("open", vec![sealed, key]);
+        assert_eq!(opened.as_bytes().unwrap(), payload);
     }
 
     #[test]
     fn gcm_siv_pins_the_transformation_and_roundtrips() {
-        let g = generated(&gcm_siv_encryption());
-        assert!(
-            g.java_source.contains("\"AES/GCM-SIV/NoPadding\""),
-            "{}",
-            g.java_source
-        );
-        assert!(
-            g.java_source.contains("new GCMParameterSpec(128, nonce)"),
-            "{}",
-            g.java_source
-        );
         roundtrip(
-            &gcm_siv_encryption(),
-            "DeterministicAeadEncryptor",
-            "seal",
-            "open",
+            13,
+            &[
+                "\"AES/GCM-SIV/NoPadding\"",
+                "new GCMParameterSpec(128, nonce)",
+            ],
         );
     }
 
     #[test]
     fn gcm_siv_detects_tampering() {
-        let g = generated(&gcm_siv_encryption());
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "DeterministicAeadEncryptor";
-        let key = interp
-            .call_static_style(cls, "generateKey", vec![])
-            .unwrap();
-        let sealed = interp
-            .call_static_style(cls, "seal", vec![Value::bytes(b"pt".to_vec()), key.clone()])
-            .unwrap();
+        let g = generated(13);
+        let mut run = Run::new(&g);
+        let key = run.call("generateKey", vec![]);
+        let sealed = run.call("seal", vec![Value::bytes(b"pt".to_vec()), key.clone()]);
         let mut tampered = sealed.as_bytes().unwrap();
-        let last = tampered.len() - 1;
-        tampered[last] ^= 1;
-        let err = interp
-            .call_static_style(cls, "open", vec![Value::bytes(tampered), key])
+        *tampered.last_mut().unwrap() ^= 1;
+        let err = run
+            .try_call("open", vec![Value::bytes(tampered), key])
             .unwrap_err();
         assert!(err.message.contains("tag"), "{err}");
     }
 
     #[test]
     fn chacha_poly_generates_a_chacha_key_and_roundtrips() {
-        let g = generated(&chacha_poly_encryption());
-        assert!(
-            g.java_source
-                .contains("KeyGenerator.getInstance(chachaAlg)"),
-            "{}",
-            g.java_source
-        );
-        assert!(
-            g.java_source.contains("\"ChaCha20-Poly1305\""),
-            "{}",
-            g.java_source
-        );
         roundtrip(
-            &chacha_poly_encryption(),
-            "ChaChaPolyEncryptor",
-            "seal",
-            "open",
+            14,
+            &[
+                "KeyGenerator.getInstance(chachaAlg)",
+                "\"ChaCha20-Poly1305\"",
+            ],
         );
     }
 
     #[test]
     fn chacha_poly_strings_share_chains_with_byte_arrays() {
-        let b = chacha_poly_encryption();
-        let s = chacha_poly_strings();
-        let rules_of = |t: &Template| -> Vec<Vec<String>> {
-            t.methods
-                .iter()
-                .filter_map(|m| m.chain.as_ref())
-                .map(|c| c.entries.iter().map(|e| e.rule.clone()).collect())
-                .collect()
-        };
-        assert_eq!(rules_of(&b), rules_of(&s));
-        assert_ne!(b, s);
-
-        let g = generated(&s);
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "ChaChaPolyStringEncryptor";
-        let key = interp
-            .call_static_style(cls, "generateKey", vec![])
-            .unwrap();
-        let sealed = interp
-            .call_static_style(
-                cls,
-                "sealText",
-                vec![Value::Str("string payload".to_owned()), key.clone()],
-            )
-            .unwrap();
-        let opened = interp
-            .call_static_style(cls, "openText", vec![sealed, key])
-            .unwrap();
+        assert_eq!(chain_rules(template(14)), chain_rules(template(15)));
+        assert_ne!(template(14), template(15));
+        let g = generated(15);
+        let mut run = Run::new(&g);
+        let key = run.call("generateKey", vec![]);
+        let sealed = run.call(
+            "sealText",
+            vec![Value::Str("string payload".to_owned()), key.clone()],
+        );
+        let opened = run.call("openText", vec![sealed, key]);
         assert_eq!(opened.as_str().unwrap(), "string payload");
     }
 
     #[test]
     fn ctr_streams_roundtrip() {
-        let g = generated(&ctr_encryption());
-        assert!(
-            g.java_source.contains("\"AES/CTR/NoPadding\""),
-            "{}",
-            g.java_source
-        );
-        roundtrip(&ctr_encryption(), "CtrStreamEncryptor", "seal", "open");
-    }
-
-    #[test]
-    fn aead_family_is_sast_clean() {
-        for t in [
-            gcm_siv_encryption(),
-            chacha_poly_encryption(),
-            chacha_poly_strings(),
-            ctr_encryption(),
-        ] {
-            let g = generated(&t);
-            let misuses = sast::analyze_unit(
-                &g.unit,
-                &rules::open(rules::PackSource::Embedded).unwrap().rules,
-                &jca_type_table(),
-                sast::AnalyzerOptions::default(),
-            );
-            assert!(misuses.is_empty(), "{}: {misuses:?}", t.class_name);
-        }
+        roundtrip(16, &["\"AES/CTR/NoPadding\""]);
     }
 }

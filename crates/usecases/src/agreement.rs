@@ -1,447 +1,104 @@
-//! Use cases 17–21: key agreement and derivation chains.
-//!
-//! Diffie-Hellman (finite-field and elliptic-curve) agreement feeds HKDF
-//! key derivation, which feeds either an AEAD cipher or a MAC. These are
-//! the longest predicate chains in the catalogue:
-//! `generatedKeyPair → generatedKey → rawKey → rawKey → generatedKey`,
-//! crossing four rules before the payload operation runs.
+//! Use cases 17–21, the key-agreement family (`uc17.java`–`uc21.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::aead::{open_method, seal_method};
-use crate::PACKAGE;
-
-/// Chain generating a key pair with the algorithm pinned by the template
-/// (the rule's own preference is RSA, which cannot do agreement).
-pub fn pinned_key_pair_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::KEY_PAIR_GENERATOR)
-        .add_parameter("kpAlg", "alg")
-        .consider_crysl_rule(names::KEY_PAIR)
-        .add_return_object("keyPair")
-        .build()
-}
-
-/// `generateKeyPair()` for a pinned agreement algorithm (`"DH"` / `"EC"`).
-fn key_pair_method(alg: &str) -> TemplateMethod {
-    TemplateMethod::new("generateKeyPair", JavaType::class(names::KEY_PAIR))
-        .pre(Stmt::decl_init(JavaType::string(), "kpAlg", Expr::str(alg)))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::KEY_PAIR),
-            "keyPair",
-            Expr::null(),
-        ))
-        .chain(pinned_key_pair_chain())
-        .post(Stmt::Return(Some(Expr::var("keyPair"))))
-}
-
-/// `generateSalt()`: a fresh random salt for the derivation step. The
-/// chain has no return object — `nextBytes` fills the pre-declared array.
-fn salt_method() -> TemplateMethod {
-    TemplateMethod::new("generateSalt", JavaType::byte_array())
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "salt",
-            Expr::new_array(JavaType::Byte, Expr::int(16)),
-        ))
-        .chain(
-            CrySlCodeGenerator::get_instance()
-                .consider_crysl_rule(names::SECURE_RANDOM)
-                .add_parameter("salt", "out")
-                .build(),
-        )
-        .post(Stmt::Return(Some(Expr::var("salt"))))
-}
-
-/// Raw agreement chain: `KeyAgreement` with both keys supplied by the
-/// caller, optionally pinned to a non-default algorithm.
-fn agreement_chain(pin_alg: bool) -> GeneratorChain {
-    let mut g = CrySlCodeGenerator::get_instance().consider_crysl_rule(names::KEY_AGREEMENT);
-    if pin_alg {
-        g = g.add_parameter("kaAlg", "alg");
-    }
-    g.add_parameter("own", "ownKey")
-        .add_parameter("peer", "peerKey")
-        .add_return_object("secret")
-        .build()
-}
-
-/// `deriveSecret(own, peer) -> byte[]` for a raw-agreement use case.
-fn derive_secret_method(pin_alg: Option<&str>) -> TemplateMethod {
-    let mut m = TemplateMethod::new("deriveSecret", JavaType::byte_array())
-        .param(JavaType::class(names::PRIVATE_KEY), "own")
-        .param(JavaType::class(names::PUBLIC_KEY), "peer");
-    if let Some(alg) = pin_alg {
-        m = m.pre(Stmt::decl_init(JavaType::string(), "kaAlg", Expr::str(alg)));
-    }
-    m.pre(Stmt::decl_init(
-        JavaType::byte_array(),
-        "secret",
-        Expr::null(),
-    ))
-    .chain(agreement_chain(pin_alg.is_some()))
-    .post(Stmt::Return(Some(Expr::var("secret"))))
-}
-
-/// Use case 17: finite-field Diffie-Hellman shared-secret derivation.
-pub fn dh_agreement() -> Template {
-    Template::new(PACKAGE, "DhKeyAgreement")
-        .method(key_pair_method("DH"))
-        .method(derive_secret_method(None))
-}
-
-/// Use case 18: elliptic-curve Diffie-Hellman shared-secret derivation.
-pub fn ecdh_agreement() -> Template {
-    Template::new(PACKAGE, "EcdhKeyAgreement")
-        .method(key_pair_method("EC"))
-        .method(derive_secret_method(Some("ECDH")))
-}
-
-/// Full session-key derivation: agreement → HKDF → `SecretKeySpec`. The
-/// salt travels as a parameter so both sides can derive the same key; the
-/// HKDF output length and the key algorithm steer which cipher the session
-/// key fits.
-fn session_key_chain(pin_ka: bool, pin_out_len: bool, pin_key_alg: bool) -> GeneratorChain {
-    let mut g = CrySlCodeGenerator::get_instance().consider_crysl_rule(names::KEY_AGREEMENT);
-    if pin_ka {
-        g = g.add_parameter("kaAlg", "alg");
-    }
-    g = g
-        .add_parameter("own", "ownKey")
-        .add_parameter("peer", "peerKey")
-        .consider_crysl_rule(names::KDF)
-        .add_parameter("salt", "salt")
-        .add_parameter("info", "info");
-    if pin_out_len {
-        g = g.add_parameter("outLen", "outLen");
-    }
-    g = g.consider_crysl_rule(names::SECRET_KEY_SPEC);
-    if pin_key_alg {
-        g = g.add_parameter("keyAlg", "alg");
-    }
-    g.add_return_object("sessionKey").build()
-}
-
-/// `deriveSessionKey(own, peer, salt) -> SecretKey` with the given
-/// pinnings and context string.
-fn session_key_method(
-    info: &str,
-    ka_alg: Option<&str>,
-    out_len: Option<i64>,
-    key_alg: Option<&str>,
-) -> TemplateMethod {
-    let mut m = TemplateMethod::new("deriveSessionKey", JavaType::class(names::SECRET_KEY))
-        .param(JavaType::class(names::PRIVATE_KEY), "own")
-        .param(JavaType::class(names::PUBLIC_KEY), "peer")
-        .param(JavaType::byte_array(), "salt")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "info",
-            Expr::call(Expr::str(info), "getBytes", vec![]),
-        ));
-    if let Some(alg) = ka_alg {
-        m = m.pre(Stmt::decl_init(JavaType::string(), "kaAlg", Expr::str(alg)));
-    }
-    if let Some(len) = out_len {
-        m = m.pre(Stmt::decl_init(JavaType::Int, "outLen", Expr::int(len)));
-    }
-    if let Some(alg) = key_alg {
-        m = m.pre(Stmt::decl_init(
-            JavaType::string(),
-            "keyAlg",
-            Expr::str(alg),
-        ));
-    }
-    m.pre(Stmt::decl_init(
-        JavaType::class(names::SECRET_KEY),
-        "sessionKey",
-        Expr::null(),
-    ))
-    .chain(session_key_chain(
-        ka_alg.is_some(),
-        out_len.is_some(),
-        key_alg.is_some(),
-    ))
-    .post(Stmt::Return(Some(Expr::var("sessionKey"))))
-}
-
-/// Use case 19: DH-agreed AES-GCM session encryption. The HKDF output is
-/// pinned to 16 bytes because the simulated provider only implements
-/// AES-128.
-pub fn dh_session_encryption() -> Template {
-    Template::new(PACKAGE, "DhSessionEncryptor")
-        .method(key_pair_method("DH"))
-        .method(salt_method())
-        .method(session_key_method("dh-session", None, Some(16), None))
-        .method(seal_method(
-            "AES/GCM/NoPadding",
-            names::GCM_PARAMETER_SPEC,
-            12,
-        ))
-        .method(open_method(
-            "AES/GCM/NoPadding",
-            names::GCM_PARAMETER_SPEC,
-            12,
-        ))
-}
-
-/// Use case 20: ECDH-agreed ChaCha20-Poly1305 session encryption (the
-/// KDF's default 32-byte output is exactly a ChaCha20 key).
-pub fn ecdh_session_encryption() -> Template {
-    Template::new(PACKAGE, "EcdhSessionEncryptor")
-        .method(key_pair_method("EC"))
-        .method(salt_method())
-        .method(session_key_method(
-            "ecdh-session",
-            Some("ECDH"),
-            None,
-            Some("ChaCha20"),
-        ))
-        .method(seal_method(
-            "ChaCha20-Poly1305",
-            names::IV_PARAMETER_SPEC,
-            12,
-        ))
-        .method(open_method(
-            "ChaCha20-Poly1305",
-            names::IV_PARAMETER_SPEC,
-            12,
-        ))
-}
-
-/// Use case 21: message authentication under an agreed key — ECDH → HKDF
-/// → HMAC, the pattern of an authenticated channel without encryption.
-pub fn agreed_mac() -> Template {
-    let authenticate = TemplateMethod::new("authenticate", JavaType::byte_array())
-        .param(JavaType::byte_array(), "message")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(JavaType::byte_array(), "tag", Expr::null()))
-        .chain(
-            CrySlCodeGenerator::get_instance()
-                .consider_crysl_rule(names::MAC)
-                .add_parameter("key", "key")
-                .add_parameter("message", "input")
-                .add_return_object("tag")
-                .build(),
-        )
-        .post(Stmt::Return(Some(Expr::var("tag"))));
-
-    Template::new(PACKAGE, "AgreedMacAuthenticator")
-        .method(key_pair_method("EC"))
-        .method(salt_method())
-        .method({
-            let mut m = session_key_method("agreed-mac", Some("ECDH"), None, Some("HmacSHA256"));
-            m.name = "deriveMacKey".into();
-            m
-        })
-        .method(authenticate)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, key_pair_part, Run};
+    use interp::Value;
 
-    fn generated(t: &Template) -> cognicrypt_core::Generated {
-        generate(
-            t,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap()
-    }
-
-    /// Invokes a `KeyPair` accessor through a one-off helper program.
-    fn accessor(recv: Value, name: &str) -> Value {
-        use javamodel::ast::*;
-        let m = MethodDecl::new("acc", JavaType::class("java.lang.Object"))
-            .param(JavaType::class(names::KEY_PAIR), "kp")
-            .statement(Stmt::Return(Some(Expr::call(
-                Expr::var("kp"),
-                name,
-                vec![],
-            ))));
-        let unit = CompilationUnit::new("q").class(ClassDecl::new("Acc").method(m));
-        let mut helper = Interpreter::new(&unit);
-        helper.call_static_style("Acc", "acc", vec![recv]).unwrap()
-    }
-
-    /// Two key pairs plus the cross accessors: (aPriv, aPub, bPriv, bPub).
-    fn two_parties(interp: &mut Interpreter<'_>, cls: &str) -> (Value, Value, Value, Value) {
-        let a = interp
-            .call_static_style(cls, "generateKeyPair", vec![])
-            .unwrap();
-        let b = interp
-            .call_static_style(cls, "generateKeyPair", vec![])
-            .unwrap();
+    /// Two key pairs, split: (aPriv, aPub, bPriv, bPub).
+    fn two_parties(run: &mut Run<'_>) -> (Value, Value, Value, Value) {
+        let a = run.call("generateKeyPair", vec![]);
+        let b = run.call("generateKeyPair", vec![]);
         (
-            accessor(a.clone(), "getPrivate"),
-            accessor(a, "getPublic"),
-            accessor(b.clone(), "getPrivate"),
-            accessor(b, "getPublic"),
+            key_pair_part(a.clone(), "getPrivate"),
+            key_pair_part(a, "getPublic"),
+            key_pair_part(b.clone(), "getPrivate"),
+            key_pair_part(b, "getPublic"),
         )
+    }
+
+    /// Checks that case `id` contains every one of `needles`, then has
+    /// both parties derive its secret; returns the secret.
+    fn agree(id: u8, needles: &[&str]) -> Vec<u8> {
+        let g = generated(id);
+        for needle in needles {
+            assert!(g.java_source.contains(needle), "{}", g.java_source);
+        }
+        let mut run = Run::new(&g);
+        let (a_priv, a_pub, b_priv, b_pub) = two_parties(&mut run);
+        let s1 = run.call("deriveSecret", vec![a_priv, b_pub]);
+        let s2 = run.call("deriveSecret", vec![b_priv, a_pub]);
+        assert_eq!(s1.as_bytes().unwrap(), s2.as_bytes().unwrap());
+        s1.as_bytes().unwrap()
     }
 
     #[test]
     fn dh_agreement_pins_the_algorithm_and_both_sides_agree() {
-        let g = generated(&dh_agreement());
-        assert!(
-            g.java_source
-                .contains("KeyPairGenerator.getInstance(kpAlg)"),
-            "{}",
-            g.java_source
+        agree(
+            17,
+            &[
+                "KeyPairGenerator.getInstance(kpAlg)",
+                "KeyAgreement.getInstance(\"DH\")",
+            ],
         );
-        assert!(
-            g.java_source.contains("KeyAgreement.getInstance(\"DH\")"),
-            "{}",
-            g.java_source
-        );
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "DhKeyAgreement";
-        let (a_priv, a_pub, b_priv, b_pub) = two_parties(&mut interp, cls);
-        let s1 = interp
-            .call_static_style(cls, "deriveSecret", vec![a_priv, b_pub])
-            .unwrap();
-        let s2 = interp
-            .call_static_style(cls, "deriveSecret", vec![b_priv, a_pub])
-            .unwrap();
-        assert_eq!(s1.as_bytes().unwrap(), s2.as_bytes().unwrap());
     }
 
     #[test]
     fn ecdh_agreement_agrees_across_parties() {
-        let g = generated(&ecdh_agreement());
-        assert!(
-            g.java_source.contains("KeyAgreement.getInstance(kaAlg)"),
-            "{}",
-            g.java_source
-        );
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "EcdhKeyAgreement";
-        let (a_priv, a_pub, b_priv, b_pub) = two_parties(&mut interp, cls);
-        let s1 = interp
-            .call_static_style(cls, "deriveSecret", vec![a_priv, b_pub])
-            .unwrap();
-        let s2 = interp
-            .call_static_style(cls, "deriveSecret", vec![b_priv, a_pub])
-            .unwrap();
-        assert_eq!(s1.as_bytes().unwrap(), s2.as_bytes().unwrap());
-        assert!(!s1.as_bytes().unwrap().is_empty());
+        assert!(!agree(18, &["KeyAgreement.getInstance(kaAlg)"]).is_empty());
     }
 
-    fn session_roundtrip(t: &Template, cls: &str) {
-        let g = generated(t);
-        let mut interp = Interpreter::new(&g.unit);
-        let (a_priv, a_pub, b_priv, b_pub) = two_parties(&mut interp, cls);
-        let salt = interp
-            .call_static_style(cls, "generateSalt", vec![])
-            .unwrap();
-        let k1 = interp
-            .call_static_style(cls, "deriveSessionKey", vec![a_priv, b_pub, salt.clone()])
-            .unwrap();
-        let k2 = interp
-            .call_static_style(cls, "deriveSessionKey", vec![b_priv, a_pub, salt])
-            .unwrap();
-        // One side seals, the other opens with its own derived key.
-        let sealed = interp
-            .call_static_style(cls, "seal", vec![Value::bytes(b"session msg".to_vec()), k1])
-            .unwrap();
-        let opened = interp
-            .call_static_style(cls, "open", vec![sealed, k2])
-            .unwrap();
+    /// Both parties derive a session key of case `id`; one seals, the
+    /// other opens with its own key.
+    fn session_roundtrip(id: u8, needles: &[&str]) {
+        let g = generated(id);
+        for needle in needles {
+            assert!(g.java_source.contains(needle), "{}", g.java_source);
+        }
+        let mut run = Run::new(&g);
+        let (a_priv, a_pub, b_priv, b_pub) = two_parties(&mut run);
+        let salt = run.call("generateSalt", vec![]);
+        let k1 = run.call("deriveSessionKey", vec![a_priv, b_pub, salt.clone()]);
+        let k2 = run.call("deriveSessionKey", vec![b_priv, a_pub, salt]);
+        let sealed = run.call("seal", vec![Value::bytes(b"session msg".to_vec()), k1]);
+        let opened = run.call("open", vec![sealed, k2]);
         assert_eq!(opened.as_bytes().unwrap(), b"session msg");
     }
 
     #[test]
     fn dh_session_derives_an_aes_key_and_roundtrips() {
-        let g = generated(&dh_session_encryption());
         // AES-128 needs exactly the pinned 16-byte HKDF output.
-        assert!(
-            g.java_source.contains("deriveData(") && g.java_source.contains("outLen"),
-            "{}",
-            g.java_source
-        );
-        session_roundtrip(&dh_session_encryption(), "DhSessionEncryptor");
+        session_roundtrip(19, &["deriveData(", "outLen"]);
     }
 
     #[test]
     fn ecdh_session_derives_a_chacha_key_and_roundtrips() {
-        let g = generated(&ecdh_session_encryption());
-        assert!(
-            g.java_source.contains("new SecretKeySpec(okm, keyAlg)"),
-            "{}",
-            g.java_source
-        );
-        session_roundtrip(&ecdh_session_encryption(), "EcdhSessionEncryptor");
+        session_roundtrip(20, &["new SecretKeySpec(okm, keyAlg)"]);
     }
 
     #[test]
     fn agreed_mac_produces_matching_tags_on_both_sides() {
-        let g = generated(&agreed_mac());
+        let g = generated(21);
         assert!(
             g.java_source.contains("Mac.getInstance(\"HmacSHA256\")"),
             "{}",
             g.java_source
         );
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "AgreedMacAuthenticator";
-        let (a_priv, a_pub, b_priv, b_pub) = two_parties(&mut interp, cls);
-        let salt = interp
-            .call_static_style(cls, "generateSalt", vec![])
-            .unwrap();
-        let k1 = interp
-            .call_static_style(cls, "deriveMacKey", vec![a_priv, b_pub, salt.clone()])
-            .unwrap();
-        let k2 = interp
-            .call_static_style(cls, "deriveMacKey", vec![b_priv, a_pub, salt])
-            .unwrap();
-        let t1 = interp
-            .call_static_style(
-                cls,
+        let mut run = Run::new(&g);
+        let (a_priv, a_pub, b_priv, b_pub) = two_parties(&mut run);
+        let salt = run.call("generateSalt", vec![]);
+        let k1 = run.call("deriveMacKey", vec![a_priv, b_pub, salt.clone()]);
+        let k2 = run.call("deriveMacKey", vec![b_priv, a_pub, salt]);
+        let mut tag = |msg: &[u8], key: &Value| {
+            run.call(
                 "authenticate",
-                vec![Value::bytes(b"channel msg".to_vec()), k1.clone()],
+                vec![Value::bytes(msg.to_vec()), key.clone()],
             )
-            .unwrap();
-        let t2 = interp
-            .call_static_style(
-                cls,
-                "authenticate",
-                vec![Value::bytes(b"channel msg".to_vec()), k2],
-            )
-            .unwrap();
-        assert_eq!(t1.as_bytes().unwrap(), t2.as_bytes().unwrap());
+            .as_bytes()
+            .unwrap()
+        };
+        let t1 = tag(b"channel msg", &k1);
+        assert_eq!(t1, tag(b"channel msg", &k2));
         // A different message must change the tag.
-        let t3 = interp
-            .call_static_style(
-                cls,
-                "authenticate",
-                vec![Value::bytes(b"other msg".to_vec()), k1],
-            )
-            .unwrap();
-        assert_ne!(t1.as_bytes().unwrap(), t3.as_bytes().unwrap());
-    }
-
-    #[test]
-    fn agreement_family_is_sast_clean() {
-        for t in [
-            dh_agreement(),
-            ecdh_agreement(),
-            dh_session_encryption(),
-            ecdh_session_encryption(),
-            agreed_mac(),
-        ] {
-            let g = generated(&t);
-            let misuses = sast::analyze_unit(
-                &g.unit,
-                &rules::open(rules::PackSource::Embedded).unwrap().rules,
-                &jca_type_table(),
-                sast::AnalyzerOptions::default(),
-            );
-            assert!(misuses.is_empty(), "{}: {misuses:?}", t.class_name);
-        }
+        assert_ne!(t1, tag(b"other msg", &k1));
     }
 }

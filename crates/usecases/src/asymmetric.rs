@@ -1,104 +1,12 @@
-//! Use case 8: asymmetric (RSA) encryption of strings.
-//!
-//! The template considers only the Cipher rule in its encrypt/decrypt
-//! chains; because no `IvParameterSpec` rule is in play, the generator's
-//! path filters select the two-argument `init` overload, and the
-//! `instanceof` constraints pick the asymmetric transformation for the
-//! `PublicKey`/`PrivateKey`-typed key parameters.
+//! Use case 8, asymmetric string encryption (`uc08.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::hybrid::key_pair_chain;
-use crate::PACKAGE;
-
-/// RSA encryption chain: Cipher only, mode defaults to `ENCRYPT_MODE`.
-pub fn rsa_encrypt_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("publicKey", "key")
-        .add_parameter("plainText", "plainText")
-        .add_return_object("cipherText")
-        .build()
-}
-
-/// RSA decryption chain: the template pins `encmode` to `DECRYPT_MODE`.
-pub fn rsa_decrypt_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("mode", "encmode")
-        .add_parameter("privateKey", "key")
-        .add_parameter("cipherText", "plainText")
-        .add_return_object("decrypted")
-        .build()
-}
-
-/// The use-case template: `generateKeyPair`, `encrypt`, `decrypt`.
-pub fn asymmetric_strings() -> Template {
-    let generate_key_pair =
-        TemplateMethod::new("generateKeyPair", JavaType::class(names::KEY_PAIR))
-            .pre(Stmt::decl_init(
-                JavaType::class(names::KEY_PAIR),
-                "keyPair",
-                Expr::null(),
-            ))
-            .chain(key_pair_chain())
-            .post(Stmt::Return(Some(Expr::var("keyPair"))));
-
-    let encrypt = TemplateMethod::new("encrypt", JavaType::byte_array())
-        .param(JavaType::string(), "data")
-        .param(JavaType::class(names::PUBLIC_KEY), "publicKey")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "plainText",
-            Expr::call(Expr::var("data"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(rsa_encrypt_chain())
-        .post(Stmt::Return(Some(Expr::var("cipherText"))));
-
-    let decrypt = TemplateMethod::new("decrypt", JavaType::string())
-        .param(JavaType::byte_array(), "cipherText")
-        .param(JavaType::class(names::PRIVATE_KEY), "privateKey")
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(rsa_decrypt_chain())
-        .post(Stmt::Return(Some(Expr::new_object(
-            names::STRING,
-            vec![Expr::var("decrypted")],
-        ))));
-
-    Template::new(PACKAGE, "SecureAsymmetricEncryptor")
-        .method(generate_key_pair)
-        .method(encrypt)
-        .method(decrypt)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, key_pair_part, Run};
+    use interp::Value;
 
     #[test]
     fn generator_picks_rsa_and_two_arg_init() {
-        let generated = generate(
-            &asymmetric_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let src = &generated.java_source;
+        let src = generated(8).java_source;
         assert!(
             src.contains("Cipher.getInstance(\"RSA/ECB/PKCS1Padding\")"),
             "{src}"
@@ -111,61 +19,14 @@ mod tests {
 
     #[test]
     fn asymmetric_roundtrip_end_to_end() {
-        let generated = generate(
-            &asymmetric_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let cls = "SecureAsymmetricEncryptor";
-        let kp = interp
-            .call_static_style(cls, "generateKeyPair", vec![])
-            .unwrap();
-        let pub_key = accessor(kp.clone(), "getPublic");
-        let priv_key = accessor(kp, "getPrivate");
-        let ct = interp
-            .call_static_style(
-                cls,
-                "encrypt",
-                vec![Value::Str("rsa secret".into()), pub_key],
-            )
-            .unwrap();
+        let g = generated(8);
+        let mut run = Run::new(&g);
+        let kp = run.call("generateKeyPair", vec![]);
+        let pub_key = key_pair_part(kp.clone(), "getPublic");
+        let priv_key = key_pair_part(kp, "getPrivate");
+        let ct = run.call("encrypt", vec![Value::Str("rsa secret".into()), pub_key]);
         assert_ne!(ct.as_bytes().unwrap(), b"rsa secret");
-        let pt = interp
-            .call_static_style(cls, "decrypt", vec![ct, priv_key])
-            .unwrap();
+        let pt = run.call("decrypt", vec![ct, priv_key]);
         assert_eq!(pt.as_str().unwrap(), "rsa secret");
-    }
-
-    fn accessor(recv: Value, name: &str) -> Value {
-        use javamodel::ast::*;
-        let m = MethodDecl::new("acc", JavaType::class("java.lang.Object"))
-            .param(JavaType::class("java.security.KeyPair"), "kp")
-            .statement(Stmt::Return(Some(Expr::call(
-                Expr::var("kp"),
-                name,
-                vec![],
-            ))));
-        let unit = CompilationUnit::new("q").class(ClassDecl::new("Acc").method(m));
-        let mut helper = Interpreter::new(&unit);
-        helper.call_static_style("Acc", "acc", vec![recv]).unwrap()
-    }
-
-    #[test]
-    fn generated_asymmetric_code_is_sast_clean() {
-        let generated = generate(
-            &asymmetric_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let misuses = sast::analyze_unit(
-            &generated.unit,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-            sast::AnalyzerOptions::default(),
-        );
-        assert!(misuses.is_empty(), "{misuses:?}");
     }
 }

@@ -1,145 +1,12 @@
-//! Extension use case: authenticated encryption with AES-GCM.
-//!
-//! The paper's future work proposes implementing more use cases on the
-//! same engine. This module does exactly that: a template steering the
-//! Cipher rule towards `AES/GCM/NoPadding` through an explicit
-//! transformation binding, exercising the `GCMParameterSpec` rule that
-//! the eleven Table 1 templates never touch.
+//! Use case 12, authenticated encryption with AES-GCM (`uc12.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::symmetric::generate_key_chain;
-use crate::PACKAGE;
-
-/// GCM encryption chain: randomized nonce, `GCMParameterSpec`, cipher
-/// with the template-pinned transformation.
-pub fn gcm_encrypt_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::SECURE_RANDOM)
-        .add_parameter("nonce", "out")
-        .consider_crysl_rule(names::GCM_PARAMETER_SPEC)
-        .add_parameter("nonce", "iv")
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("gcmTransformation", "transformation")
-        .add_parameter("key", "key")
-        .add_parameter("plainText", "plainText")
-        .add_return_object("cipherText")
-        .build()
-}
-
-/// GCM decryption chain.
-pub fn gcm_decrypt_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::GCM_PARAMETER_SPEC)
-        .add_parameter("nonce", "iv")
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("gcmTransformation", "transformation")
-        .add_parameter("mode", "encmode")
-        .add_parameter("key", "key")
-        .add_parameter("encrypted", "plainText")
-        .add_return_object("decrypted")
-        .build()
-}
-
-/// The authenticated-encryption template: `generateKey`, `seal`, `open`.
-pub fn authenticated_encryption() -> Template {
-    let generate_key = TemplateMethod::new("generateKey", JavaType::class(names::SECRET_KEY))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "key",
-            Expr::null(),
-        ))
-        .chain(generate_key_chain())
-        .post(Stmt::Return(Some(Expr::var("key"))));
-
-    let seal = TemplateMethod::new("seal", JavaType::byte_array())
-        .param(JavaType::byte_array(), "plainText")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::string(),
-            "gcmTransformation",
-            Expr::str("AES/GCM/NoPadding"),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "nonce",
-            Expr::new_array(JavaType::Byte, Expr::int(12)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(gcm_encrypt_chain())
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::BYTE_ARRAYS,
-            "concat",
-            vec![Expr::var("nonce"), Expr::var("cipherText")],
-        ))));
-
-    let open = TemplateMethod::new("open", JavaType::byte_array())
-        .param(JavaType::byte_array(), "data")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::string(),
-            "gcmTransformation",
-            Expr::str("AES/GCM/NoPadding"),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "nonce",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![Expr::var("data"), Expr::int(0), Expr::int(12)],
-            ),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "encrypted",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![
-                    Expr::var("data"),
-                    Expr::int(12),
-                    Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var("data")]),
-                ],
-            ),
-        ))
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(gcm_decrypt_chain())
-        .post(Stmt::Return(Some(Expr::var("decrypted"))));
-
-    Template::new(PACKAGE, "AuthenticatedEncryptor")
-        .method(generate_key)
-        .method(seal)
-        .method(open)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, Run};
+    use interp::Value;
 
     #[test]
     fn generated_code_uses_gcm_with_full_tag() {
-        let generated = generate(
-            &authenticated_encryption(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let src = &generated.java_source;
+        let src = generated(12).java_source;
         assert!(
             src.contains("Cipher.getInstance(gcmTransformation)"),
             "{src}"
@@ -150,53 +17,21 @@ mod tests {
 
     #[test]
     fn seal_open_roundtrip_and_tamper_detection() {
-        let generated = generate(
-            &authenticated_encryption(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let cls = "AuthenticatedEncryptor";
-        let key = interp
-            .call_static_style(cls, "generateKey", vec![])
-            .unwrap();
-        let sealed = interp
-            .call_static_style(
-                cls,
-                "seal",
-                vec![Value::bytes(b"aead payload".to_vec()), key.clone()],
-            )
-            .unwrap();
-        let opened = interp
-            .call_static_style(cls, "open", vec![sealed.clone(), key.clone()])
-            .unwrap();
+        let g = generated(12);
+        let mut run = Run::new(&g);
+        let key = run.call("generateKey", vec![]);
+        let sealed = run.call(
+            "seal",
+            vec![Value::bytes(b"aead payload".to_vec()), key.clone()],
+        );
+        let opened = run.call("open", vec![sealed.clone(), key.clone()]);
         assert_eq!(opened.as_bytes().unwrap(), b"aead payload");
-
         // Flip a ciphertext byte: the GCM tag check must fail.
         let mut tampered = sealed.as_bytes().unwrap();
-        let last = tampered.len() - 1;
-        tampered[last] ^= 1;
-        let err = interp
-            .call_static_style(cls, "open", vec![Value::bytes(tampered), key])
+        *tampered.last_mut().unwrap() ^= 1;
+        let err = run
+            .try_call("open", vec![Value::bytes(tampered), key])
             .unwrap_err();
         assert!(err.message.contains("tag"), "{err}");
-    }
-
-    #[test]
-    fn generated_gcm_code_is_sast_clean() {
-        let generated = generate(
-            &authenticated_encryption(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let misuses = sast::analyze_unit(
-            &generated.unit,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-            sast::AnalyzerOptions::default(),
-        );
-        assert!(misuses.is_empty(), "{misuses:?}");
     }
 }

@@ -1,72 +1,22 @@
-//! Use case 11: hashing of strings — the smallest template, one rule.
+//! Use case 11, hashing of strings (`uc11.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::PACKAGE;
-
-/// Chain hashing a byte array with the rule-selected digest.
-pub fn hash_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::MESSAGE_DIGEST)
-        .add_parameter("dataBytes", "input")
-        .add_return_object("digest")
-        .build()
-}
-
-/// The use-case template: `hash(String) -> byte[]`.
-pub fn hashing_strings() -> Template {
-    let hash = TemplateMethod::new("hash", JavaType::byte_array())
-        .param(JavaType::string(), "data")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "dataBytes",
-            Expr::call(Expr::var("data"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "digest",
-            Expr::null(),
-        ))
-        .chain(hash_chain())
-        .post(Stmt::Return(Some(Expr::var("digest"))));
-
-    Template::new(PACKAGE, "SecureHasher").method(hash)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, Run};
+    use interp::Value;
 
     #[test]
     fn generated_code_uses_sha256() {
-        let generated = generate(
-            &hashing_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        assert!(generated
-            .java_source
-            .contains("MessageDigest.getInstance(\"SHA-256\")"));
+        let src = generated(11).java_source;
+        assert!(
+            src.contains("MessageDigest.getInstance(\"SHA-256\")"),
+            "{src}"
+        );
     }
 
     #[test]
     fn hash_matches_reference_sha256() {
-        let generated = generate(
-            &hashing_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let out = interp
-            .call_static_style("SecureHasher", "hash", vec![Value::Str("abc".into())])
-            .unwrap();
+        let g = generated(11);
+        let out = Run::new(&g).call("hash", vec![Value::Str("abc".into())]);
         // NIST vector for SHA-256("abc").
         let expected: Vec<u8> = vec![
             0xba, 0x78, 0x16, 0xbf, 0x8f, 0x01, 0xcf, 0xea, 0x41, 0x41, 0x40, 0xde, 0x5d, 0xae,
@@ -74,22 +24,5 @@ mod tests {
             0xf2, 0x00, 0x15, 0xad,
         ];
         assert_eq!(out.as_bytes().unwrap(), expected);
-    }
-
-    #[test]
-    fn generated_hashing_code_is_sast_clean() {
-        let generated = generate(
-            &hashing_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let misuses = sast::analyze_unit(
-            &generated.unit,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-            sast::AnalyzerOptions::default(),
-        );
-        assert!(misuses.is_empty(), "{misuses:?}");
     }
 }

@@ -1,341 +1,12 @@
-//! Use cases 5–7: hybrid encryption on files, strings and byte arrays.
-//!
-//! Hybrid encryption generates a fresh AES session key per payload,
-//! encrypts the payload symmetrically, and wraps the session key under the
-//! recipient's RSA public key. The `instanceof` constraints of the Cipher
-//! rule (paper §4) make the generator pick a symmetric transformation for
-//! the data cipher and the asymmetric one for the key-wrapping cipher.
+//! Use cases 5–7, hybrid encryption (`uc05.java`–`uc07.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::pbe::{decrypt_chain, encrypt_chain};
-use crate::symmetric::generate_key_chain;
-use crate::PACKAGE;
-
-/// Chain generating the RSA key pair.
-pub fn key_pair_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::KEY_PAIR_GENERATOR)
-        .consider_crysl_rule(names::KEY_PAIR)
-        .add_return_object("keyPair")
-        .build()
-}
-
-/// Chain wrapping the session key under the recipient's public key.
-pub fn wrap_key_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("mode", "encmode")
-        .add_parameter("publicKey", "key")
-        .add_parameter("sessionKey", "wrappedKeyIn")
-        .add_return_object("wrapped")
-        .build()
-}
-
-/// Chain unwrapping the session key with the private key.
-pub fn unwrap_key_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("mode", "encmode")
-        .add_parameter("privateKey", "key")
-        .add_parameter("wrapped", "wrappedKeyBytes")
-        .add_return_object("sessionKey")
-        .build()
-}
-
-/// Template methods shared by all three hybrid variants: key-pair
-/// generation, session-key generation, wrapping and unwrapping.
-fn shared_methods() -> Vec<TemplateMethod> {
-    let generate_key_pair =
-        TemplateMethod::new("generateKeyPair", JavaType::class(names::KEY_PAIR))
-            .pre(Stmt::decl_init(
-                JavaType::class(names::KEY_PAIR),
-                "keyPair",
-                Expr::null(),
-            ))
-            .chain(key_pair_chain())
-            .post(Stmt::Return(Some(Expr::var("keyPair"))));
-
-    let generate_session_key =
-        TemplateMethod::new("generateSessionKey", JavaType::class(names::SECRET_KEY))
-            .pre(Stmt::decl_init(
-                JavaType::class(names::SECRET_KEY),
-                "key",
-                Expr::null(),
-            ))
-            .chain(generate_key_chain())
-            .post(Stmt::Return(Some(Expr::var("key"))));
-
-    let wrap_key = TemplateMethod::new("wrapSessionKey", JavaType::byte_array())
-        .param(JavaType::class(names::SECRET_KEY), "sessionKey")
-        .param(JavaType::class(names::PUBLIC_KEY), "publicKey")
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(3)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "wrapped",
-            Expr::null(),
-        ))
-        .chain(wrap_key_chain())
-        .post(Stmt::Return(Some(Expr::var("wrapped"))));
-
-    let unwrap_key = TemplateMethod::new("unwrapSessionKey", JavaType::class(names::SECRET_KEY))
-        .param(JavaType::byte_array(), "wrapped")
-        .param(JavaType::class(names::PRIVATE_KEY), "privateKey")
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(4)))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "sessionKey",
-            Expr::null(),
-        ))
-        .chain(unwrap_key_chain())
-        .post(Stmt::Return(Some(Expr::var("sessionKey"))));
-
-    vec![
-        generate_key_pair,
-        generate_session_key,
-        wrap_key,
-        unwrap_key,
-    ]
-}
-
-/// Use case 7: hybrid encryption of byte arrays.
-pub fn hybrid_byte_arrays() -> Template {
-    let encrypt = TemplateMethod::new("encryptData", JavaType::byte_array())
-        .param(JavaType::byte_array(), "plainText")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::new_array(JavaType::Byte, Expr::int(16)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(encrypt_chain())
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::BYTE_ARRAYS,
-            "concat",
-            vec![Expr::var("ivBytes"), Expr::var("cipherText")],
-        ))));
-
-    let decrypt = TemplateMethod::new("decryptData", JavaType::byte_array())
-        .param(JavaType::byte_array(), "data")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![Expr::var("data"), Expr::int(0), Expr::int(16)],
-            ),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "encrypted",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![
-                    Expr::var("data"),
-                    Expr::int(16),
-                    Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var("data")]),
-                ],
-            ),
-        ))
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(decrypt_chain())
-        .post(Stmt::Return(Some(Expr::var("decrypted"))));
-
-    let mut t = Template::new(PACKAGE, "HybridByteArrayEncryptor");
-    for m in shared_methods() {
-        t = t.method(m);
-    }
-    t.method(encrypt).method(decrypt)
-}
-
-/// Use case 6: hybrid encryption of strings.
-pub fn hybrid_strings() -> Template {
-    let encrypt = TemplateMethod::new("encryptData", JavaType::byte_array())
-        .param(JavaType::string(), "data")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "plainText",
-            Expr::call(Expr::var("data"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::new_array(JavaType::Byte, Expr::int(16)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(encrypt_chain())
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::BYTE_ARRAYS,
-            "concat",
-            vec![Expr::var("ivBytes"), Expr::var("cipherText")],
-        ))));
-
-    let decrypt = TemplateMethod::new("decryptData", JavaType::string())
-        .param(JavaType::byte_array(), "data")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![Expr::var("data"), Expr::int(0), Expr::int(16)],
-            ),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "encrypted",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![
-                    Expr::var("data"),
-                    Expr::int(16),
-                    Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var("data")]),
-                ],
-            ),
-        ))
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(decrypt_chain())
-        .post(Stmt::Return(Some(Expr::new_object(
-            names::STRING,
-            vec![Expr::var("decrypted")],
-        ))));
-
-    let mut t = Template::new(PACKAGE, "HybridStringEncryptor");
-    for m in shared_methods() {
-        t = t.method(m);
-    }
-    t.method(encrypt).method(decrypt)
-}
-
-/// Use case 5: hybrid encryption of files.
-pub fn hybrid_files() -> Template {
-    let encrypt = TemplateMethod::new("encryptFile", JavaType::Void)
-        .param(JavaType::string(), "inPath")
-        .param(JavaType::string(), "outPath")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "plainText",
-            Expr::static_call(names::FILES, "readAllBytes", vec![Expr::var("inPath")]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::new_array(JavaType::Byte, Expr::int(16)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(encrypt_chain())
-        .post(Stmt::Expr(Expr::static_call(
-            names::FILES,
-            "write",
-            vec![
-                Expr::var("outPath"),
-                Expr::static_call(
-                    names::BYTE_ARRAYS,
-                    "concat",
-                    vec![Expr::var("ivBytes"), Expr::var("cipherText")],
-                ),
-            ],
-        )));
-
-    let decrypt = TemplateMethod::new("decryptFile", JavaType::Void)
-        .param(JavaType::string(), "inPath")
-        .param(JavaType::string(), "outPath")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "data",
-            Expr::static_call(names::FILES, "readAllBytes", vec![Expr::var("inPath")]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![Expr::var("data"), Expr::int(0), Expr::int(16)],
-            ),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "encrypted",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![
-                    Expr::var("data"),
-                    Expr::int(16),
-                    Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var("data")]),
-                ],
-            ),
-        ))
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(decrypt_chain())
-        .post(Stmt::Expr(Expr::static_call(
-            names::FILES,
-            "write",
-            vec![Expr::var("outPath"), Expr::var("decrypted")],
-        )));
-
-    let mut t = Template::new(PACKAGE, "HybridFileEncryptor");
-    for m in shared_methods() {
-        t = t.method(m);
-    }
-    t.method(encrypt).method(decrypt)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, key_pair_part, Run};
+    use interp::Value;
 
     #[test]
     fn instanceof_steers_transformations() {
-        let generated = generate(
-            &hybrid_byte_arrays(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let src = &generated.java_source;
+        let src = generated(7).java_source;
         // Data cipher: symmetric; key-wrapping cipher: asymmetric.
         assert!(
             src.contains("Cipher.getInstance(\"AES/CBC/PKCS5Padding\")"),
@@ -351,76 +22,19 @@ mod tests {
 
     #[test]
     fn hybrid_full_protocol_roundtrip() {
-        let generated = generate(
-            &hybrid_byte_arrays(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let cls = "HybridByteArrayEncryptor";
-        let key_pair = interp
-            .call_static_style(cls, "generateKeyPair", vec![])
-            .unwrap();
-        // KeyPair accessors run through a tiny helper program.
-        let pub_key = native_call(key_pair.clone(), "getPublic");
-        let priv_key = native_call(key_pair, "getPrivate");
-
-        let session = interp
-            .call_static_style(cls, "generateSessionKey", vec![])
-            .unwrap();
-        let ct = interp
-            .call_static_style(
-                cls,
-                "encryptData",
-                vec![Value::bytes(b"hybrid payload".to_vec()), session.clone()],
-            )
-            .unwrap();
-        let wrapped = interp
-            .call_static_style(cls, "wrapSessionKey", vec![session, pub_key])
-            .unwrap();
-        let recovered = interp
-            .call_static_style(cls, "unwrapSessionKey", vec![wrapped, priv_key])
-            .unwrap();
-        let pt = interp
-            .call_static_style(cls, "decryptData", vec![ct, recovered])
-            .unwrap();
+        let g = generated(7);
+        let mut run = Run::new(&g);
+        let key_pair = run.call("generateKeyPair", vec![]);
+        let pub_key = key_pair_part(key_pair.clone(), "getPublic");
+        let priv_key = key_pair_part(key_pair, "getPrivate");
+        let session = run.call("generateSessionKey", vec![]);
+        let ct = run.call(
+            "encryptData",
+            vec![Value::bytes(b"hybrid payload".to_vec()), session.clone()],
+        );
+        let wrapped = run.call("wrapSessionKey", vec![session, pub_key]);
+        let recovered = run.call("unwrapSessionKey", vec![wrapped, priv_key]);
+        let pt = run.call("decryptData", vec![ct, recovered]);
         assert_eq!(pt.as_bytes().unwrap(), b"hybrid payload");
-    }
-
-    /// Invokes a `KeyPair` accessor through a one-off helper program; key
-    /// values are self-contained, so they move freely between
-    /// interpreters.
-    fn native_call(recv: Value, name: &str) -> Value {
-        use javamodel::ast::*;
-        let m = MethodDecl::new("acc", JavaType::class("java.lang.Object"))
-            .param(JavaType::class("java.security.KeyPair"), "kp")
-            .statement(Stmt::Return(Some(Expr::call(
-                Expr::var("kp"),
-                name,
-                vec![],
-            ))));
-        let unit = CompilationUnit::new("q").class(ClassDecl::new("Acc").method(m));
-        let mut helper = Interpreter::new(&unit);
-        helper.call_static_style("Acc", "acc", vec![recv]).unwrap()
-    }
-
-    #[test]
-    fn hybrid_strings_and_files_generate_sast_clean() {
-        for t in [hybrid_strings(), hybrid_files()] {
-            let generated = generate(
-                &t,
-                &rules::open(rules::PackSource::Embedded).unwrap().rules,
-                &jca_type_table(),
-            )
-            .unwrap();
-            let misuses = sast::analyze_unit(
-                &generated.unit,
-                &rules::open(rules::PackSource::Embedded).unwrap().rules,
-                &jca_type_table(),
-                sast::AnalyzerOptions::default(),
-            );
-            assert!(misuses.is_empty(), "{misuses:?}");
-        }
     }
 }

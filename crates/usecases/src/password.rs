@@ -1,96 +1,16 @@
-//! Use case 9: secure user-password storage.
-//!
-//! Passwords are never stored; a random salt and a PBKDF2 hash are. The
-//! verifier re-derives the hash and compares it. Both derivation chains
-//! are the paper's PBE pipeline minus the final `SecretKeySpec` (the raw
-//! key material *is* the stored hash).
+//! Use case 9, secure user-password storage (`uc09.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::PACKAGE;
-
-/// Chain creating a fresh random salt.
-pub fn create_salt_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::SECURE_RANDOM)
-        .add_parameter("salt", "out")
-        .build()
-}
-
-/// Chain deriving the stored hash from password and salt.
-pub fn hash_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::PBE_KEY_SPEC)
-        .add_parameter("pwd", "password")
-        .add_parameter("salt", "salt")
-        .consider_crysl_rule(names::SECRET_KEY_FACTORY)
-        .consider_crysl_rule(names::SECRET_KEY)
-        .add_return_object("hash")
-        .build()
-}
-
-/// The use-case template: `createSalt`, `hashPassword`, `verifyPassword`.
-pub fn password_storage() -> Template {
-    let create_salt = TemplateMethod::new("createSalt", JavaType::byte_array())
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "salt",
-            Expr::new_array(JavaType::Byte, Expr::int(32)),
-        ))
-        .chain(create_salt_chain())
-        .post(Stmt::Return(Some(Expr::var("salt"))));
-
-    let hash_password = TemplateMethod::new("hashPassword", JavaType::byte_array())
-        .param(JavaType::char_array(), "pwd")
-        .param(JavaType::byte_array(), "salt")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "hash",
-            Expr::null(),
-        ))
-        .chain(hash_chain())
-        .post(Stmt::Return(Some(Expr::var("hash"))));
-
-    let verify_password = TemplateMethod::new("verifyPassword", JavaType::Boolean)
-        .param(JavaType::char_array(), "pwd")
-        .param(JavaType::byte_array(), "salt")
-        .param(JavaType::byte_array(), "expectedHash")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "hash",
-            Expr::null(),
-        ))
-        .chain(hash_chain())
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::ARRAYS,
-            "equals",
-            vec![Expr::var("hash"), Expr::var("expectedHash")],
-        ))));
-
-    Template::new(PACKAGE, "SecurePasswordStore")
-        .method(create_salt)
-        .method(hash_password)
-        .method(verify_password)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, Run};
+    use interp::Value;
+
+    fn password(p: &str) -> Value {
+        Value::chars(p.chars().collect())
+    }
 
     #[test]
     fn generated_code_uses_pbkdf2_and_clears_password() {
-        let generated = generate(
-            &password_storage(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let src = &generated.java_source;
+        let src = generated(9).java_source;
         assert!(
             src.contains("SecretKeyFactory.getInstance(\"PBKDF2WithHmacSHA256\")"),
             "{src}"
@@ -104,75 +24,29 @@ mod tests {
 
     #[test]
     fn store_and_verify_roundtrip() {
-        let generated = generate(
-            &password_storage(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let cls = "SecurePasswordStore";
-        let salt = interp.call_static_style(cls, "createSalt", vec![]).unwrap();
-        let pwd = || Value::chars("s3cret!".chars().collect());
-        let hash = interp
-            .call_static_style(cls, "hashPassword", vec![pwd(), salt.clone()])
-            .unwrap();
+        let g = generated(9);
+        let mut run = Run::new(&g);
+        let salt = run.call("createSalt", vec![]);
+        let hash = run.call("hashPassword", vec![password("s3cret!"), salt.clone()]);
         assert_eq!(hash.as_bytes().unwrap().len(), 16); // 128-bit hash
-        let ok = interp
-            .call_static_style(
-                cls,
-                "verifyPassword",
-                vec![pwd(), salt.clone(), hash.clone()],
-            )
-            .unwrap();
+        let ok = run.call(
+            "verifyPassword",
+            vec![password("s3cret!"), salt.clone(), hash.clone()],
+        );
         assert!(ok.as_bool().unwrap());
-        let bad = interp
-            .call_static_style(
-                cls,
-                "verifyPassword",
-                vec![Value::chars("wrong".chars().collect()), salt, hash],
-            )
-            .unwrap();
+        let bad = run.call("verifyPassword", vec![password("wrong"), salt, hash]);
         assert!(!bad.as_bool().unwrap());
     }
 
     #[test]
     fn different_salts_give_different_hashes() {
-        let generated = generate(
-            &password_storage(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let cls = "SecurePasswordStore";
-        let s1 = interp.call_static_style(cls, "createSalt", vec![]).unwrap();
-        let s2 = interp.call_static_style(cls, "createSalt", vec![]).unwrap();
+        let g = generated(9);
+        let mut run = Run::new(&g);
+        let s1 = run.call("createSalt", vec![]);
+        let s2 = run.call("createSalt", vec![]);
         assert_ne!(s1.as_bytes().unwrap(), s2.as_bytes().unwrap());
-        let pwd = || Value::chars("same".chars().collect());
-        let h1 = interp
-            .call_static_style(cls, "hashPassword", vec![pwd(), s1])
-            .unwrap();
-        let h2 = interp
-            .call_static_style(cls, "hashPassword", vec![pwd(), s2])
-            .unwrap();
+        let h1 = run.call("hashPassword", vec![password("same"), s1]);
+        let h2 = run.call("hashPassword", vec![password("same"), s2]);
         assert_ne!(h1.as_bytes().unwrap(), h2.as_bytes().unwrap());
-    }
-
-    #[test]
-    fn generated_password_code_is_sast_clean() {
-        let generated = generate(
-            &password_storage(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let misuses = sast::analyze_unit(
-            &generated.unit,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-            sast::AnalyzerOptions::default(),
-        );
-        assert!(misuses.is_empty(), "{misuses:?}");
     }
 }

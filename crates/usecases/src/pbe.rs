@@ -1,405 +1,70 @@
-//! Use cases 1–3: password-based encryption on files, strings and byte
-//! arrays.
-//!
-//! All three share the same fluent-API chains — the paper's Figure 4 key
-//! derivation plus an encrypt/decrypt pair — and differ only in the glue
-//! code that moves the data (file I/O, `String.getBytes`, or nothing).
+//! Use cases 1–3, password-based encryption (`uc01.java`–`uc03.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::PACKAGE;
-
-/// The paper's Figure 4 chain: derive an AES key from a password.
-pub fn get_key_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::SECURE_RANDOM)
-        .add_parameter("salt", "out")
-        .consider_crysl_rule(names::PBE_KEY_SPEC)
-        .add_parameter("pwd", "password")
-        .consider_crysl_rule(names::SECRET_KEY_FACTORY)
-        .consider_crysl_rule(names::SECRET_KEY)
-        .consider_crysl_rule(names::SECRET_KEY_SPEC)
-        .add_return_object("encryptionKey")
-        .build()
-}
-
-/// `getKey(char[] pwd) -> SecretKey`, the paper's Figure 4 template method.
-pub fn get_key_method() -> TemplateMethod {
-    TemplateMethod::new("getKey", JavaType::class(names::SECRET_KEY))
-        .param(JavaType::char_array(), "pwd")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "salt",
-            Expr::new_array(JavaType::Byte, Expr::int(32)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "encryptionKey",
-            Expr::null(),
-        ))
-        .chain(get_key_chain())
-        .post(Stmt::Return(Some(Expr::var("encryptionKey"))))
-}
-
-/// The symmetric-encryption chain shared by every encrypt wrapper:
-/// randomize an IV, wrap it in an `IvParameterSpec`, run the cipher.
-pub fn encrypt_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::SECURE_RANDOM)
-        .add_parameter("ivBytes", "out")
-        .consider_crysl_rule(names::IV_PARAMETER_SPEC)
-        .add_parameter("ivBytes", "iv")
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("key", "key")
-        .add_parameter("plainText", "plainText")
-        .add_return_object("cipherText")
-        .build()
-}
-
-/// The symmetric-decryption chain shared by every decrypt wrapper: rebuild
-/// the `IvParameterSpec` from the transmitted IV and run the cipher in
-/// `DECRYPT_MODE` (the template binds `mode = 2`).
-pub fn decrypt_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::IV_PARAMETER_SPEC)
-        .add_parameter("ivBytes", "iv")
-        .consider_crysl_rule(names::CIPHER)
-        .add_parameter("mode", "encmode")
-        .add_parameter("key", "key")
-        .add_parameter("encrypted", "plainText")
-        .add_return_object("decrypted")
-        .build()
-}
-
-/// Shared glue: declarations every encrypt wrapper needs before the chain.
-fn encrypt_pre(m: TemplateMethod) -> TemplateMethod {
-    m.pre(Stmt::decl_init(
-        JavaType::byte_array(),
-        "ivBytes",
-        Expr::new_array(JavaType::Byte, Expr::int(16)),
-    ))
-    .pre(Stmt::decl_init(
-        JavaType::byte_array(),
-        "cipherText",
-        Expr::null(),
-    ))
-}
-
-/// Shared glue for decrypt wrappers operating on `data = iv || ciphertext`.
-fn decrypt_pre(m: TemplateMethod, data_var: &str) -> TemplateMethod {
-    m.pre(Stmt::decl_init(
-        JavaType::byte_array(),
-        "ivBytes",
-        Expr::static_call(
-            names::BYTE_ARRAYS,
-            "slice",
-            vec![Expr::var(data_var), Expr::int(0), Expr::int(16)],
-        ),
-    ))
-    .pre(Stmt::decl_init(
-        JavaType::byte_array(),
-        "encrypted",
-        Expr::static_call(
-            names::BYTE_ARRAYS,
-            "slice",
-            vec![
-                Expr::var(data_var),
-                Expr::int(16),
-                Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var(data_var)]),
-            ],
-        ),
-    ))
-    .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-    .pre(Stmt::decl_init(
-        JavaType::byte_array(),
-        "decrypted",
-        Expr::null(),
-    ))
-}
-
-/// Use case 3: PBE on byte arrays.
-pub fn pbe_byte_arrays() -> Template {
-    let encrypt = encrypt_pre(
-        TemplateMethod::new("encrypt", JavaType::byte_array())
-            .param(JavaType::byte_array(), "plainText")
-            .param(JavaType::class(names::SECRET_KEY), "key"),
-    )
-    .chain(encrypt_chain())
-    .post(Stmt::Return(Some(Expr::static_call(
-        names::BYTE_ARRAYS,
-        "concat",
-        vec![Expr::var("ivBytes"), Expr::var("cipherText")],
-    ))));
-
-    let decrypt = decrypt_pre(
-        TemplateMethod::new("decrypt", JavaType::byte_array())
-            .param(JavaType::byte_array(), "data")
-            .param(JavaType::class(names::SECRET_KEY), "key"),
-        "data",
-    )
-    .chain(decrypt_chain())
-    .post(Stmt::Return(Some(Expr::var("decrypted"))));
-
-    Template::new(PACKAGE, "SecureByteArrayEncryptor")
-        .method(get_key_method())
-        .method(encrypt)
-        .method(decrypt)
-}
-
-/// Use case 2: PBE on strings.
-pub fn pbe_strings() -> Template {
-    let encrypt = encrypt_pre(
-        TemplateMethod::new("encrypt", JavaType::byte_array())
-            .param(JavaType::string(), "data")
-            .param(JavaType::class(names::SECRET_KEY), "key")
-            .pre(Stmt::decl_init(
-                JavaType::byte_array(),
-                "plainText",
-                Expr::call(Expr::var("data"), "getBytes", vec![]),
-            )),
-    )
-    .chain(encrypt_chain())
-    .post(Stmt::Return(Some(Expr::static_call(
-        names::BYTE_ARRAYS,
-        "concat",
-        vec![Expr::var("ivBytes"), Expr::var("cipherText")],
-    ))));
-
-    let decrypt = decrypt_pre(
-        TemplateMethod::new("decrypt", JavaType::string())
-            .param(JavaType::byte_array(), "data")
-            .param(JavaType::class(names::SECRET_KEY), "key"),
-        "data",
-    )
-    .chain(decrypt_chain())
-    .post(Stmt::Return(Some(Expr::new_object(
-        names::STRING,
-        vec![Expr::var("decrypted")],
-    ))));
-
-    Template::new(PACKAGE, "SecureStringEncryptor")
-        .method(get_key_method())
-        .method(encrypt)
-        .method(decrypt)
-}
-
-/// Use case 1: PBE on files. Reads the plaintext from the in-memory file
-/// system, writes `iv || ciphertext` back.
-pub fn pbe_files() -> Template {
-    let encrypt = encrypt_pre(
-        TemplateMethod::new("encryptFile", JavaType::Void)
-            .param(JavaType::string(), "inPath")
-            .param(JavaType::string(), "outPath")
-            .param(JavaType::class(names::SECRET_KEY), "key")
-            .pre(Stmt::decl_init(
-                JavaType::byte_array(),
-                "plainText",
-                Expr::static_call(names::FILES, "readAllBytes", vec![Expr::var("inPath")]),
-            )),
-    )
-    .chain(encrypt_chain())
-    .post(Stmt::Expr(Expr::static_call(
-        names::FILES,
-        "write",
-        vec![
-            Expr::var("outPath"),
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "concat",
-                vec![Expr::var("ivBytes"), Expr::var("cipherText")],
-            ),
-        ],
-    )));
-
-    let decrypt = decrypt_pre(
-        TemplateMethod::new("decryptFile", JavaType::Void)
-            .param(JavaType::string(), "inPath")
-            .param(JavaType::string(), "outPath")
-            .param(JavaType::class(names::SECRET_KEY), "key")
-            .pre(Stmt::decl_init(
-                JavaType::byte_array(),
-                "data",
-                Expr::static_call(names::FILES, "readAllBytes", vec![Expr::var("inPath")]),
-            )),
-        "data",
-    )
-    .chain(decrypt_chain())
-    .post(Stmt::Expr(Expr::static_call(
-        names::FILES,
-        "write",
-        vec![Expr::var("outPath"), Expr::var("decrypted")],
-    )));
-
-    Template::new(PACKAGE, "SecureFileEncryptor")
-        .method(get_key_method())
-        .method(encrypt)
-        .method(decrypt)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, Run};
+    use interp::Value;
+
+    fn password(p: &str) -> Value {
+        Value::chars(p.chars().collect())
+    }
 
     #[test]
     fn pbe_bytes_roundtrip_end_to_end() {
-        let generated = generate(
-            &pbe_byte_arrays(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .expect("generation succeeds");
-        let mut interp = Interpreter::new(&generated.unit);
-        let pwd: Vec<char> = "correct horse".chars().collect();
-        let key = interp
-            .call_static_style(
-                "SecureByteArrayEncryptor",
-                "getKey",
-                vec![Value::chars(pwd)],
-            )
-            .expect("key derivation runs");
-        let ct = interp
-            .call_static_style(
-                "SecureByteArrayEncryptor",
-                "encrypt",
-                vec![Value::bytes(b"the quick brown fox".to_vec()), key.clone()],
-            )
-            .expect("encryption runs");
-        assert_ne!(ct.as_bytes().unwrap(), b"the quick brown fox");
-        let pt = interp
-            .call_static_style("SecureByteArrayEncryptor", "decrypt", vec![ct, key])
-            .expect("decryption runs");
-        assert_eq!(pt.as_bytes().unwrap(), b"the quick brown fox");
+        let g = generated(3);
+        let mut run = Run::new(&g);
+        let key = run.call("getKey", vec![password("correct horse")]);
+        let msg = b"the quick brown fox".to_vec();
+        let ct = run.call("encrypt", vec![Value::bytes(msg.clone()), key.clone()]);
+        assert_ne!(ct.as_bytes().unwrap(), msg);
+        let pt = run.call("decrypt", vec![ct, key]);
+        assert_eq!(pt.as_bytes().unwrap(), msg);
     }
 
     #[test]
     fn pbe_strings_roundtrip_end_to_end() {
-        let generated = generate(
-            &pbe_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let key = interp
-            .call_static_style(
-                "SecureStringEncryptor",
-                "getKey",
-                vec![Value::chars("hunter2".chars().collect())],
-            )
-            .unwrap();
-        let ct = interp
-            .call_static_style(
-                "SecureStringEncryptor",
-                "encrypt",
-                vec![Value::Str("attack at dawn".into()), key.clone()],
-            )
-            .unwrap();
-        let pt = interp
-            .call_static_style("SecureStringEncryptor", "decrypt", vec![ct, key])
-            .unwrap();
+        let g = generated(2);
+        let mut run = Run::new(&g);
+        let key = run.call("getKey", vec![password("hunter2")]);
+        let ct = run.call(
+            "encrypt",
+            vec![Value::Str("attack at dawn".into()), key.clone()],
+        );
+        let pt = run.call("decrypt", vec![ct, key]);
         assert_eq!(pt.as_str().unwrap(), "attack at dawn");
     }
 
     #[test]
     fn pbe_files_roundtrip_end_to_end() {
-        let generated = generate(
-            &pbe_files(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        interp.put_file("plain.txt", b"file contents".to_vec());
-        let key = interp
-            .call_static_style(
-                "SecureFileEncryptor",
-                "getKey",
-                vec![Value::chars("pw".chars().collect())],
-            )
-            .unwrap();
-        interp
-            .call_static_style(
-                "SecureFileEncryptor",
-                "encryptFile",
-                vec![
-                    Value::Str("plain.txt".into()),
-                    Value::Str("cipher.bin".into()),
-                    key.clone(),
-                ],
-            )
-            .unwrap();
-        assert_ne!(interp.file("cipher.bin").unwrap(), b"file contents");
-        interp
-            .call_static_style(
-                "SecureFileEncryptor",
-                "decryptFile",
-                vec![
-                    Value::Str("cipher.bin".into()),
-                    Value::Str("roundtrip.txt".into()),
-                    key,
-                ],
-            )
-            .unwrap();
-        assert_eq!(interp.file("roundtrip.txt").unwrap(), b"file contents");
+        let g = generated(1);
+        let mut run = Run::new(&g);
+        run.interp.put_file("plain.txt", b"file contents".to_vec());
+        let key = run.call("getKey", vec![password("pw")]);
+        let path = |p: &str| Value::Str(p.into());
+        run.call(
+            "encryptFile",
+            vec![path("plain.txt"), path("cipher.bin"), key.clone()],
+        );
+        assert_ne!(run.interp.file("cipher.bin").unwrap(), b"file contents");
+        run.call(
+            "decryptFile",
+            vec![path("cipher.bin"), path("roundtrip.txt"), key],
+        );
+        assert_eq!(run.interp.file("roundtrip.txt").unwrap(), b"file contents");
     }
 
     #[test]
     fn wrong_password_fails_to_decrypt() {
-        let generated = generate(
-            &pbe_byte_arrays(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let key1 = interp
-            .call_static_style(
-                "SecureByteArrayEncryptor",
-                "getKey",
-                vec![Value::chars("right".chars().collect())],
-            )
-            .unwrap();
-        let key2 = interp
-            .call_static_style(
-                "SecureByteArrayEncryptor",
-                "getKey",
-                vec![Value::chars("wrong".chars().collect())],
-            )
-            .unwrap();
-        let ct = interp
-            .call_static_style(
-                "SecureByteArrayEncryptor",
-                "encrypt",
-                vec![Value::bytes(b"sixteen byte msg".to_vec()), key1],
-            )
-            .unwrap();
+        let g = generated(3);
+        let mut run = Run::new(&g);
+        let right = run.call("getKey", vec![password("right")]);
+        let wrong = run.call("getKey", vec![password("wrong")]);
+        let ct = run.call(
+            "encrypt",
+            vec![Value::bytes(b"sixteen byte msg".to_vec()), right],
+        );
         // Wrong key: padding failure or garbled output.
-        if let Ok(pt) =
-            interp.call_static_style("SecureByteArrayEncryptor", "decrypt", vec![ct, key2])
-        {
+        if let Ok(pt) = run.try_call("decrypt", vec![ct, wrong]) {
             assert_ne!(pt.as_bytes().unwrap(), b"sixteen byte msg")
         }
-    }
-
-    #[test]
-    fn generated_pbe_code_is_sast_clean() {
-        let generated = generate(
-            &pbe_files(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let misuses = sast::analyze_unit(
-            &generated.unit,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-            sast::AnalyzerOptions::default(),
-        );
-        assert!(misuses.is_empty(), "{misuses:?}");
     }
 }

@@ -1,105 +1,12 @@
-//! Use case 10: digital signing of strings.
-//!
-//! The Signature rule has two path alternatives — sign and verify. Which
-//! one the generator picks is decided purely by the template's bindings
-//! (`privKey` vs `pubKey`), the paper's path-filtering step in action.
+//! Use case 10, digital signing of strings (`uc10.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::hybrid::key_pair_chain;
-use crate::PACKAGE;
-
-/// Signing chain: binds the private key, data and signature output.
-pub fn sign_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::SIGNATURE)
-        .add_parameter("privateKey", "privKey")
-        .add_parameter("dataBytes", "input")
-        .add_return_object("signature")
-        .build()
-}
-
-/// Verification chain: binds the public key, data, signature input and
-/// the boolean result.
-pub fn verify_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::SIGNATURE)
-        .add_parameter("publicKey", "pubKey")
-        .add_parameter("dataBytes", "input")
-        .add_parameter("signature", "signature")
-        .add_return_object("valid")
-        .build()
-}
-
-/// The use-case template: `generateKeyPair`, `sign`, `verify`.
-pub fn signing_strings() -> Template {
-    let generate_key_pair =
-        TemplateMethod::new("generateKeyPair", JavaType::class(names::KEY_PAIR))
-            .pre(Stmt::decl_init(
-                JavaType::class(names::KEY_PAIR),
-                "keyPair",
-                Expr::null(),
-            ))
-            .chain(key_pair_chain())
-            .post(Stmt::Return(Some(Expr::var("keyPair"))));
-
-    let sign = TemplateMethod::new("sign", JavaType::byte_array())
-        .param(JavaType::string(), "data")
-        .param(JavaType::class(names::PRIVATE_KEY), "privateKey")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "dataBytes",
-            Expr::call(Expr::var("data"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "signature",
-            Expr::null(),
-        ))
-        .chain(sign_chain())
-        .post(Stmt::Return(Some(Expr::var("signature"))));
-
-    let verify = TemplateMethod::new("verify", JavaType::Boolean)
-        .param(JavaType::string(), "data")
-        .param(JavaType::byte_array(), "signature")
-        .param(JavaType::class(names::PUBLIC_KEY), "publicKey")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "dataBytes",
-            Expr::call(Expr::var("data"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::Boolean,
-            "valid",
-            Expr::bool(false),
-        ))
-        .chain(verify_chain())
-        .post(Stmt::Return(Some(Expr::var("valid"))));
-
-    Template::new(PACKAGE, "SecureSigner")
-        .method(generate_key_pair)
-        .method(sign)
-        .method(verify)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, key_pair_part, Run};
+    use interp::Value;
 
     #[test]
     fn bindings_select_sign_vs_verify_paths() {
-        let generated = generate(
-            &signing_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let src = &generated.java_source;
+        let src = generated(10).java_source;
         assert!(src.contains(".initSign(privateKey)"), "{src}");
         assert!(src.contains(".sign()"), "{src}");
         assert!(src.contains(".initVerify(publicKey)"), "{src}");
@@ -112,76 +19,19 @@ mod tests {
 
     #[test]
     fn sign_verify_roundtrip() {
-        let generated = generate(
-            &signing_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let cls = "SecureSigner";
-        let kp = interp
-            .call_static_style(cls, "generateKeyPair", vec![])
-            .unwrap();
-        let priv_key = accessor(kp.clone(), "getPrivate");
-        let pub_key = accessor(kp, "getPublic");
-        let sig = interp
-            .call_static_style(
-                cls,
-                "sign",
-                vec![Value::Str("signed message".into()), priv_key],
-            )
-            .unwrap();
-        let ok = interp
-            .call_static_style(
-                cls,
-                "verify",
-                vec![
-                    Value::Str("signed message".into()),
-                    sig.clone(),
-                    pub_key.clone(),
-                ],
-            )
-            .unwrap();
-        assert!(ok.as_bool().unwrap());
-        let tampered = interp
-            .call_static_style(
-                cls,
-                "verify",
-                vec![Value::Str("tampered message".into()), sig, pub_key],
-            )
-            .unwrap();
-        assert!(!tampered.as_bool().unwrap());
-    }
-
-    fn accessor(recv: Value, name: &str) -> Value {
-        use javamodel::ast::*;
-        let m = MethodDecl::new("acc", JavaType::class("java.lang.Object"))
-            .param(JavaType::class("java.security.KeyPair"), "kp")
-            .statement(Stmt::Return(Some(Expr::call(
-                Expr::var("kp"),
-                name,
-                vec![],
-            ))));
-        let unit = CompilationUnit::new("q").class(ClassDecl::new("Acc").method(m));
-        let mut helper = Interpreter::new(&unit);
-        helper.call_static_style("Acc", "acc", vec![recv]).unwrap()
-    }
-
-    #[test]
-    fn generated_signing_code_is_sast_clean() {
-        let generated = generate(
-            &signing_strings(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let misuses = sast::analyze_unit(
-            &generated.unit,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-            sast::AnalyzerOptions::default(),
+        let g = generated(10);
+        let mut run = Run::new(&g);
+        let kp = run.call("generateKeyPair", vec![]);
+        let priv_key = key_pair_part(kp.clone(), "getPrivate");
+        let pub_key = key_pair_part(kp, "getPublic");
+        let msg = |m: &str| Value::Str(m.into());
+        let sig = run.call("sign", vec![msg("signed message"), priv_key]);
+        let ok = run.call(
+            "verify",
+            vec![msg("signed message"), sig.clone(), pub_key.clone()],
         );
-        assert!(misuses.is_empty(), "{misuses:?}");
+        assert!(ok.as_bool().unwrap());
+        let tampered = run.call("verify", vec![msg("tampered message"), sig, pub_key]);
+        assert!(!tampered.as_bool().unwrap());
     }
 }

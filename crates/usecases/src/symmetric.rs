@@ -1,108 +1,12 @@
-//! Use case 4: symmetric-key encryption with a freshly generated AES key.
+//! Use case 4, symmetric-key encryption (`uc04.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::pbe::{decrypt_chain, encrypt_chain};
-use crate::PACKAGE;
-
-/// Chain generating a fresh AES key through `KeyGenerator`.
-pub fn generate_key_chain() -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::KEY_GENERATOR)
-        .add_return_object("key")
-        .build()
-}
-
-/// The use-case template: `generateKey`, `encrypt`, `decrypt` on byte
-/// arrays.
-pub fn symmetric_encryption() -> Template {
-    let generate_key = TemplateMethod::new("generateKey", JavaType::class(names::SECRET_KEY))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "key",
-            Expr::null(),
-        ))
-        .chain(generate_key_chain())
-        .post(Stmt::Return(Some(Expr::var("key"))));
-
-    let encrypt = TemplateMethod::new("encrypt", JavaType::byte_array())
-        .param(JavaType::byte_array(), "plainText")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::new_array(JavaType::Byte, Expr::int(16)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(encrypt_chain())
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::BYTE_ARRAYS,
-            "concat",
-            vec![Expr::var("ivBytes"), Expr::var("cipherText")],
-        ))));
-
-    let decrypt = TemplateMethod::new("decrypt", JavaType::byte_array())
-        .param(JavaType::byte_array(), "data")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![Expr::var("data"), Expr::int(0), Expr::int(16)],
-            ),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "encrypted",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![
-                    Expr::var("data"),
-                    Expr::int(16),
-                    Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var("data")]),
-                ],
-            ),
-        ))
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(decrypt_chain())
-        .post(Stmt::Return(Some(Expr::var("decrypted"))));
-
-    Template::new(PACKAGE, "SecureSymmetricEncryptor")
-        .method(generate_key)
-        .method(encrypt)
-        .method(decrypt)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, Run};
+    use interp::{NativeState, Value};
 
     #[test]
     fn generated_code_selects_aes_128() {
-        let generated = generate(
-            &symmetric_encryption(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let src = &generated.java_source;
+        let src = generated(4).java_source;
         assert!(src.contains("KeyGenerator.getInstance(\"AES\")"), "{src}");
         assert!(src.contains(".init(128)"), "{src}");
         assert!(
@@ -113,71 +17,30 @@ mod tests {
 
     #[test]
     fn symmetric_roundtrip_end_to_end() {
-        let generated = generate(
-            &symmetric_encryption(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let key = interp
-            .call_static_style("SecureSymmetricEncryptor", "generateKey", vec![])
-            .unwrap();
-        let ct = interp
-            .call_static_style(
-                "SecureSymmetricEncryptor",
-                "encrypt",
-                vec![Value::bytes(b"payload".to_vec()), key.clone()],
-            )
-            .unwrap();
-        let pt = interp
-            .call_static_style("SecureSymmetricEncryptor", "decrypt", vec![ct, key])
-            .unwrap();
+        let g = generated(4);
+        let mut run = Run::new(&g);
+        let key = run.call("generateKey", vec![]);
+        let ct = run.call(
+            "encrypt",
+            vec![Value::bytes(b"payload".to_vec()), key.clone()],
+        );
+        let pt = run.call("decrypt", vec![ct, key]);
         assert_eq!(pt.as_bytes().unwrap(), b"payload");
     }
 
     #[test]
     fn distinct_keys_per_call() {
-        let generated = generate(
-            &symmetric_encryption(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(&generated.unit);
-        let k1 = interp
-            .call_static_style("SecureSymmetricEncryptor", "generateKey", vec![])
-            .unwrap();
-        let k2 = interp
-            .call_static_style("SecureSymmetricEncryptor", "generateKey", vec![])
-            .unwrap();
-        let e1 = interp::Value::as_object(&k1).unwrap();
-        let e2 = interp::Value::as_object(&k2).unwrap();
-        let b1 = match &e1.borrow().state {
-            interp::NativeState::Key(k) => k.encoded(),
-            _ => panic!("not a key"),
+        let g = generated(4);
+        let mut run = Run::new(&g);
+        let mut encoded = || {
+            let key = run.call("generateKey", vec![]);
+            let object = key.as_object().unwrap();
+            let state = &object.borrow().state;
+            match state {
+                NativeState::Key(k) => k.encoded(),
+                _ => panic!("not a key"),
+            }
         };
-        let b2 = match &e2.borrow().state {
-            interp::NativeState::Key(k) => k.encoded(),
-            _ => panic!("not a key"),
-        };
-        assert_ne!(b1, b2);
-    }
-
-    #[test]
-    fn generated_symmetric_code_is_sast_clean() {
-        let generated = generate(
-            &symmetric_encryption(),
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap();
-        let misuses = sast::analyze_unit(
-            &generated.unit,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-            sast::AnalyzerOptions::default(),
-        );
-        assert!(misuses.is_empty(), "{misuses:?}");
+        assert_ne!(encoded(), encoded());
     }
 }

@@ -1,499 +1,87 @@
-//! Use cases 22–26: MAC tokens, HKDF expansion and key transport.
-//!
-//! The token family covers integrity without confidentiality: minting and
-//! verifying HMAC tags over payloads, expanding master keys into
-//! per-purpose subkeys, and moving exported key material between parties.
-//! Verification compares tags with `java.util.Arrays.equals` — the
-//! generated code never reimplements the comparison.
+//! Use cases 22–26, the token family (`uc22.java`–`uc26.java`).
 
-use cognicrypt_core::template::{CrySlCodeGenerator, GeneratorChain, Template, TemplateMethod};
-use javamodel::ast::{Expr, JavaType, Stmt};
-use javamodel::jca::names;
-
-use crate::pbe::{decrypt_chain, encrypt_chain, get_key_method};
-use crate::symmetric::generate_key_chain;
-use crate::PACKAGE;
-
-/// The MAC chain every minting method shares: `Mac` keyed by the caller's
-/// secret, fed the payload, returning the tag.
-pub fn mac_chain(payload_var: &str, tag_var: &str) -> GeneratorChain {
-    CrySlCodeGenerator::get_instance()
-        .consider_crysl_rule(names::MAC)
-        .add_parameter("key", "key")
-        .add_parameter(payload_var, "input")
-        .add_return_object(tag_var)
-        .build()
-}
-
-/// `mint(payload, key) -> tag`.
-fn mint_method() -> TemplateMethod {
-    TemplateMethod::new("mint", JavaType::byte_array())
-        .param(JavaType::byte_array(), "payload")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(JavaType::byte_array(), "tag", Expr::null()))
-        .chain(mac_chain("payload", "tag"))
-        .post(Stmt::Return(Some(Expr::var("tag"))))
-}
-
-/// `verify(payload, tag, key) -> boolean`: recompute and compare.
-fn verify_method() -> TemplateMethod {
-    TemplateMethod::new("verify", JavaType::Boolean)
-        .param(JavaType::byte_array(), "payload")
-        .param(JavaType::byte_array(), "tag")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "freshTag",
-            Expr::null(),
-        ))
-        .chain(mac_chain("payload", "freshTag"))
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::ARRAYS,
-            "equals",
-            vec![Expr::var("tag"), Expr::var("freshTag")],
-        ))))
-}
-
-/// `generateSalt()` — identical shape to the agreement family's.
-fn salt_method() -> TemplateMethod {
-    TemplateMethod::new("generateSalt", JavaType::byte_array())
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "salt",
-            Expr::new_array(JavaType::Byte, Expr::int(16)),
-        ))
-        .chain(
-            CrySlCodeGenerator::get_instance()
-                .consider_crysl_rule(names::SECURE_RANDOM)
-                .add_parameter("salt", "out")
-                .build(),
-        )
-        .post(Stmt::Return(Some(Expr::var("salt"))))
-}
-
-/// Use case 22: HMAC token minting under a freshly generated key.
-pub fn hmac_token() -> Template {
-    let generate_key = TemplateMethod::new("generateKey", JavaType::class(names::SECRET_KEY))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "key",
-            Expr::null(),
-        ))
-        .chain(generate_key_chain())
-        .post(Stmt::Return(Some(Expr::var("key"))));
-
-    Template::new(PACKAGE, "HmacTokenMinter")
-        .method(generate_key)
-        .method(mint_method())
-        .method(verify_method())
-}
-
-/// Use case 23: expanding a fresh master key into a context-bound subkey —
-/// `KeyGenerator → getEncoded → HKDF`, the predicate chain
-/// `generatedKey → rawKey → rawKey` within one method.
-pub fn hkdf_subkeys() -> Template {
-    let expand = TemplateMethod::new("expandKey", JavaType::byte_array())
-        .param(JavaType::byte_array(), "salt")
-        .param(JavaType::byte_array(), "info")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "subkey",
-            Expr::null(),
-        ))
-        .chain(
-            CrySlCodeGenerator::get_instance()
-                .consider_crysl_rule(names::KEY_GENERATOR)
-                .consider_crysl_rule(names::SECRET_KEY)
-                .consider_crysl_rule(names::KDF)
-                .add_parameter("salt", "salt")
-                .add_parameter("info", "info")
-                .add_return_object("subkey")
-                .build(),
-        )
-        .post(Stmt::Return(Some(Expr::var("subkey"))));
-
-    Template::new(PACKAGE, "HkdfSubkeyDeriver")
-        .method(salt_method())
-        .method(expand)
-}
-
-/// Use case 24: minting tokens under a key derived from caller-supplied
-/// input keying material — HKDF → `SecretKeySpec("HmacSHA256")` → `Mac`.
-pub fn derived_mac_token() -> Template {
-    let derive = TemplateMethod::new("deriveMacKey", JavaType::class(names::SECRET_KEY))
-        .param(JavaType::byte_array(), "ikm")
-        .param(JavaType::byte_array(), "salt")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "info",
-            Expr::call(Expr::str("token-mac"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::string(),
-            "keyAlg",
-            Expr::str("HmacSHA256"),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "macKey",
-            Expr::null(),
-        ))
-        .chain(
-            CrySlCodeGenerator::get_instance()
-                .consider_crysl_rule(names::KDF)
-                .add_parameter("ikm", "ikm")
-                .add_parameter("salt", "salt")
-                .add_parameter("info", "info")
-                .consider_crysl_rule(names::SECRET_KEY_SPEC)
-                .add_parameter("keyAlg", "alg")
-                .add_return_object("macKey")
-                .build(),
-        )
-        .post(Stmt::Return(Some(Expr::var("macKey"))));
-
-    Template::new(PACKAGE, "DerivedMacTokenMinter")
-        .method(salt_method())
-        .method(derive)
-        .method(mint_method())
-        .method(verify_method())
-}
-
-/// Use case 25: minting tokens under a password-derived key — the paper's
-/// Figure 4 derivation reused verbatim, with `Mac` instead of `Cipher`
-/// downstream.
-pub fn password_mac_token() -> Template {
-    let mint = TemplateMethod::new("mint", JavaType::byte_array())
-        .param(JavaType::string(), "payload")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "message",
-            Expr::call(Expr::var("payload"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(JavaType::byte_array(), "tag", Expr::null()))
-        .chain(mac_chain("message", "tag"))
-        .post(Stmt::Return(Some(Expr::var("tag"))));
-
-    let verify = TemplateMethod::new("verify", JavaType::Boolean)
-        .param(JavaType::string(), "payload")
-        .param(JavaType::byte_array(), "tag")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "message",
-            Expr::call(Expr::var("payload"), "getBytes", vec![]),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "freshTag",
-            Expr::null(),
-        ))
-        .chain(mac_chain("message", "freshTag"))
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::ARRAYS,
-            "equals",
-            vec![Expr::var("tag"), Expr::var("freshTag")],
-        ))));
-
-    Template::new(PACKAGE, "PasswordMacTokenMinter")
-        .method(get_key_method())
-        .method(mint)
-        .method(verify)
-}
-
-/// Use case 26: key transport — export a fresh key's material, rebuild it
-/// elsewhere via `SecretKeySpec`, and prove the rebuilt key decrypts what
-/// the exporter sealed. Exercises the optional `getEncoded` event that the
-/// encryption-only use cases never select.
-pub fn key_transport() -> Template {
-    let export = TemplateMethod::new("exportFreshKey", JavaType::byte_array())
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "exported",
-            Expr::null(),
-        ))
-        .chain(
-            CrySlCodeGenerator::get_instance()
-                .consider_crysl_rule(names::KEY_GENERATOR)
-                .consider_crysl_rule(names::SECRET_KEY)
-                .add_return_object("exported")
-                .build(),
-        )
-        .post(Stmt::Return(Some(Expr::var("exported"))));
-
-    let import = TemplateMethod::new("importKey", JavaType::class(names::SECRET_KEY))
-        .param(JavaType::byte_array(), "keyMaterial")
-        .pre(Stmt::decl_init(
-            JavaType::class(names::SECRET_KEY),
-            "importedKey",
-            Expr::null(),
-        ))
-        .chain(
-            CrySlCodeGenerator::get_instance()
-                .consider_crysl_rule(names::SECRET_KEY_SPEC)
-                .add_parameter("keyMaterial", "keyMaterial")
-                .add_return_object("importedKey")
-                .build(),
-        )
-        .post(Stmt::Return(Some(Expr::var("importedKey"))));
-
-    let encrypt = TemplateMethod::new("encrypt", JavaType::byte_array())
-        .param(JavaType::byte_array(), "plainText")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::new_array(JavaType::Byte, Expr::int(16)),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "cipherText",
-            Expr::null(),
-        ))
-        .chain(encrypt_chain())
-        .post(Stmt::Return(Some(Expr::static_call(
-            names::BYTE_ARRAYS,
-            "concat",
-            vec![Expr::var("ivBytes"), Expr::var("cipherText")],
-        ))));
-
-    let decrypt = TemplateMethod::new("decrypt", JavaType::byte_array())
-        .param(JavaType::byte_array(), "data")
-        .param(JavaType::class(names::SECRET_KEY), "key")
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "ivBytes",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![Expr::var("data"), Expr::int(0), Expr::int(16)],
-            ),
-        ))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "encrypted",
-            Expr::static_call(
-                names::BYTE_ARRAYS,
-                "slice",
-                vec![
-                    Expr::var("data"),
-                    Expr::int(16),
-                    Expr::static_call(names::BYTE_ARRAYS, "length", vec![Expr::var("data")]),
-                ],
-            ),
-        ))
-        .pre(Stmt::decl_init(JavaType::Int, "mode", Expr::int(2)))
-        .pre(Stmt::decl_init(
-            JavaType::byte_array(),
-            "decrypted",
-            Expr::null(),
-        ))
-        .chain(decrypt_chain())
-        .post(Stmt::Return(Some(Expr::var("decrypted"))));
-
-    Template::new(PACKAGE, "KeyTransportCodec")
-        .method(export)
-        .method(import)
-        .method(encrypt)
-        .method(decrypt)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use cognicrypt_core::generate;
-    use interp::{Interpreter, Value};
-    use javamodel::jca::jca_type_table;
+    use crate::fixture::{generated, Run};
+    use interp::Value;
 
-    fn generated(t: &Template) -> cognicrypt_core::Generated {
-        generate(
-            t,
-            &rules::open(rules::PackSource::Embedded).unwrap().rules,
-            &jca_type_table(),
-        )
-        .unwrap()
+    fn bytes(b: &[u8]) -> Value {
+        Value::bytes(b.to_vec())
     }
 
     #[test]
     fn hmac_token_mints_and_verifies() {
-        let g = generated(&hmac_token());
+        let g = generated(22);
         assert!(
             g.java_source.contains("Arrays.equals(tag, freshTag)"),
             "{}",
             g.java_source
         );
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "HmacTokenMinter";
-        let key = interp
-            .call_static_style(cls, "generateKey", vec![])
-            .unwrap();
-        let tag = interp
-            .call_static_style(
-                cls,
-                "mint",
-                vec![Value::bytes(b"grant:read".to_vec()), key.clone()],
-            )
-            .unwrap();
-        let ok = interp
-            .call_static_style(
-                cls,
-                "verify",
-                vec![
-                    Value::bytes(b"grant:read".to_vec()),
-                    tag.clone(),
-                    key.clone(),
-                ],
-            )
-            .unwrap();
+        let mut run = Run::new(&g);
+        let key = run.call("generateKey", vec![]);
+        let tag = run.call("mint", vec![bytes(b"grant:read"), key.clone()]);
+        let ok = run.call(
+            "verify",
+            vec![bytes(b"grant:read"), tag.clone(), key.clone()],
+        );
         assert!(ok.as_bool().unwrap());
-        let forged = interp
-            .call_static_style(
-                cls,
-                "verify",
-                vec![Value::bytes(b"grant:write".to_vec()), tag, key],
-            )
-            .unwrap();
+        let forged = run.call("verify", vec![bytes(b"grant:write"), tag, key]);
         assert!(!forged.as_bool().unwrap());
     }
 
     #[test]
     fn hkdf_expansion_links_key_generation_into_the_kdf() {
-        let g = generated(&hkdf_subkeys());
+        let g = generated(23);
         assert!(g.java_source.contains(".getEncoded()"), "{}", g.java_source);
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "HkdfSubkeyDeriver";
-        let salt = interp
-            .call_static_style(cls, "generateSalt", vec![])
-            .unwrap();
-        let s1 = interp
-            .call_static_style(
-                cls,
-                "expandKey",
-                vec![salt.clone(), Value::bytes(b"ctx-a".to_vec())],
-            )
-            .unwrap();
+        let mut run = Run::new(&g);
+        let salt = run.call("generateSalt", vec![]);
+        let s1 = run.call("expandKey", vec![salt.clone(), bytes(b"ctx-a")]);
         // KDF's first-choice output length.
         assert_eq!(s1.as_bytes().unwrap().len(), 32);
         // A fresh master key is generated per call: outputs differ.
-        let s2 = interp
-            .call_static_style(
-                cls,
-                "expandKey",
-                vec![salt, Value::bytes(b"ctx-a".to_vec())],
-            )
-            .unwrap();
+        let s2 = run.call("expandKey", vec![salt, bytes(b"ctx-a")]);
         assert_ne!(s1.as_bytes().unwrap(), s2.as_bytes().unwrap());
     }
 
     #[test]
     fn derived_mac_tokens_are_deterministic_in_ikm_and_salt() {
-        let g = generated(&derived_mac_token());
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "DerivedMacTokenMinter";
-        let ikm = Value::bytes(b"master secret".to_vec());
-        let salt = interp
-            .call_static_style(cls, "generateSalt", vec![])
-            .unwrap();
-        let k1 = interp
-            .call_static_style(cls, "deriveMacKey", vec![ikm.clone(), salt.clone()])
-            .unwrap();
-        let k2 = interp
-            .call_static_style(cls, "deriveMacKey", vec![ikm, salt])
-            .unwrap();
-        let tag1 = interp
-            .call_static_style(cls, "mint", vec![Value::bytes(b"claim".to_vec()), k1])
-            .unwrap();
-        let ok = interp
-            .call_static_style(
-                cls,
-                "verify",
-                vec![Value::bytes(b"claim".to_vec()), tag1, k2],
-            )
-            .unwrap();
+        let g = generated(24);
+        let mut run = Run::new(&g);
+        let ikm = bytes(b"master secret");
+        let salt = run.call("generateSalt", vec![]);
+        let k1 = run.call("deriveMacKey", vec![ikm.clone(), salt.clone()]);
+        let k2 = run.call("deriveMacKey", vec![ikm, salt]);
+        let tag = run.call("mint", vec![bytes(b"claim"), k1]);
+        let ok = run.call("verify", vec![bytes(b"claim"), tag, k2]);
         assert!(ok.as_bool().unwrap());
     }
 
     #[test]
     fn password_mac_tokens_roundtrip_through_getkey() {
-        let g = generated(&password_mac_token());
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "PasswordMacTokenMinter";
-        let key = interp
-            .call_static_style(
-                cls,
-                "getKey",
-                vec![Value::chars("hunter2".chars().collect())],
-            )
-            .unwrap();
-        let tag = interp
-            .call_static_style(
-                cls,
-                "mint",
-                vec![Value::Str("session:42".into()), key.clone()],
-            )
-            .unwrap();
-        let ok = interp
-            .call_static_style(
-                cls,
-                "verify",
-                vec![Value::Str("session:42".into()), tag.clone(), key.clone()],
-            )
-            .unwrap();
+        let g = generated(25);
+        let mut run = Run::new(&g);
+        let key = run.call("getKey", vec![Value::chars("hunter2".chars().collect())]);
+        let claim = |c: &str| Value::Str(c.into());
+        let tag = run.call("mint", vec![claim("session:42"), key.clone()]);
+        let ok = run.call(
+            "verify",
+            vec![claim("session:42"), tag.clone(), key.clone()],
+        );
         assert!(ok.as_bool().unwrap());
-        let forged = interp
-            .call_static_style(
-                cls,
-                "verify",
-                vec![Value::Str("session:43".into()), tag, key],
-            )
-            .unwrap();
+        let forged = run.call("verify", vec![claim("session:43"), tag, key]);
         assert!(!forged.as_bool().unwrap());
     }
 
     #[test]
     fn exported_keys_rebuild_and_decrypt() {
-        let g = generated(&key_transport());
+        let g = generated(26);
         assert!(g.java_source.contains(".getEncoded()"), "{}", g.java_source);
-        let mut interp = Interpreter::new(&g.unit);
-        let cls = "KeyTransportCodec";
-        let material = interp
-            .call_static_style(cls, "exportFreshKey", vec![])
-            .unwrap();
+        let mut run = Run::new(&g);
+        let material = run.call("exportFreshKey", vec![]);
         // The provider's AES keys are 128-bit.
         assert_eq!(material.as_bytes().unwrap().len(), 16);
-        let key = interp
-            .call_static_style(cls, "importKey", vec![material])
-            .unwrap();
-        let ct = interp
-            .call_static_style(
-                cls,
-                "encrypt",
-                vec![Value::bytes(b"transported".to_vec()), key.clone()],
-            )
-            .unwrap();
-        let pt = interp
-            .call_static_style(cls, "decrypt", vec![ct, key])
-            .unwrap();
+        let key = run.call("importKey", vec![material]);
+        let ct = run.call("encrypt", vec![bytes(b"transported"), key.clone()]);
+        let pt = run.call("decrypt", vec![ct, key]);
         assert_eq!(pt.as_bytes().unwrap(), b"transported");
-    }
-
-    #[test]
-    fn token_family_is_sast_clean() {
-        for t in [
-            hmac_token(),
-            hkdf_subkeys(),
-            derived_mac_token(),
-            password_mac_token(),
-            key_transport(),
-        ] {
-            let g = generated(&t);
-            let misuses = sast::analyze_unit(
-                &g.unit,
-                &rules::open(rules::PackSource::Embedded).unwrap().rules,
-                &jca_type_table(),
-                sast::AnalyzerOptions::default(),
-            );
-            assert!(misuses.is_empty(), "{}: {misuses:?}", t.class_name);
-        }
     }
 }

@@ -1,0 +1,75 @@
+// 19 | DH Session Encryption (AES-GCM) | ext
+package de.crypto.cognicrypt;
+
+public class DhSessionEncryptor {
+    public KeyPair generateKeyPair() {
+        String kpAlg = "DH";
+        KeyPair keyPair = null;
+        CrySLCodeGenerator.getInstance().
+            considerCrySLRule("java.security.KeyPairGenerator").
+            addParameter(kpAlg, "alg").
+            considerCrySLRule("java.security.KeyPair").
+            addReturnObject(keyPair).generate();
+        return keyPair;
+    }
+
+    public byte[] generateSalt() {
+        byte[] salt = new byte[16];
+        CrySLCodeGenerator.getInstance().
+            considerCrySLRule("java.security.SecureRandom").
+            addParameter(salt, "out").generate();
+        return salt;
+    }
+
+    public SecretKey deriveSessionKey(PrivateKey own, PublicKey peer, byte[] salt) {
+        byte[] info = "dh-session".getBytes();
+        int outLen = 16;
+        SecretKey sessionKey = null;
+        CrySLCodeGenerator.getInstance().
+            considerCrySLRule("javax.crypto.KeyAgreement").
+            addParameter(own, "ownKey").
+            addParameter(peer, "peerKey").
+            considerCrySLRule("javax.crypto.KDF").
+            addParameter(salt, "salt").
+            addParameter(info, "info").
+            addParameter(outLen, "outLen").
+            considerCrySLRule("javax.crypto.spec.SecretKeySpec").
+            addReturnObject(sessionKey).generate();
+        return sessionKey;
+    }
+
+    public byte[] seal(byte[] plainText, SecretKey key) {
+        String transformation = "AES/GCM/NoPadding";
+        byte[] nonce = new byte[12];
+        byte[] cipherText = null;
+        CrySLCodeGenerator.getInstance().
+            considerCrySLRule("java.security.SecureRandom").
+            addParameter(nonce, "out").
+            considerCrySLRule("javax.crypto.spec.GCMParameterSpec").
+            addParameter(nonce, "iv").
+            considerCrySLRule("javax.crypto.Cipher").
+            addParameter(transformation, "transformation").
+            addParameter(key, "key").
+            addParameter(plainText, "plainText").
+            addReturnObject(cipherText).generate();
+        return ByteArrays.concat(nonce, cipherText);
+    }
+
+    public byte[] open(byte[] data, SecretKey key) {
+        String transformation = "AES/GCM/NoPadding";
+        byte[] nonce = ByteArrays.slice(data, 0, 12);
+        byte[] encrypted = ByteArrays.slice(data, 12, ByteArrays.length(data));
+        int mode = 2;
+        byte[] decrypted = null;
+        CrySLCodeGenerator.getInstance().
+            considerCrySLRule("javax.crypto.spec.GCMParameterSpec").
+            addParameter(nonce, "iv").
+            considerCrySLRule("javax.crypto.Cipher").
+            addParameter(transformation, "transformation").
+            addParameter(mode, "encmode").
+            addParameter(key, "key").
+            addParameter(encrypted, "plainText").
+            addReturnObject(decrypted).generate();
+        return decrypted;
+    }
+}

@@ -15,7 +15,7 @@ use cognicryptgen::interp::{Interpreter, Value};
 use cognicryptgen::javamodel::ast::{ClassDecl, CompilationUnit, Expr, JavaType, MethodDecl, Stmt};
 use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::rules::{open, PackSource};
-use cognicryptgen::usecases::hybrid;
+use cognicryptgen::usecases;
 
 fn key_accessor(recv: Value, name: &str) -> Value {
     let m = MethodDecl::new("acc", JavaType::class("java.lang.Object"))
@@ -34,7 +34,7 @@ fn key_accessor(recv: Value, name: &str) -> Value {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generated = generate(
-        &hybrid::hybrid_byte_arrays(),
+        &usecases::use_case(7).unwrap().template,
         &open(PackSource::Embedded)?.rules,
         &jca_type_table(),
     )?;

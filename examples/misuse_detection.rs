@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(misuses.len(), 3, "Figure 1 exhibits exactly three misuses");
 
     println!("\n== Analyzing the CogniCryptGEN-generated counterpart ==");
-    let generated = generate(&usecases::pbe::pbe_byte_arrays(), &rules, &table)?;
+    let generated = generate(&usecases::use_case(3).unwrap().template, &rules, &table)?;
     let clean = analyze_unit(&generated.unit, &rules, &table, AnalyzerOptions::default());
     println!("  {} misuses", clean.len());
     assert!(clean.is_empty());

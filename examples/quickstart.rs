@@ -1,9 +1,10 @@
 //! Quickstart: the paper's running example, end to end.
 //!
-//! Builds the Figure 4 template for password-based encryption, generates
-//! the Figure 5 Java code from the CrySL rules, prints it, verifies it
-//! with the static analyzer, and finally *executes* it on the simulated
-//! JCA provider to derive a key and encrypt/decrypt a message.
+//! Loads the Figure 4-style template for password-based encryption
+//! (`crates/usecases/templates/uc03.java`), generates the Figure 5 Java
+//! code from the CrySL rules, prints it, verifies it with the static
+//! analyzer, and finally *executes* it on the simulated JCA provider to
+//! derive a key and encrypt/decrypt a message.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -19,14 +20,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let table = jca_type_table();
 
     // 1. The code template for "PBE on byte arrays" (paper Table 1, #3).
-    let template = usecases::pbe::pbe_byte_arrays();
+    let template = &usecases::use_case(3)
+        .expect("use case 3 is catalogued")
+        .template;
     println!(
         "== Template: {} (3 methods, ~60 LoC of glue) ==\n",
         template.class_name
     );
 
     // 2. Generate: rules + template -> complete Java implementation.
-    let generated = generate(&template, &rules, &table)?;
+    let generated = generate(template, &rules, &table)?;
     println!("== Generated Java (syntax-error free, type-checked) ==\n");
     println!("{}", generated.java_source);
 

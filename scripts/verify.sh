@@ -46,6 +46,17 @@ if matches="$(grep -nE "$old_loaders" $sources)"; then
     exit 1
 fi
 
+# The use-case templates are Java files (crates/usecases/templates/),
+# lowered by core::template::parse_template: the Rust template
+# builders and the renderer that printed them as Java are deleted, and
+# no source file may define or call them again.
+old_builders='\b(render_java|pbe_files|pbe_strings|pbe_byte_arrays|get_key_chain|get_key_method|encrypt_chain|decrypt_chain|symmetric_encryption|generate_key_chain|hybrid_files|hybrid_strings|hybrid_byte_arrays|key_pair_chain|wrap_key_chain|unwrap_key_chain|asymmetric_strings|rsa_encrypt_chain|rsa_decrypt_chain|password_storage|create_salt_chain|hash_chain|signing_strings|sign_chain|verify_chain|hashing_strings|authenticated_encryption|gcm_encrypt_chain|gcm_decrypt_chain|gcm_siv_encryption|chacha_poly_encryption|chacha_poly_strings|ctr_encryption|chacha_key_chain|aead_encrypt_chain|aead_decrypt_chain|seal_method|open_method|aes_key_method|dh_agreement|ecdh_agreement|dh_session_encryption|ecdh_session_encryption|agreed_mac|pinned_key_pair_chain|hmac_token|hkdf_subkeys|derived_mac_token|password_mac_token|key_transport|mac_chain)\('
+if matches="$(grep -nE "$old_builders" $sources)"; then
+    echo "error: deleted Rust template builder or render_java:" >&2
+    echo "$matches" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked
 

@@ -22,7 +22,7 @@ pub use usecases;
 use std::sync::OnceLock;
 
 use cognicrypt_core::GenEngine;
-use usecases::{all_use_cases, UseCase};
+use usecases::{CaseFile, UseCase};
 
 /// The process-wide generation engine over the shipped JCA rule set and
 /// type table: the embedded rules via `rules::open` (parsed once per
@@ -49,36 +49,40 @@ pub fn jca_engine() -> Result<&'static GenEngine, Error> {
     Ok(ENGINE.get_or_init(|| engine))
 }
 
-/// The shipped use cases in id order, built once per process: every
-/// served request resolves against this table instead of rebuilding
-/// all the templates.
-pub fn catalogue() -> &'static [UseCase] {
-    static CATALOGUE: OnceLock<Vec<UseCase>> = OnceLock::new();
-    CATALOGUE.get_or_init(all_use_cases)
-}
-
 /// Resolves a use-case selector — a Table-1 id (`"3"`) or a
 /// case-insensitive name fragment (`"password"`) — against the shipped
-/// use cases. Shared by the CLI front end and the daemon protocol.
+/// use cases. Shared by the CLI front end and the daemon protocol. The
+/// match reads only the template files' headers; the matched case's
+/// template is parsed on its first use, once per process.
 ///
 /// # Errors
 ///
 /// [`Error::Usage`] when nothing matches.
 pub fn find_use_case(selector: &str) -> Result<&'static UseCase, Error> {
-    let cases = catalogue();
+    find_case_file(selector).map(CaseFile::use_case)
+}
+
+/// The template file [`find_use_case`] resolves `selector` to, without
+/// parsing it.
+///
+/// # Errors
+///
+/// [`Error::Usage`] when nothing matches.
+pub fn find_case_file(selector: &str) -> Result<&'static CaseFile, Error> {
+    let files = usecases::catalogue();
     // A numeric selector is an id, never a name fragment: "0" must not
     // resolve just because some use-case name happens to contain that
     // digit.
     if let Ok(id) = selector.parse::<u8>() {
-        return cases
+        return files
             .iter()
-            .find(|u| u.id == id)
+            .find(|f| f.id == id)
             .ok_or_else(|| Error::Usage(format!("no use case {id} (try `list`)")));
     }
     let lowered = selector.to_lowercase();
-    cases
+    files
         .iter()
-        .find(|u| u.name.to_lowercase().contains(&lowered))
+        .find(|f| f.name.to_lowercase().contains(&lowered))
         .ok_or_else(|| Error::Usage(format!("no use case matches `{selector}` (try `list`)")))
 }
 
@@ -116,7 +120,7 @@ mod tests {
     fn jca_engine_is_a_singleton_and_generates() {
         let engine = jca_engine().expect("shipped rules are well-formed");
         assert!(std::ptr::eq(engine, jca_engine().unwrap()));
-        let uc = usecases::all_use_cases().remove(0);
+        let uc = find_use_case("1").unwrap();
         let first = engine.generate(&uc.template).expect("generates");
         let second = engine.generate(&uc.template).expect("generates");
         assert_eq!(first.java_source, second.java_source);

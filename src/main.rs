@@ -70,7 +70,6 @@ use std::sync::Arc;
 
 use cognicryptgen::core::memtrack::TrackingAlloc;
 use cognicryptgen::core::telemetry::{validate_trace, TraceRecorder};
-use cognicryptgen::core::template::render_java;
 use cognicryptgen::core::GenEngine;
 use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::javamodel::parser::parse_java;
@@ -80,7 +79,7 @@ use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
 use cognicryptgen::serve::{ServeConfig, Server};
 use cognicryptgen::statemachine::OrderCache;
 use cognicryptgen::usecases::UseCase;
-use cognicryptgen::{catalogue, check_declared, declares, find_use_case, jca_engine, Error};
+use cognicryptgen::{check_declared, declares, find_case_file, find_use_case, jca_engine, Error};
 use devharness::json::Json;
 
 /// Every allocation of the CLI process is counted, so phase spans carry
@@ -98,15 +97,18 @@ fn main() -> ExitCode {
         let pack = rules_flag.as_deref();
         match args.first().map(String::as_str) {
             Some("list") => reject_custom(trace, pack, "list").and_then(|()| cmd_list()),
-            Some("generate") => with_use_case(args.get(1), |uc| cmd_generate(uc, pack, trace)),
+            Some("generate") => selector(args.get(1))
+                .and_then(find_use_case)
+                .and_then(|uc| cmd_generate(uc, pack, trace)),
             Some("batch") => cmd_batch(
                 args.get(1).map(String::as_str),
                 args.get(2).map(String::as_str),
                 pack,
                 trace,
             ),
-            Some("template") => reject_custom(trace, pack, "template")
-                .and_then(|()| with_use_case(args.get(1), cmd_template)),
+            Some("template") => {
+                reject_custom(trace, pack, "template").and_then(|()| cmd_template(args.get(1)))
+            }
             Some("rules") => reject_custom(trace, pack, "rules")
                 .and_then(|()| cmd_rules(args.get(1).map(String::as_str))),
             Some("compile-rules") => reject_custom(trace, pack, "compile-rules")
@@ -243,19 +245,15 @@ fn write_trace(recorder: &TraceRecorder, path: &str) -> Result<(), Error> {
     Ok(())
 }
 
-fn with_use_case(
-    selector: Option<&String>,
-    f: impl FnOnce(&UseCase) -> Result<(), Error>,
-) -> Result<(), Error> {
-    let selector =
-        selector.ok_or_else(|| Error::Usage("missing use-case id or name".to_owned()))?;
-    f(find_use_case(selector)?)
+fn selector(arg: Option<&String>) -> Result<&str, Error> {
+    arg.map(String::as_str)
+        .ok_or_else(|| Error::Usage("missing use-case id or name".to_owned()))
 }
 
 fn cmd_list() -> Result<(), Error> {
     println!("{:<4} {:<32} Sources", "#", "Use case (paper Table 1)");
-    for uc in catalogue() {
-        println!("{:<4} {:<32} {}", uc.id, uc.name, uc.sources);
+    for file in usecases::catalogue() {
+        println!("{:<4} {:<32} {}", file.id, file.name, file.sources);
     }
     Ok(())
 }
@@ -314,9 +312,13 @@ fn cmd_batch(
         None => jca_engine()?,
     };
 
-    let full = catalogue();
+    let full = usecases::catalogue();
     let total = full.len();
-    let cases: Vec<&UseCase> = full.iter().filter(|uc| declares(declared, uc.id)).collect();
+    let cases: Vec<&UseCase> = full
+        .iter()
+        .filter(|f| declares(declared, f.id))
+        .map(usecases::CaseFile::use_case)
+        .collect();
     if cases.len() < total {
         println!(
             "batch: rule pack declares {} of {} catalogued use cases",
@@ -368,8 +370,9 @@ fn cmd_batch(
     }
 }
 
-fn cmd_template(uc: &UseCase) -> Result<(), Error> {
-    print!("{}", render_java(&uc.template));
+/// `template <id|name>` — print the use case's template file verbatim.
+fn cmd_template(arg: Option<&String>) -> Result<(), Error> {
+    print!("{}", find_case_file(selector(arg)?)?.text);
     Ok(())
 }
 

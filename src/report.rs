@@ -30,7 +30,7 @@ use devharness::json::Json;
 use rules::{PackManifest, PackSource, RulePack};
 use sast::{analyze_unit, AnalyzerOptions};
 
-use crate::{catalogue, Error};
+use crate::Error;
 
 /// File name the CLI `report` subcommand writes.
 pub const REPORT_FILE: &str = "REPORT_table1.json";
@@ -175,10 +175,11 @@ pub(crate) fn build_served(
     let metrics = MetricsRegistry::new();
     let declared = rules::declared_use_cases(manifest);
     let mut rows = Vec::new();
-    for uc in catalogue() {
-        if !crate::declares(declared, uc.id) {
+    for file in usecases::catalogue() {
+        if !crate::declares(declared, file.id) {
             continue;
         }
+        let uc = file.use_case();
         let generated = engine.generate(&uc.template)?;
         generated.record.fold_into(&metrics);
         // Analysed after `generate` returns, so no phase span or record
@@ -486,7 +487,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         .ok_or("missing `use_cases` array")?;
     // The embedded pack declares the whole catalogue; others may
     // declare a subset, which the document does not name.
-    let expected = catalogue().len();
+    let expected = usecases::catalogue().len();
     let kind = doc.get("boot").and_then(|b| b.get("kind"));
     let embedded = kind.and_then(Json::as_str) == Some("embedded");
     if cases.is_empty() || (embedded && cases.len() != expected) {

@@ -59,7 +59,7 @@ use devharness::json::Json;
 use rules::{PackManifest, PackSource, RulePack};
 use statemachine::OrderCache;
 
-use crate::{catalogue, check_declared, declares, find_use_case, report, Error};
+use crate::{check_declared, declares, find_use_case, report, Error};
 
 /// How long a worker sleeps after a failed `accept` (EMFILE and the
 /// like) before it retries, so a persistent error cannot spin the loop.
@@ -599,9 +599,10 @@ impl ServerState {
                     ));
                 }
                 let declared = rules::declared_use_cases(&self.pack_info().manifest);
-                let cases: Vec<_> = catalogue()
+                let cases: Vec<_> = usecases::catalogue()
                     .iter()
-                    .filter(|uc| declares(declared, uc.id))
+                    .filter(|f| declares(declared, f.id))
+                    .map(usecases::CaseFile::use_case)
                     .collect();
                 let templates: Vec<_> = cases.iter().map(|uc| uc.template.clone()).collect();
                 let engine = self.engine();

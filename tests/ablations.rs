@@ -79,7 +79,7 @@ fn without_predicate_filters_the_iv_less_init_slips_through() {
     let mut interp = Interpreter::new(&broken.unit);
     let key_unit = Generator::new()
         .generate_uncached(
-            &usecases::symmetric::symmetric_encryption(),
+            &usecases::use_case(4).unwrap().template,
             &open(PackSource::Embedded).unwrap().rules,
             &jca_type_table(),
         )
@@ -182,7 +182,7 @@ fn longest_path_tie_break_emits_more_calls() {
     };
     let short = Generator::new()
         .generate_uncached(
-            &usecases::pbe::pbe_strings(),
+            &usecases::use_case(2).unwrap().template,
             &open(PackSource::Embedded).unwrap().rules,
             &jca_type_table(),
         )
@@ -192,7 +192,7 @@ fn longest_path_tie_break_emits_more_calls() {
         ..GeneratorOptions::default()
     })
     .generate_uncached(
-        &usecases::pbe::pbe_strings(),
+        &usecases::use_case(2).unwrap().template,
         &open(PackSource::Embedded).unwrap().rules,
         &jca_type_table(),
     )

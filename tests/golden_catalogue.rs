@@ -7,6 +7,9 @@
 //! before and after a reload. The embedded pack is held to `jca@v2`'s
 //! files, the catalog entry it ships as. Each golden file also parses,
 //! type-checks and is SAST-clean under its own pack (RQ1).
+//! The template files the outputs come from are held to the catalogue
+//! too: `crates/usecases/templates/` is exactly `uc01.java` …
+//! `uc26.java`, and `list` prints their headers.
 //!
 //! An intended output change regenerates a pack's files from the
 //! repository root with `cargo run --release -- batch
@@ -21,6 +24,7 @@ use std::process::{Command, Output};
 use std::sync::Arc;
 
 use cognicryptgen::core::telemetry::TraceRecorder;
+use cognicryptgen::core::template::{parse_template, split_header};
 use cognicryptgen::core::{GenEngine, Generator};
 use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::javamodel::parser::parse_java;
@@ -30,10 +34,40 @@ use cognicryptgen::rules::{self, catalog_pack, PackSource, PackSpec, PACK_CATALO
 use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
 use cognicryptgen::serve::{http, uds, ServeConfig, Server};
 use cognicryptgen::statemachine::OrderCache;
-use cognicryptgen::usecases::{all_use_cases, UseCase};
+use cognicryptgen::usecases::{self, all_use_cases, UseCase};
 use devharness::json::Json;
 
 const BIN: &str = env!("CARGO_BIN_EXE_cognicryptgen");
+
+/// What `cognicryptgen list` prints: one row per template file header.
+const LIST: &str = "\
+#    Use case (paper Table 1)         Sources\n\
+1    PBE on Files                     [21]\n\
+2    PBE on Strings                   [21], [27]\n\
+3    PBE on Byte-Arrays               [21]\n\
+4    Symmetric-Key Encryption         [27], [29]\n\
+5    Hybrid File Encryption           [21]\n\
+6    Hybrid String Encryption         [21]\n\
+7    Hybrid Byte-Array Encryption     [21]\n\
+8    Asymmetric String Encryption     [27]\n\
+9    Secure User-Password Storage     [21], [27]\n\
+10   Digital Signing of Strings       [21], [27], [29]\n\
+11   Hashing of Strings               [27]\n\
+12   Authenticated Encryption (AES-GCM) ext\n\
+13   Deterministic AEAD (AES-GCM-SIV) ext\n\
+14   ChaCha20-Poly1305 on Byte-Arrays ext\n\
+15   ChaCha20-Poly1305 on Strings     ext\n\
+16   AES-CTR Stream Encryption        ext\n\
+17   DH Shared-Secret Derivation      ext\n\
+18   ECDH Shared-Secret Derivation    ext\n\
+19   DH Session Encryption (AES-GCM)  ext\n\
+20   ECDH Session Encryption (ChaCha20-Poly1305) ext\n\
+21   MAC under an Agreed Key          ext\n\
+22   HMAC Token Minting               ext\n\
+23   HKDF Subkey Expansion            ext\n\
+24   HKDF-Derived MAC Tokens          ext\n\
+25   Password-Derived MAC Tokens      ext\n\
+26   Key Export/Import Transport      ext\n";
 
 /// A pack as the paths name it: a catalog entry (`name: Some("jca@v1")`)
 /// or the embedded rules (`None`), with the catalog entry whose golden
@@ -218,6 +252,31 @@ fn golden_catalogue_holds_exactly_the_declared_cases_of_every_catalog_pack() {
     }
     let files: usize = PACK_CATALOG.iter().map(|s| s.use_cases.len()).sum();
     assert_eq!(files, 64);
+}
+
+/// `crates/usecases/templates/` is exactly the catalogue: `uc01.java` …
+/// `uc26.java`, each header naming its own file, class names unique, and
+/// `list` prints the headers.
+#[test]
+fn template_files_are_the_catalogue_and_list_prints_it() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/usecases/templates");
+    let names: Vec<String> = (1..=26).map(|id| format!("uc{id:02}.java")).collect();
+    assert_eq!(file_names(&dir), names.iter().cloned().collect());
+    let table = jca_type_table();
+    let mut classes = BTreeSet::new();
+    for (name, file) in names.iter().zip(usecases::catalogue()) {
+        let text = fs::read_to_string(dir.join(name)).unwrap();
+        let (header, java) = split_header(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(format!("uc{:02}.java", header.id), *name, "header id");
+        assert_eq!(text, file.text, "{name} is catalogue entry {}", file.id);
+        let template = parse_template(java, &table).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            classes.insert(template.class_name),
+            "{name}: class name taken"
+        );
+    }
+    assert_eq!(usecases::catalogue().len(), names.len());
+    assert_eq!(String::from_utf8(cli(&["list"]).stdout).unwrap(), LIST);
 }
 
 #[test]

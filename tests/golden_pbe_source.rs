@@ -6,14 +6,14 @@
 use cognicryptgen::core::generate;
 use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::rules::{open, PackSource};
-use cognicryptgen::usecases::pbe::pbe_byte_arrays;
+use cognicryptgen::usecases;
 
 const EXPECTED: &str = include_str!("golden/jca@v2/uc03.java");
 
 #[test]
 fn pbe_byte_arrays_generates_exactly_the_golden_source() {
     let generated = generate(
-        &pbe_byte_arrays(),
+        &usecases::use_case(3).unwrap().template,
         &open(PackSource::Embedded).unwrap().rules,
         &jca_type_table(),
     )
@@ -24,13 +24,13 @@ fn pbe_byte_arrays_generates_exactly_the_golden_source() {
 #[test]
 fn generation_is_deterministic() {
     let a = generate(
-        &pbe_byte_arrays(),
+        &usecases::use_case(3).unwrap().template,
         &open(PackSource::Embedded).unwrap().rules,
         &jca_type_table(),
     )
     .unwrap();
     let b = generate(
-        &pbe_byte_arrays(),
+        &usecases::use_case(3).unwrap().template,
         &open(PackSource::Embedded).unwrap().rules,
         &jca_type_table(),
     )

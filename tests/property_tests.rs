@@ -5,8 +5,10 @@
 
 use devharness::prop::{check, gens, Config, Gen};
 
+use cognicryptgen::core::template::{parse_template, split_header};
 use cognicryptgen::crysl::parse_rule;
 use cognicryptgen::interp::base64;
+use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::jcasim::aes::Aes128;
 use cognicryptgen::jcasim::modes;
 use cognicryptgen::jcasim::pbkdf2::pbkdf2_hmac_sha256;
@@ -15,6 +17,7 @@ use cognicryptgen::jcasim::rsa;
 use cognicryptgen::jcasim::sha256;
 use cognicryptgen::statemachine::paths::{enumerate, PathLimit};
 use cognicryptgen::statemachine::{Dfa, Nfa};
+use cognicryptgen::usecases;
 
 fn cfg() -> Config {
     Config::default()
@@ -243,6 +246,35 @@ fn dfa_agrees_with_nfa_simulation() {
             }
             let nfa_accepts = alive && states.contains(&nfa.accept());
             assert_eq!(dfa.accepts(w.iter().copied()), nfa_accepts);
+        },
+    );
+}
+
+/// Every prefix of every template file lowers to `Ok` or a typed
+/// `Err`: cut template text never panics the header split, the Java
+/// parser or the lowering.
+#[test]
+fn every_template_prefix_lowers_or_errs() {
+    let files = usecases::catalogue();
+    let table = jca_type_table();
+    let g = gens::tuple2(
+        gens::usize_range(0, files.len()),
+        gens::usize_range(0, 4096),
+    );
+    check(
+        "every_template_prefix_lowers_or_errs",
+        &Config::with_cases(512),
+        &g,
+        |&(i, cut)| {
+            let text = files[i].text;
+            let prefix = &text[..cut % (text.len() + 1)];
+            let lowered = split_header(prefix).and_then(|(_, java)| parse_template(java, &table));
+            // Only a prefix holding the class's closing brace can lower.
+            assert_eq!(
+                lowered.is_ok(),
+                prefix.trim_end() == text.trim_end(),
+                "{prefix}"
+            );
         },
     );
 }

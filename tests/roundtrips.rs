@@ -35,7 +35,7 @@ fn key_pair_accessor(recv: Value, name: &str) -> Value {
 
 #[test]
 fn pbe_string_roundtrip() {
-    let unit = generated_unit(&usecases::pbe::pbe_strings());
+    let unit = generated_unit(&usecases::use_case(2).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let key = i
         .call_static_style(
@@ -59,7 +59,7 @@ fn pbe_string_roundtrip() {
 
 #[test]
 fn pbe_file_roundtrip_with_many_sizes() {
-    let unit = generated_unit(&usecases::pbe::pbe_files());
+    let unit = generated_unit(&usecases::use_case(1).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let key = i
         .call_static_style(
@@ -97,7 +97,7 @@ fn pbe_file_roundtrip_with_many_sizes() {
 
 #[test]
 fn symmetric_roundtrip() {
-    let unit = generated_unit(&usecases::symmetric::symmetric_encryption());
+    let unit = generated_unit(&usecases::use_case(4).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let key = i
         .call_static_style("SecureSymmetricEncryptor", "generateKey", vec![])
@@ -117,7 +117,7 @@ fn symmetric_roundtrip() {
 
 #[test]
 fn hybrid_string_full_protocol() {
-    let unit = generated_unit(&usecases::hybrid::hybrid_strings());
+    let unit = generated_unit(&usecases::use_case(6).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let cls = "HybridStringEncryptor";
     let kp = i.call_static_style(cls, "generateKeyPair", vec![]).unwrap();
@@ -147,7 +147,7 @@ fn hybrid_string_full_protocol() {
 
 #[test]
 fn hybrid_file_full_protocol() {
-    let unit = generated_unit(&usecases::hybrid::hybrid_files());
+    let unit = generated_unit(&usecases::use_case(5).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let cls = "HybridFileEncryptor";
     i.put_file("report.txt", b"quarterly numbers".to_vec());
@@ -188,7 +188,7 @@ fn hybrid_file_full_protocol() {
 
 #[test]
 fn asymmetric_roundtrip() {
-    let unit = generated_unit(&usecases::asymmetric::asymmetric_strings());
+    let unit = generated_unit(&usecases::use_case(8).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let cls = "SecureAsymmetricEncryptor";
     let kp = i.call_static_style(cls, "generateKeyPair", vec![]).unwrap();
@@ -205,7 +205,7 @@ fn asymmetric_roundtrip() {
 
 #[test]
 fn password_storage_accepts_and_rejects() {
-    let unit = generated_unit(&usecases::password::password_storage());
+    let unit = generated_unit(&usecases::use_case(9).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let cls = "SecurePasswordStore";
     let salt = i.call_static_style(cls, "createSalt", vec![]).unwrap();
@@ -242,7 +242,7 @@ fn password_storage_accepts_and_rejects() {
 
 #[test]
 fn signing_roundtrip_and_tamper_detection() {
-    let unit = generated_unit(&usecases::signing::signing_strings());
+    let unit = generated_unit(&usecases::use_case(10).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let cls = "SecureSigner";
     let kp = i.call_static_style(cls, "generateKeyPair", vec![]).unwrap();
@@ -273,7 +273,7 @@ fn signing_roundtrip_and_tamper_detection() {
 
 #[test]
 fn hashing_is_deterministic_and_collision_sensitive() {
-    let unit = generated_unit(&usecases::hashing::hashing_strings());
+    let unit = generated_unit(&usecases::use_case(11).unwrap().template);
     let mut i = Interpreter::new(&unit);
     let h1 = i
         .call_static_style("SecureHasher", "hash", vec![Value::Str("x".into())])

@@ -11,7 +11,7 @@ use cognicryptgen::usecases;
 #[test]
 fn hashing_template_usage_executes() {
     let generated = generate(
-        &usecases::hashing::hashing_strings(),
+        &usecases::use_case(11).unwrap().template,
         &open(PackSource::Embedded).unwrap().rules,
         &jca_type_table(),
     )
@@ -39,7 +39,7 @@ fn hashing_template_usage_executes() {
 #[test]
 fn password_template_usage_chains_results_by_type() {
     let generated = generate(
-        &usecases::password::password_storage(),
+        &usecases::use_case(9).unwrap().template,
         &open(PackSource::Embedded).unwrap().rules,
         &jca_type_table(),
     )
@@ -74,7 +74,7 @@ fn password_template_usage_chains_results_by_type() {
 #[test]
 fn pbe_template_usage_reuses_the_derived_key() {
     let generated = generate(
-        &usecases::pbe::pbe_byte_arrays(),
+        &usecases::use_case(3).unwrap().template,
         &open(PackSource::Embedded).unwrap().rules,
         &jca_type_table(),
     )
