@@ -6,11 +6,11 @@
 //! already includes the allocation-counting overhead the paper's memory
 //! column costs.
 //!
-//! * `observer/*` — the full catalogued-use-case warm batch under each
-//!   observer tier: `NoopObserver` (baseline: every generation still
-//!   keeps its record and folds it into the engine metrics) and
-//!   `TraceRecorder` (reset between iterations so the event vector
-//!   cannot grow without bound);
+//! * `observer/*` — the full catalogued-use-case warm batch, bare
+//!   (`noop_all`, the baseline: every generation still keeps its record
+//!   and folds it into the engine metrics) and with its records also
+//!   folded into a fresh `TraceRecorder` and rendered as a Chrome trace
+//!   (`trace_recorder_all`);
 //! * `memtrack/*` — microbenches of the raw accounting primitives: an
 //!   `AllocScope` open/close pair and one counted heap round trip, both
 //!   with process-wide accounting off; then, with it on (as in the
@@ -33,13 +33,12 @@
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use devharness::bench::Harness;
 
 use cognicrypt_core::memtrack::{self, AllocScope, TrackingAlloc};
 use cognicrypt_core::telemetry::TraceRecorder;
-use cognicrypt_core::{GenEngine, NoopObserver, Template};
+use cognicrypt_core::{GenEngine, Template};
 use javamodel::jca::jca_type_table;
 use rules::{open, PackSource};
 use usecases::all_use_cases;
@@ -49,9 +48,10 @@ static ALLOC: TrackingAlloc = TrackingAlloc::new();
 
 /// Highest tolerated ratio of any observed configuration's median over
 /// the noop baseline median for the same warm full-catalogue batch. The
-/// trace recorder does strictly bounded work per hook (one Vec push
-/// under a mutex), so 10× is generous headroom over the ~1–2× measured;
-/// crossing it means a hook started doing real work.
+/// trace is a fold over the records every generation already keeps:
+/// one push per generation, then one render of ten events per
+/// generation, so 10× is generous headroom over the ~1× expected;
+/// crossing it means the fold started doing real work.
 const MAX_OVERHEAD: f64 = 10.0;
 
 /// Highest tolerated ratio of the daemon hot path with request
@@ -69,23 +69,19 @@ const SERVE_MAX_OVERHEAD: f64 = 1.3;
 /// covers it.
 const CONTENDED_ROUNDTRIPS: usize = 2048;
 
-fn warm_engine(observer: Arc<dyn cognicrypt_core::GenObserver>) -> GenEngine {
+fn warm_engine() -> GenEngine {
     let engine = GenEngine::builder()
         .rules(open(PackSource::Embedded).expect("parses").rules)
         .type_table(jca_type_table())
-        .observer(observer)
         .build()
         .expect("rules supplied");
     engine.warm().expect("warms");
     engine
 }
 
-fn run_batch(engine: &GenEngine, templates: &[Template]) {
+fn run_batch(engine: &GenEngine, templates: &[Template]) -> Vec<cognicrypt_core::Generated> {
     let results = engine.generate_batch(black_box(templates), 1);
-    for r in &results {
-        assert!(r.is_ok());
-    }
-    black_box(results);
+    results.into_iter().map(|r| r.expect("generates")).collect()
 }
 
 fn bench_observers(h: &mut Harness) -> Vec<(String, u64)> {
@@ -93,14 +89,16 @@ fn bench_observers(h: &mut Harness) -> Vec<(String, u64)> {
     let templates: Vec<Template> = all_use_cases().into_iter().map(|uc| uc.template).collect();
     let mut medians = Vec::new();
 
-    let noop = warm_engine(Arc::new(NoopObserver));
-    h.bench("noop_all", || run_batch(&noop, &templates));
-
-    let recorder = Arc::new(TraceRecorder::new());
-    let traced = warm_engine(recorder.clone());
+    let engine = warm_engine();
+    h.bench("noop_all", || {
+        black_box(run_batch(&engine, &templates));
+    });
     h.bench("trace_recorder_all", || {
-        recorder.reset();
-        run_batch(&traced, &templates);
+        let mut trace = TraceRecorder::new();
+        for (template, generated) in templates.iter().zip(run_batch(&engine, &templates)) {
+            trace.add(&template.class_name, &generated.record);
+        }
+        black_box(trace.to_json());
     });
 
     for r in &h.report().results {

@@ -114,7 +114,7 @@ fn rq5_in_experiments_md_is_what_rq5_prints() {
 
 #[test]
 fn table1_in_experiments_md_has_the_reports_rows_rules_and_verdict() {
-    let report = build_from(PackSource::Embedded, None).expect("report builds");
+    let report = build_from(PackSource::Embedded).expect("report builds");
     let doc = doc_table(TABLE1_HEADER);
     let body = &doc[2..];
     assert_eq!(

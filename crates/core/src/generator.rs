@@ -42,8 +42,6 @@ pub struct GeneratorOptions {
     /// Skip the final Java type check (used only by ablation benchmarks;
     /// the paper's guarantee depends on it staying on).
     pub skip_type_check: bool,
-    /// Skip generating the `templateUsage` showcase class.
-    pub skip_usage_class: bool,
 }
 
 /// The result of a generation run.
@@ -259,14 +257,10 @@ impl Generator {
             }
         }
 
-        let mut unit = CompilationUnit::new(template.package.clone());
-        if !self.options.skip_usage_class {
-            let usage = template_usage(&class, &chain_methods, table);
-            unit.classes.push(class);
-            unit.classes.push(usage);
-        } else {
-            unit.classes.push(class);
-        }
+        let usage = template_usage(&class, &chain_methods, table);
+        let unit = CompilationUnit::new(template.package.clone())
+            .class(class)
+            .class(usage);
 
         if !self.options.skip_type_check {
             // The template class itself must be constructible inside the

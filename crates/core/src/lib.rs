@@ -53,12 +53,14 @@
 //! ```
 //!
 //! Observability: every generation returns a [`telemetry::GenRecord`]
-//! (`Generated::record`) holding each phase's wall time and allocation
-//! delta and what the phases decided (cache traffic, DFA sizes, path
-//! selection, parameter resolution); [`telemetry::GenRecord::fold_into`]
-//! turns records into [`telemetry::MetricsRegistry`] metrics. The
-//! [`telemetry::GenObserver`] hook API sees one live span per phase per
-//! template.
+//! (`Generated::record`) holding each phase's start, wall time and
+//! allocation delta and what the phases decided (cache traffic, DFA
+//! sizes, path selection, parameter resolution). Everything else is a
+//! fold over records: [`telemetry::GenRecord::fold_into`] turns them
+//! into [`telemetry::MetricsRegistry`] metrics, and
+//! [`telemetry::TraceRecorder`] into a Chrome trace. The
+//! [`telemetry::GenObserver`] hook API, which sees one live span per
+//! phase per template, remains for outside users.
 
 pub mod assemble;
 pub mod collect;

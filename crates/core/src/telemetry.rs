@@ -19,13 +19,15 @@
 //!   metrics in a [`MetricsRegistry`]: counters, gauges and histograms
 //!   whose merges commute, so per-generation folds in input order give
 //!   one aggregate regardless of scheduling.
+//! * [`TraceRecorder`] — another fold over records: each phase's start
+//!   offset on one process-wide monotonic clock and its wall time
+//!   become a `B`/`E` pair in Chrome Trace Event Format, openable in
+//!   `chrome://tracing` or Perfetto ([`validate_trace`] checks a
+//!   written file's invariants).
 //! * [`GenObserver`] — the live hook trait: one span per [`Phase`] per
 //!   template (enter, then exit with the measured wall time and the
-//!   span's [`AllocDelta`]).
-//! * [`TraceRecorder`] — an observer that records the span stream with
-//!   monotonic timestamps and serializes it in Chrome Trace Event
-//!   Format, openable in `chrome://tracing` or Perfetto
-//!   ([`validate_trace`] checks a written file's invariants).
+//!   span's [`AllocDelta`]). No surface of this repository attaches
+//!   one; it stays for outside users.
 //!
 //! Everything here is `std`-only; the [`NoopObserver`] path adds no
 //! measurable work, and the differential suite proves telemetry-on
@@ -33,8 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard};
-use std::thread::ThreadId;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use devharness::json::Json;
@@ -163,11 +164,11 @@ pub fn noop() -> &'static NoopObserver {
     &NOOP
 }
 
-/// RAII span: `span_enter` on construction; on drop, the measured
-/// monotonic time and the span's [`AllocDelta`] go into the phase's
-/// slot of the generation's [`GenRecord`] and to `span_exit` — so a
-/// phase that errors out still closes its span and the enter/exit
-/// pairing invariant holds.
+/// RAII span: `span_enter` on construction; on drop, the start offset,
+/// the measured monotonic time and the span's [`AllocDelta`] go into
+/// the phase's slot of the generation's [`GenRecord`] and to
+/// `span_exit` — so a phase that errors out still closes its span and
+/// the enter/exit pairing invariant holds.
 ///
 /// The span holds the record for as long as the phase runs; the phase
 /// body adds to it through [`SpanTimer::record`]. The allocation scope
@@ -186,11 +187,14 @@ impl<'o, 'u, 'r> SpanTimer<'o, 'u, 'r> {
     /// Opens the span and starts the clock and the allocation scope.
     pub fn enter(observer: &'o dyn GenObserver, span: Span<'u>, record: &'r mut GenRecord) -> Self {
         observer.span_enter(&span);
+        let scope = Some(AllocScope::enter());
+        // Fixed before the clock reads, so no span starts before it.
+        epoch();
         SpanTimer {
             observer,
             span,
             record,
-            scope: Some(AllocScope::enter()),
+            scope,
             start: Instant::now(),
         }
     }
@@ -210,6 +214,9 @@ impl Drop for SpanTimer<'_, '_, '_> {
             .map(AllocScope::finish)
             .unwrap_or_default();
         let slot = &mut self.record.phases[self.span.phase.index()];
+        if slot.spans == 0 {
+            slot.start = self.start.duration_since(epoch());
+        }
         slot.spans += 1;
         slot.total += elapsed;
         slot.alloc_bytes += alloc.allocated_bytes;
@@ -230,6 +237,9 @@ pub struct PhaseStat {
     /// Completed spans: 1 once the phase ran, 0 when an earlier phase
     /// failed.
     pub spans: u64,
+    /// When the phase's first span started, as an offset from the
+    /// process-wide trace epoch: where [`TraceRecorder`] places it.
+    pub start: Duration,
     /// Monotonic wall time of the phase.
     pub total: Duration,
     /// Bytes allocated inside the phase (zero unless
@@ -642,227 +652,121 @@ impl MetricsRegistry {
 // TraceRecorder
 // ---------------------------------------------------------------------
 
-/// One recorded span boundary, already reduced to the Chrome Trace
-/// Event Format fields.
-#[derive(Debug, Clone)]
-struct TraceEvent {
-    /// Event name (`name`): the phase name.
-    name: &'static str,
-    /// Phase type (`ph`): `'B'` (span begin) or `'E'` (span end).
-    ph: char,
-    /// Microseconds since the recorder was created (`ts`).
-    ts_us: f64,
-    /// Small integer id of the recording thread (`tid`).
-    tid: u64,
-    /// The `args` object payload.
-    args: Vec<(String, Json)>,
+/// The process-wide origin of every [`PhaseStat::start`]: one monotonic
+/// clock, fixed before the first span of the process reads it.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
-#[derive(Debug, Default)]
-struct TraceInner {
-    events: Vec<TraceEvent>,
-    /// Maps OS thread identity to a stable small integer, in order of
-    /// first appearance.
-    tids: Vec<ThreadId>,
-}
-
-/// An observer that records the span stream with monotonic timestamps
-/// and serializes it as a [Chrome Trace Event Format] document — load
-/// the written file in `chrome://tracing` or
-/// [Perfetto](https://ui.perfetto.dev) to see the pipeline's phases per
-/// thread on a timeline.
+/// A fold of whole generation records into a [Chrome Trace Event
+/// Format] document — load the written file in `chrome://tracing` or
+/// [Perfetto](https://ui.perfetto.dev) to see the pipeline's phases on
+/// a timeline.
 ///
-/// Guarantees the recorder maintains (and [`validate_trace`] checks on
-/// a written file):
+/// Each record brings its phases' start offsets and wall times, so the
+/// fold needs no live hook. At render time every generation goes to a
+/// lane (`tid`): in start order, the first lane whose last generation
+/// has ended, so a batch needs no more lanes than it had threads.
+/// What [`validate_trace`] checks then holds by construction:
 ///
 /// * every `B` has a matching `E` with the same name on the same `tid`
-///   (spans close on error paths because [`SpanTimer`] is RAII);
-/// * timestamps are non-decreasing per `tid` (they are taken from one
-///   monotonic clock under the recorder's lock);
-/// * `E` events carry the span's wall time and [`AllocDelta`] in
+///   (the fold only ever holds whole generations);
+/// * timestamps are non-decreasing per `tid` (a generation's phases
+///   run one after another, and a lane's generations do not overlap);
+/// * `E` events carry the phase's wall time and allocation figures in
 ///   `args`.
 ///
 /// [Chrome Trace Event Format]:
 /// https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceRecorder {
-    start: Instant,
-    inner: Mutex<TraceInner>,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        TraceRecorder::new()
-    }
+    generations: Vec<(String, GenRecord)>,
 }
 
 impl TraceRecorder {
-    /// An empty recorder; its clock starts now.
+    /// An empty recorder.
     pub fn new() -> Self {
-        TraceRecorder {
-            start: Instant::now(),
-            inner: Mutex::new(TraceInner::default()),
-        }
+        TraceRecorder::default()
     }
 
-    /// Recorded events so far.
-    pub fn len(&self) -> usize {
-        self.lock().events.len()
+    /// Folds in one generation of the template class `unit`.
+    pub fn add(&mut self, unit: &str, record: &GenRecord) {
+        self.generations.push((unit.to_owned(), *record));
     }
 
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.lock().events.is_empty()
-    }
-
-    /// Drops all recorded events (the clock keeps running, so a
-    /// recorder reused across runs stays monotonic).
-    pub fn reset(&self) {
-        self.lock().events.clear();
-    }
-
-    fn lock(&self) -> MutexGuard<'_, TraceInner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Appends one event, stamping it with the current thread's stable
-    /// id and the recorder clock. The timestamp is taken under the lock
-    /// so the event vector is globally time-ordered.
-    fn push(&self, name: &'static str, ph: char, args: Vec<(String, Json)>) {
-        let thread = std::thread::current().id();
-        let mut inner = self.lock();
-        let tid = match inner.tids.iter().position(|&t| t == thread) {
-            Some(i) => i as u64,
-            None => {
-                inner.tids.push(thread);
-                (inner.tids.len() - 1) as u64
-            }
-        };
-        let ts_us = self.start.elapsed().as_nanos() as f64 / 1000.0;
-        inner.events.push(TraceEvent {
-            name,
-            ph,
-            ts_us,
-            tid,
-            args,
-        });
-    }
-
-    /// Serializes everything recorded so far as a Chrome Trace Event
-    /// Format document (object form, `traceEvents` array).
+    /// Renders the folded generations as a Chrome Trace Event Format
+    /// document (object form, `traceEvents` array): one `B`/`E` pair
+    /// per phase that ran.
     pub fn to_json(&self) -> Json {
-        let inner = self.lock();
-        Self::render(inner.events.iter())
-    }
-
-    fn render<'e>(events: impl Iterator<Item = &'e TraceEvent>) -> Json {
-        let events = events
-            .map(|e| {
-                Json::Obj(vec![
-                    ("name".to_owned(), Json::Str(e.name.to_owned())),
-                    ("cat".to_owned(), Json::Str("phase".to_owned())),
-                    ("ph".to_owned(), Json::Str(e.ph.to_string())),
-                    ("ts".to_owned(), Json::Num(e.ts_us)),
-                    ("pid".to_owned(), Json::Num(1.0)),
-                    ("tid".to_owned(), Json::Num(e.tid as f64)),
-                    ("args".to_owned(), Json::Obj(e.args.clone())),
-                ])
-            })
+        let ran = |record: &GenRecord| {
+            let mut phases = record.phases.iter().filter(|p| p.spans > 0);
+            let first = phases.next()?;
+            let end = phases.fold(first.start + first.total, |end, p| {
+                end.max(p.start + p.total)
+            });
+            Some((first.start, end))
+        };
+        let mut order: Vec<_> = self
+            .generations
+            .iter()
+            .filter_map(|(unit, record)| Some((ran(record)?, unit, record)))
             .collect();
+        order.sort_by_key(|&((start, _), _, _)| start);
+        let mut lanes: Vec<Duration> = Vec::new();
+        let mut events = Vec::new();
+        for ((start, end), unit, record) in order {
+            let tid = lanes
+                .iter()
+                .position(|&free| free <= start)
+                .unwrap_or_else(|| {
+                    lanes.push(Duration::ZERO);
+                    lanes.len() - 1
+                });
+            lanes[tid] = end;
+            for (phase, stat) in Phase::ALL.into_iter().zip(&record.phases) {
+                if stat.spans == 0 {
+                    continue;
+                }
+                let unit = ("unit".to_owned(), Json::Str(unit.clone()));
+                events.push(trace_event(phase, "B", stat.start, tid, vec![unit.clone()]));
+                let figures = [
+                    ("wall_us", stat.total.as_secs_f64() * 1e6),
+                    ("alloc_bytes", stat.alloc_bytes as f64),
+                    ("allocations", stat.allocations as f64),
+                    ("peak_live_bytes", stat.peak_live_bytes as f64),
+                ];
+                let args = std::iter::once(unit)
+                    .chain(figures.map(|(k, v)| (k.to_owned(), Json::Num(v))))
+                    .collect();
+                events.push(trace_event(phase, "E", stat.start + stat.total, tid, args));
+            }
+        }
         Json::Obj(vec![
             ("traceEvents".to_owned(), Json::Arr(events)),
             ("displayTimeUnit".to_owned(), Json::Str("ms".to_owned())),
         ])
     }
-
-    /// [`TraceRecorder::to_json`] with capture-boundary artefacts
-    /// removed, so the document always passes [`validate_trace`].
-    ///
-    /// A recorder that is armed and disarmed *while spans are in
-    /// flight* — the daemon's `/profilez` capture window — can hold a
-    /// truncated stream: an `E` whose `B` fell before arming, or a `B`
-    /// whose `E` fell after disarming. Neither is recorder breakage
-    /// (the full stream is balanced; the window just cut it), so this
-    /// export drops exactly those unpaired events per `tid` and keeps
-    /// everything else.
-    pub fn to_balanced_json(&self) -> Json {
-        let inner = self.lock();
-        let mut keep = vec![true; inner.events.len()];
-        // tid → stack of indices of currently-open B events.
-        let mut open: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, e) in inner.events.iter().enumerate() {
-            match e.ph {
-                'B' => open.entry(e.tid).or_default().push(i),
-                'E' => {
-                    let stack = open.entry(e.tid).or_default();
-                    match stack.last() {
-                        Some(&b) if inner.events[b].name == e.name => {
-                            stack.pop();
-                        }
-                        // An E that closes nothing we saw begin: its B
-                        // predates the capture window.
-                        _ => keep[i] = false,
-                    }
-                }
-                _ => {}
-            }
-        }
-        // B events still open at the end: their E postdates the
-        // capture window.
-        for (_, stack) in open {
-            for b in stack {
-                keep[b] = false;
-            }
-        }
-        Self::render(
-            inner
-                .events
-                .iter()
-                .zip(&keep)
-                .filter(|(_, &k)| k)
-                .map(|(e, _)| e),
-        )
-    }
 }
 
-impl GenObserver for TraceRecorder {
-    fn span_enter(&self, span: &Span<'_>) {
-        self.push(
-            span.phase.name(),
-            'B',
-            vec![("unit".to_owned(), Json::Str(span.unit.to_owned()))],
-        );
-    }
-
-    fn span_exit(&self, span: &Span<'_>, elapsed: Duration, alloc: AllocDelta) {
-        self.push(
-            span.phase.name(),
-            'E',
-            vec![
-                ("unit".to_owned(), Json::Str(span.unit.to_owned())),
-                ("wall_us".to_owned(), Json::Num(elapsed.as_secs_f64() * 1e6)),
-                (
-                    "alloc_bytes".to_owned(),
-                    Json::Num(alloc.allocated_bytes as f64),
-                ),
-                (
-                    "freed_bytes".to_owned(),
-                    Json::Num(alloc.freed_bytes as f64),
-                ),
-                (
-                    "allocations".to_owned(),
-                    Json::Num(alloc.allocations as f64),
-                ),
-                (
-                    "peak_live_bytes".to_owned(),
-                    Json::Num(alloc.peak_live_bytes as f64),
-                ),
-            ],
-        );
-    }
+/// One Chrome trace event of `phase` at `at` past the epoch, in
+/// microseconds.
+fn trace_event(
+    phase: Phase,
+    ph: &str,
+    at: Duration,
+    tid: usize,
+    args: Vec<(String, Json)>,
+) -> Json {
+    Json::Obj(vec![
+        ("name".to_owned(), Json::Str(phase.name().to_owned())),
+        ("cat".to_owned(), Json::Str("phase".to_owned())),
+        ("ph".to_owned(), Json::Str(ph.to_owned())),
+        ("ts".to_owned(), Json::Num(at.as_nanos() as f64 / 1000.0)),
+        ("pid".to_owned(), Json::Num(1.0)),
+        ("tid".to_owned(), Json::Num(tid as f64)),
+        ("args".to_owned(), Json::Obj(args)),
+    ])
 }
 
 /// Validates a written Chrome-trace document: a `traceEvents` array
@@ -1074,6 +978,7 @@ mod tests {
         let mut record = GenRecord::default();
         record.phases[Phase::Link.index()] = PhaseStat {
             spans: 1,
+            start: Duration::from_micros(1),
             total: Duration::from_micros(3),
             alloc_bytes: 4096,
             allocations: 7,
@@ -1125,77 +1030,70 @@ mod tests {
 
     #[test]
     fn trace_recorder_emits_paired_validated_chrome_events() {
-        let rec = TraceRecorder::new();
         let mut record = GenRecord::default();
         drop(SpanTimer::enter(
-            &rec,
+            noop(),
             Span {
                 unit: "U",
                 phase: Phase::Select,
             },
             &mut record,
         ));
-        assert_eq!(rec.len(), 2); // B, E
+        let mut rec = TraceRecorder::new();
+        rec.add("U", &record);
+        // A record in which no phase ran adds no event.
+        rec.add("V", &GenRecord::default());
         let doc = rec.to_json();
         validate_trace(&doc).unwrap();
 
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events.len(), 2); // B, E
         assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("B"));
         assert_eq!(events[0].get("name").and_then(Json::as_str), Some("select"));
         assert_eq!(events[0].get("cat").and_then(Json::as_str), Some("phase"));
         let exit = &events[1];
         assert_eq!(exit.get("ph").and_then(Json::as_str), Some("E"));
-        assert!(exit
-            .get("args")
-            .and_then(|a| a.get("alloc_bytes"))
-            .is_some());
+        let args = exit.get("args").unwrap();
+        assert_eq!(args.get("unit").and_then(Json::as_str), Some("U"));
+        for figure in ["wall_us", "alloc_bytes", "allocations", "peak_live_bytes"] {
+            assert!(args.get(figure).is_some(), "{figure}");
+        }
         // The serialized document round-trips through the writer/parser.
         validate_trace(&Json::parse(&doc.to_string()).unwrap()).unwrap();
-
-        rec.reset();
-        assert!(rec.is_empty());
     }
 
     #[test]
-    fn balanced_export_drops_exactly_the_boundary_truncated_events() {
-        let rec = TraceRecorder::new();
-        let span = |phase| Span { unit: "U", phase };
-        // Orphan E: its B fell before the capture window opened.
-        rec.span_exit(
-            &span(Phase::Select),
-            Duration::from_micros(3),
-            AllocDelta::default(),
-        );
-        // A complete pair survives untouched.
-        rec.span_enter(&span(Phase::Resolve));
-        rec.span_exit(
-            &span(Phase::Resolve),
-            Duration::from_micros(7),
-            AllocDelta::default(),
-        );
-        // Dangling B: its E falls after the capture window closed.
-        rec.span_enter(&span(Phase::Assemble));
-
-        // The raw stream is truncated at both ends and fails validation.
-        assert!(validate_trace(&rec.to_json()).is_err());
-
-        // The balanced export passes and keeps the complete interior.
-        let doc = rec.to_balanced_json();
+    fn trace_lanes_reuse_the_first_free_lane_in_start_order() {
+        let at = |start_us, len_us| {
+            let mut record = GenRecord::default();
+            record.phases[Phase::Collect.index()] = PhaseStat {
+                spans: 1,
+                start: Duration::from_micros(start_us),
+                total: Duration::from_micros(len_us),
+                ..PhaseStat::default()
+            };
+            record
+        };
+        let mut rec = TraceRecorder::new();
+        // Out of start order: [0, 10) and [5, 15) overlap, and [10, 20)
+        // starts as the first ends.
+        for (start, len) in [(10, 10), (0, 10), (5, 10)] {
+            rec.add("U", &at(start, len));
+        }
+        let doc = rec.to_json();
         validate_trace(&doc).unwrap();
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let phases: Vec<&str> = events
+        let begins: Vec<(u64, f64)> = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
             .iter()
-            .map(|e| e.get("ph").and_then(Json::as_str).unwrap())
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("B"))
+            .map(|e| {
+                let num = |k| e.get(k).and_then(Json::as_f64).unwrap();
+                (num("tid") as u64, num("ts"))
+            })
             .collect();
-        assert_eq!(phases, ["B", "E"]);
-        assert_eq!(
-            events[0].get("name").and_then(Json::as_str),
-            Some("resolve")
-        );
-        assert_eq!(
-            events[1].get("name").and_then(Json::as_str),
-            Some("resolve")
-        );
+        assert_eq!(begins, [(0, 0.0), (1, 5.0), (0, 10.0)]);
     }
 
     #[test]

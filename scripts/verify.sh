@@ -67,11 +67,23 @@ cargo build --release --offline --locked
 # one record per generation (the event stream and the observers that
 # re-derived metrics and timings from it are gone), the CLI's
 # serve-check daemon probe is gone (the serve tests probe the daemon),
-# and the daemon's workers block in accept instead of polling a
-# non-blocking listener; the deleted routes must not come back.
-old_routes='\b(cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob|ACCEPT_POLL)\b'
+# the daemon's workers block in accept instead of polling a
+# non-blocking listener, and the Chrome trace is a fold over whole
+# records (nothing to balance); the deleted routes must not come back.
+old_routes='\b(to_balanced_json|cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob|ACCEPT_POLL)\b'
 if matches="$(grep -nE "$old_routes" $sources)"; then
-    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream, daemon probe or accept poll:" >&2
+    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream, daemon probe, accept poll or trace balancing:" >&2
+    echo "$matches" >&2
+    exit 1
+fi
+
+# Every surface of the program reads spans from `GenRecord`: the live
+# hook trait keeps its no-op impl and its unit tests in telemetry.rs,
+# and the test-local observers that pin the hook contract. perfbench's
+# `SpanSink` is its one outside user until the benchmark folds records
+# (ROADMAP item 3). No other code may implement it again.
+if matches="$(grep -nE 'impl GenObserver for' $sources | grep -vE '^(crates/core/src/telemetry\.rs:|tests/|perfbench/)')"; then
+    echo "error: GenObserver implemented outside telemetry.rs, tests/ and perfbench/:" >&2
     echo "$matches" >&2
     exit 1
 fi

@@ -48,12 +48,12 @@
 //! auto-detected as a `*.crysl` source directory, a precompiled binary
 //! pack or a catalogued pack name — and all but `analyze` accept
 //! `--trace <file>`:
-//! the run is observed by a [`TraceRecorder`] and the span stream
-//! is written as Chrome Trace Event Format JSON — open the file in
-//! `chrome://tracing` or Perfetto. Traced runs build a per-invocation
-//! engine (the shared engine has no observer attached); the generated
-//! Java is byte-identical either way, which the golden-catalogue suite
-//! asserts.
+//! the records of the run's generations are folded into a
+//! [`TraceRecorder`] and written as Chrome Trace Event Format JSON —
+//! open the file in `chrome://tracing` or Perfetto. A traced run uses
+//! the same engine as an untraced one (the shared [`jca_engine`]
+//! unless `--rules` names another pack), so the generated Java is the
+//! same either way, which the golden-catalogue suite asserts.
 //!
 //! The binary installs [`TrackingAlloc`] as its global allocator, so
 //! per-phase `alloc_bytes`/`peak_live_bytes` in `report` output and in
@@ -204,44 +204,38 @@ fn extract_flag(args: &mut Vec<String>, flag: &str, what: &str) -> Result<Option
     Ok(value)
 }
 
-/// A per-invocation engine for runs the shared [`jca_engine`] cannot
-/// serve: a `--trace` observer attached, a `--rules` pack other than
-/// the embedded one, or both. A precompiled `.crpack` seeds the
-/// engine's own compiled-ORDER cache, so the boot performs no CrySL
-/// parsing and no ORDER compilation. The loaded pack's manifest rides
-/// along so callers can honour the catalogued use-case subset the pack
-/// declares.
-fn custom_engine(
-    pack: Option<&str>,
-    recorder: Option<Arc<TraceRecorder>>,
-) -> Result<Option<(GenEngine, PackManifest)>, Error> {
-    if pack.is_none() && recorder.is_none() {
+/// A per-invocation engine for a `--rules` pack other than the
+/// embedded one, which the shared [`jca_engine`] cannot serve. A
+/// precompiled `.crpack` seeds the engine's own compiled-ORDER cache,
+/// so the boot performs no CrySL parsing and no ORDER compilation. The
+/// loaded pack's manifest rides along so callers can honour the
+/// catalogued use-case subset the pack declares.
+fn custom_engine(pack: Option<&str>) -> Result<Option<(GenEngine, PackManifest)>, Error> {
+    let Some(path) = pack else {
         return Ok(None);
-    }
-    let source = match pack {
-        Some(path) => PackSource::detect(path),
-        None => PackSource::Embedded,
     };
-    let pack = rules::open(source)?;
+    let pack = rules::open(PackSource::detect(path))?;
     let cache = Arc::new(OrderCache::new());
     pack.seed(&cache);
-    let mut builder = GenEngine::builder()
+    let engine = GenEngine::builder()
         .rules(pack.rules)
         .type_table(jca_type_table())
-        .order_cache(cache);
-    if let Some(recorder) = recorder {
-        builder = builder.observer(recorder);
-    }
-    Ok(Some((builder.build()?, pack.manifest)))
+        .order_cache(cache)
+        .build()?;
+    Ok(Some((engine, pack.manifest)))
 }
 
-/// Validates and writes the recorded trace, reporting to stderr so
+/// Validates and writes the folded trace, reporting to stderr so
 /// stdout stays reserved for the command's own output.
-fn write_trace(recorder: &TraceRecorder, path: &str) -> Result<(), Error> {
-    let doc = recorder.to_json();
+fn write_trace(trace: &TraceRecorder, path: &str) -> Result<(), Error> {
+    let doc = trace.to_json();
     validate_trace(&doc).map_err(|e| Error::Invalid(format!("recorded trace: {e}")))?;
     std::fs::write(path, format!("{doc}\n")).map_err(|e| Error::io(path, e))?;
-    eprintln!("trace: {} events written to {path}", recorder.len());
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .map_or(0, <[_]>::len);
+    eprintln!("trace: {events} events written to {path}");
     Ok(())
 }
 
@@ -259,16 +253,17 @@ fn cmd_list() -> Result<(), Error> {
 }
 
 fn cmd_generate(uc: &UseCase, pack: Option<&str>, trace: Option<&str>) -> Result<(), Error> {
-    let recorder = trace.map(|_| Arc::new(TraceRecorder::new()));
-    let generated = match custom_engine(pack, recorder.clone())? {
+    let generated = match custom_engine(pack)? {
         Some((engine, manifest)) => {
             check_declared(rules::declared_use_cases(&manifest), uc)?;
             engine.generate(&uc.template)?
         }
         None => jca_engine()?.generate(&uc.template)?,
     };
-    if let (Some(recorder), Some(path)) = (&recorder, trace) {
-        write_trace(recorder, path)?;
+    if let Some(path) = trace {
+        let mut recorder = TraceRecorder::new();
+        recorder.add(&uc.template.class_name, &generated.record);
+        write_trace(&recorder, path)?;
     }
     print!("{}", generated.java_source);
     Ok(())
@@ -300,10 +295,9 @@ fn cmd_batch(
     let outdir = Path::new(outdir);
     std::fs::create_dir_all(outdir).map_err(|e| Error::io(outdir.display().to_string(), e))?;
 
-    let recorder = trace.map(|_| Arc::new(TraceRecorder::new()));
     let custom;
     let mut declared: Option<&'static [u8]> = None;
-    let engine: &GenEngine = match custom_engine(pack, recorder.clone())? {
+    let engine: &GenEngine = match custom_engine(pack)? {
         Some((engine, manifest)) => {
             declared = rules::declared_use_cases(&manifest);
             custom = engine;
@@ -329,11 +323,13 @@ fn cmd_batch(
     let templates: Vec<_> = cases.iter().map(|uc| uc.template.clone()).collect();
     let results = engine.generate_batch(&templates, threads);
 
+    let mut recorder = TraceRecorder::new();
     let mut last_failure = None;
     let mut failures = 0usize;
     for (uc, result) in cases.iter().zip(results) {
         match result {
             Ok(generated) => {
+                recorder.add(&uc.template.class_name, &generated.record);
                 let path = outdir.join(format!("uc{:02}.java", uc.id));
                 std::fs::write(&path, &generated.java_source)
                     .map_err(|e| Error::io(path.display().to_string(), e))?;
@@ -351,8 +347,8 @@ fn cmd_batch(
             }
         }
     }
-    if let (Some(recorder), Some(path)) = (&recorder, trace) {
-        write_trace(recorder, path)?;
+    if let Some(path) = trace {
+        write_trace(&recorder, path)?;
     }
     let stats = engine.cache_stats();
     println!(
@@ -482,10 +478,13 @@ fn cmd_report(outdir: Option<&str>, pack: Option<&str>, trace: Option<&str>) -> 
         Some(path) => PackSource::detect(path),
         None => PackSource::Embedded,
     };
-    let recorder = trace.map(|_| Arc::new(TraceRecorder::new()));
-    let report = report::build_from(source, recorder.clone().map(|r| r as _))?;
-    if let (Some(recorder), Some(path)) = (&recorder, trace) {
-        write_trace(recorder, path)?;
+    let report = report::build_from(source)?;
+    if let Some(path) = trace {
+        let mut recorder = TraceRecorder::new();
+        for row in &report.rows {
+            recorder.add(&row.class, &row.record);
+        }
+        write_trace(&recorder, path)?;
     }
     print!("{}", report::render_text(&report));
     let path = outdir.join(REPORT_FILE);

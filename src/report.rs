@@ -20,10 +20,9 @@
 //! is deterministic, which is what [`validate`] checks a written report
 //! against.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use cognicrypt_core::telemetry::{GenObserver, GenRecord, Metric, MetricsRegistry, Phase};
+use cognicrypt_core::telemetry::{GenRecord, Metric, MetricsRegistry, Phase};
 use cognicrypt_core::GenEngine;
 use devharness::bench::{peak_rss, PeakRss};
 use devharness::json::Json;
@@ -127,25 +126,16 @@ impl BootStats {
 /// section shows the real cold-start cost of the loading path — a
 /// source pack compiles every ORDER artefact during warm-up, a
 /// compiled pack seeds them all and must warm with `warm_compiled == 0`.
-/// `observer`, when given, is the engine's observer: how the CLI
-/// attaches a `--trace` recorder without a second generation pass.
 ///
 /// # Errors
 ///
 /// The typed pack open failures, and [`Error::Generation`] when a
 /// declared use case fails to generate.
-pub fn build_from(
-    source: PackSource,
-    observer: Option<Arc<dyn GenObserver>>,
-) -> Result<Table1Report, Error> {
+pub fn build_from(source: PackSource) -> Result<Table1Report, Error> {
     let load_started = Instant::now();
     let pack = rules::open_uncached(source)?;
     let mut boot = BootStats::opened(&pack, load_started.elapsed().as_secs_f64() * 1e6);
-    let mut builder = GenEngine::builder().rules(pack.rules.clone());
-    if let Some(observer) = observer {
-        builder = builder.observer(observer);
-    }
-    let engine = builder.build()?;
+    let engine = GenEngine::builder().rules(pack.rules.clone()).build()?;
     boot.cache_seeded = pack.seed(engine.order_cache());
     // Every boot warms before the rows, so each row times a warm
     // generation and no row pays for compiling an ORDER automaton. A
@@ -159,10 +149,12 @@ pub fn build_from(
 
 /// The report on the pack `engine` runs (the daemon's `/report`): every
 /// use case `manifest` declares ([`rules::declared_use_cases`]), in id
-/// order on one thread, generated on `engine` itself — its observer
-/// sees the spans and its metrics the records, like any other
-/// generation. The report's own metrics are the rows' records folded
-/// into a fresh registry. `boot` says how the pack was loaded.
+/// order on one thread, generated on `engine` itself — its metrics see
+/// the records, like any other generation. The report's own metrics
+/// are the rows' records folded into a fresh registry, and a trace of
+/// the run is the same records folded into a
+/// [`cognicrypt_core::telemetry::TraceRecorder`]. `boot` says how the
+/// pack was loaded.
 ///
 /// # Errors
 ///
@@ -605,7 +597,7 @@ mod tests {
 
     #[test]
     fn report_covers_all_use_cases_and_validates() {
-        let report = build_from(PackSource::Embedded, None).expect("report builds");
+        let report = build_from(PackSource::Embedded).expect("report builds");
         let expected = usecases::all_use_cases().len() as u8;
         assert!(expected >= 25);
         assert_eq!(report.rows.len(), expected as usize);
@@ -662,17 +654,23 @@ mod tests {
     }
 
     #[test]
-    fn build_from_fans_hooks_out_to_the_extra_observer() {
-        let recorder = Arc::new(cognicrypt_core::telemetry::TraceRecorder::new());
-        let report =
-            build_from(PackSource::Embedded, Some(recorder.clone())).expect("report builds");
+    fn report_rows_fold_into_a_valid_trace() {
+        let report = build_from(PackSource::Embedded).expect("report builds");
         let expected = usecases::all_use_cases().len();
         assert_eq!(report.rows.len(), expected);
-        // The recorder saw the whole run: every use case × 5 phases ×
-        // (B + E).
-        assert_eq!(recorder.len(), expected * 10);
-        cognicrypt_core::telemetry::validate_trace(&recorder.to_json())
-            .expect("recorded trace validates");
+        let mut trace = cognicrypt_core::telemetry::TraceRecorder::new();
+        for row in &report.rows {
+            trace.add(&row.class, &row.record);
+        }
+        let doc = trace.to_json();
+        cognicrypt_core::telemetry::validate_trace(&doc).expect("folded trace validates");
+        // Every use case × 5 phases × (B + E), on one lane: the rows
+        // ran one after another on one thread.
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events.len(), expected * 10);
+        assert!(events
+            .iter()
+            .all(|e| e.get("tid").and_then(Json::as_u64) == Some(0)));
     }
 
     #[test]
@@ -686,8 +684,8 @@ mod tests {
             .unwrap();
         std::fs::write(&pack_path, bytes).unwrap();
 
-        let from_pack = build_from(PackSource::Compiled(pack_path.clone()), None)
-            .expect("pack-booted report builds");
+        let from_pack =
+            build_from(PackSource::Compiled(pack_path.clone())).expect("pack-booted report builds");
         let boot = &from_pack.boot;
         assert_eq!(boot.kind, "compiled");
         assert!(boot.precompiled);
@@ -696,7 +694,7 @@ mod tests {
         assert_eq!(boot.warm_compiled, 0, "a .crpack boot must compile nothing");
 
         // Same generated output as an embedded-source run, row by row.
-        let from_source = build_from(PackSource::Embedded, None).expect("embedded report builds");
+        let from_source = build_from(PackSource::Embedded).expect("embedded report builds");
         assert!(!from_source.boot.precompiled);
         assert_eq!(from_source.boot.cache_seeded, 0);
         let sizes = |r: &Table1Report| -> Vec<(u8, usize)> {
@@ -714,7 +712,7 @@ mod tests {
             name: "aead".to_owned(),
             version: Some(1),
         };
-        let report = build_from(source, None).expect("aead@v1 report builds");
+        let report = build_from(source).expect("aead@v1 report builds");
         let declared = rules::catalog_pack("aead", Some(1)).unwrap().use_cases;
         let ids: Vec<u8> = report.rows.iter().map(|r| r.id).collect();
         assert_eq!(ids, declared);
@@ -738,13 +736,13 @@ mod tests {
         };
         let committed =
             Json::parse(include_str!("../REPORT_table1.json")).expect("committed report parses");
-        let report = build_from(PackSource::Embedded, None).expect("report builds");
+        let report = build_from(PackSource::Embedded).expect("report builds");
         assert_eq!(deterministic(&to_json(&report)), deterministic(&committed));
     }
 
     #[test]
     fn validate_rejects_mutilated_reports() {
-        let report = build_from(PackSource::Embedded, None).expect("report builds");
+        let report = build_from(PackSource::Embedded).expect("report builds");
         let doc = to_json(&report);
 
         let strip = |doc: &Json, key: &str| -> Json {

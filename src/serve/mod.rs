@@ -296,17 +296,18 @@ impl Response {
 
 /// The ORDER-cache traffic of the generations one request completed:
 /// the sum of their records' counts, for the request's `/tracez`
-/// record.
-#[derive(Debug, Default)]
-struct CacheTraffic {
+/// record. Each record also joins an armed `/profilez` capture.
+struct CacheTraffic<'p> {
     hits: u64,
     misses: u64,
+    profile: &'p obs::ProfileSwitch,
 }
 
-impl CacheTraffic {
-    fn add(&mut self, record: &GenRecord) {
+impl CacheTraffic<'_> {
+    fn add(&mut self, unit: &str, record: &GenRecord) {
         self.hits += record.cache_hits;
         self.misses += record.cache_misses;
+        self.profile.fold(unit, record);
     }
 }
 
@@ -319,7 +320,7 @@ pub struct ServerState {
     rules_path: Option<PathBuf>,
     pack_info: RwLock<PackInfo>,
     obs: obs::RequestObs,
-    profile: Arc<obs::ProfileSwitch>,
+    profile: obs::ProfileSwitch,
     slow_ns: Option<u64>,
     stop: AtomicBool,
     /// The bound listeners, set once by [`Server::start`] before any
@@ -366,17 +367,11 @@ impl ServerState {
         // so warm-up would be a pure all-hit walk — skipped.
         let cache = Arc::new(OrderCache::new());
         info.boot.cache_seeded = pack.seed(&cache);
-        // The resident trace-capture switch is the engine's observer
-        // for the daemon's whole lifetime: hot-reload successors clone
-        // the observer `Arc` (`with_rule_set`), so a `/profilez`
-        // capture works across reloads without reinstalling anything.
-        let profile = Arc::new(obs::ProfileSwitch::new());
         let engine = GenEngine::builder()
             .rules(pack.rules)
             .type_table(javamodel::jca::jca_type_table())
             .threads(config.threads)
             .order_cache(cache)
-            .observer(profile.clone())
             .build()?;
         if !info.boot.precompiled {
             let warm = engine.warm_traced()?;
@@ -392,7 +387,7 @@ impl ServerState {
             // Trace ids are seeded from the boot pack's fingerprint:
             // deterministic for a given pack, different across packs.
             obs: obs::RequestObs::new(config.obs_capacity, seed),
-            profile,
+            profile: obs::ProfileSwitch::new(),
             slow_ns: config.slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
             stop: AtomicBool::new(false),
             listeners: OnceLock::new(),
@@ -466,7 +461,11 @@ impl ServerState {
         self.metrics
             .add(&format!("serve.requests.{}", request.name()), 1);
 
-        let mut cache = CacheTraffic::default();
+        let mut cache = CacheTraffic {
+            hits: 0,
+            misses: 0,
+            profile: &self.profile,
+        };
         let scope = AllocScope::enter();
         let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(request, &mut cache)));
@@ -478,8 +477,8 @@ impl ServerState {
             .observe("serve.request.alloc_bytes", alloc.allocated_bytes);
 
         // Only requests that run the generation pipeline produce
-        // spans; counting anything else against a capture window would
-        // close it without capturing.
+        // records; counting anything else against a capture window
+        // would close it without capturing.
         if matches!(
             request,
             Request::Generate(_) | Request::Batch(_) | Request::Report
@@ -577,7 +576,7 @@ impl ServerState {
 
     /// Serves one request, adding the records of the generations it
     /// runs to `cache`.
-    fn dispatch(&self, request: &Request, cache: &mut CacheTraffic) -> Result<Response, Error> {
+    fn dispatch(&self, request: &Request, cache: &mut CacheTraffic<'_>) -> Result<Response, Error> {
         match request {
             Request::Healthz => Ok(Response::ok("text/plain", "ok\n".to_owned())),
             Request::Metrics => Ok(Response::ok("text/plain", self.render_metrics())),
@@ -589,7 +588,7 @@ impl ServerState {
                 let uc = find_use_case(selector)?;
                 check_declared(rules::declared_use_cases(&self.pack_info().manifest), uc)?;
                 let generated = self.engine().generate(&uc.template)?;
-                cache.add(&generated.record);
+                cache.add(&uc.template.class_name, &generated.record);
                 Ok(Response::ok("text/plain", generated.java_source))
             }
             Request::Batch(threads) => {
@@ -610,7 +609,7 @@ impl ServerState {
                 let mut members = Vec::with_capacity(cases.len());
                 for (uc, result) in cases.iter().zip(results) {
                     let generated = result.map_err(Error::Engine)?;
-                    cache.add(&generated.record);
+                    cache.add(&uc.template.class_name, &generated.record);
                     members.push((format!("uc{:02}", uc.id), Json::Str(generated.java_source)));
                 }
                 Ok(Response::ok(
@@ -622,7 +621,7 @@ impl ServerState {
                 let PackInfo { manifest, boot } = self.pack_info().clone();
                 let report = report::build_served(&self.engine(), &manifest, boot)?;
                 for row in &report.rows {
-                    cache.add(&row.record);
+                    cache.add(&row.class, &row.record);
                 }
                 Ok(Response::ok(
                     "application/json",

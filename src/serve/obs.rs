@@ -17,25 +17,22 @@
 //!   [`devharness::histogram::Histogram::from_json`] parses — the soak
 //!   tests cross-check their client-side p99 against it), and as
 //!   `serve.latency.*` gauges in `/metrics`.
-//! * **Trace capture** — [`ProfileSwitch`] is the daemon's resident
-//!   [`GenObserver`]: a single atomic-flag check per hook when idle,
-//!   forwarding to a [`TraceRecorder`] only while a `POST /profilez`
-//!   capture window is armed. Arming is exclusive (second arm → 409);
-//!   the finished capture is exported balanced
-//!   ([`TraceRecorder::to_balanced_json`]) so spans truncated by the
-//!   window boundary can never fail `trace-check`.
+//! * **Trace capture** — [`ProfileSwitch`] holds the `POST /profilez`
+//!   capture window: the generations that `generate`, `batch` and
+//!   `report` requests complete while it is armed are folded, whole,
+//!   into a [`TraceRecorder`]. Arming is exclusive (second arm → 409),
+//!   and a capture holds only whole generations, so the served trace
+//!   always passes `trace-check`.
 //!
 //! Capacity 0 disables record keeping entirely (every `record` call
 //! returns immediately); the telemetry bench uses that as the baseline
 //! for the observability-overhead bound.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
 
-use cognicrypt_core::memtrack::AllocDelta;
-use cognicrypt_core::telemetry::{GenObserver, MetricsRegistry, Span, TraceRecorder};
+use cognicrypt_core::telemetry::{GenRecord, MetricsRegistry, TraceRecorder};
 use devharness::histogram::Histogram;
 use devharness::json::Json;
 
@@ -272,11 +269,12 @@ impl RequestObs {
 }
 
 /// The `POST /profilez` capture window state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum CaptureState {
     /// No capture armed and none ready.
+    #[default]
     Idle,
-    /// Capturing: `remaining` more traced requests close the window.
+    /// Capturing: `remaining` more counted requests close the window.
     Armed { remaining: u64 },
     /// A finished capture is waiting to be fetched.
     Ready,
@@ -288,108 +286,81 @@ pub enum ProfileFetch {
     Idle,
     /// A capture window is still open.
     Armed {
-        /// Traced requests still to be observed.
+        /// Counted requests still to come.
         remaining: u64,
     },
-    /// The finished capture, already balanced for `trace-check`.
+    /// The finished capture.
     Ready(Json),
 }
 
-/// The daemon's resident [`GenObserver`]: installed once at boot (and
-/// inherited by every hot-reload successor engine, which clones the
-/// observer `Arc`), it forwards span hooks to an embedded
-/// [`TraceRecorder`] only while a capture window is armed. When idle —
-/// the overwhelmingly common case — every hook is a single relaxed
-/// atomic load.
+/// The daemon's `/profilez` capture window: while it is armed, every
+/// generation record a request folds in joins a [`TraceRecorder`].
+/// Records arrive whole once their generation returns, so a window
+/// opened or closed mid-generation never cuts a span in half.
+#[derive(Default)]
 pub struct ProfileSwitch {
-    forwarding: AtomicBool,
-    recorder: TraceRecorder,
-    state: Mutex<CaptureState>,
-}
-
-impl Default for ProfileSwitch {
-    fn default() -> Self {
-        Self::new()
-    }
+    capture: Mutex<(CaptureState, TraceRecorder)>,
 }
 
 impl ProfileSwitch {
     /// A disarmed switch.
     pub fn new() -> ProfileSwitch {
-        ProfileSwitch {
-            forwarding: AtomicBool::new(false),
-            recorder: TraceRecorder::new(),
-            state: Mutex::new(CaptureState::Idle),
-        }
+        ProfileSwitch::default()
     }
 
-    /// Arms a capture window over the next `requests` traced requests,
-    /// discarding any previously finished capture.
+    /// Arms a capture window over the next `requests` counted
+    /// requests, discarding any previously finished capture.
     ///
     /// # Errors
     ///
     /// The remaining count of an already-armed window — exactly one
     /// capture at a time, so the caller answers 409.
     pub fn arm(&self, requests: u64) -> Result<(), u64> {
-        let mut state = lock(&self.state);
-        if let CaptureState::Armed { remaining } = *state {
+        let mut capture = lock(&self.capture);
+        if let CaptureState::Armed { remaining } = capture.0 {
             return Err(remaining);
         }
-        self.recorder.reset();
-        *state = CaptureState::Armed {
-            remaining: requests,
-        };
-        self.forwarding.store(true, Ordering::SeqCst);
+        *capture = (
+            CaptureState::Armed {
+                remaining: requests,
+            },
+            TraceRecorder::new(),
+        );
         Ok(())
     }
 
-    /// Counts one finished traced request against an open window;
-    /// closing the window stops forwarding. Requests that generate no
-    /// spans (`healthz`, `/tracez` itself, …) must not be counted —
-    /// the caller filters.
-    pub fn note_request(&self) {
-        if !self.forwarding.load(Ordering::Relaxed) {
-            return;
+    /// Folds one finished generation of the template class `unit` into
+    /// an armed capture; a no-op otherwise.
+    pub fn fold(&self, unit: &str, record: &GenRecord) {
+        let mut capture = lock(&self.capture);
+        if let CaptureState::Armed { .. } = capture.0 {
+            capture.1.add(unit, record);
         }
-        let mut state = lock(&self.state);
-        if let CaptureState::Armed { remaining } = *state {
-            if remaining <= 1 {
-                *state = CaptureState::Ready;
-                self.forwarding.store(false, Ordering::SeqCst);
-            } else {
-                *state = CaptureState::Armed {
+    }
+
+    /// Counts one finished request against an open window; the last
+    /// one closes it. Requests that run no generation (`healthz`,
+    /// `/tracez` itself, …) must not be counted — the caller filters.
+    pub fn note_request(&self) {
+        let mut capture = lock(&self.capture);
+        if let CaptureState::Armed { remaining } = capture.0 {
+            capture.0 = match remaining {
+                0 | 1 => CaptureState::Ready,
+                _ => CaptureState::Armed {
                     remaining: remaining - 1,
-                };
-            }
+                },
+            };
         }
     }
 
     /// The capture, if one is ready. The capture stays fetchable until
     /// the next [`ProfileSwitch::arm`].
     pub fn fetch(&self) -> ProfileFetch {
-        let state = lock(&self.state);
-        match *state {
+        let capture = lock(&self.capture);
+        match capture.0 {
             CaptureState::Idle => ProfileFetch::Idle,
             CaptureState::Armed { remaining } => ProfileFetch::Armed { remaining },
-            // Exported balanced: a window armed or disarmed while
-            // spans were in flight holds boundary-truncated events
-            // that are not recorder breakage — see
-            // `TraceRecorder::to_balanced_json`.
-            CaptureState::Ready => ProfileFetch::Ready(self.recorder.to_balanced_json()),
-        }
-    }
-}
-
-impl GenObserver for ProfileSwitch {
-    fn span_enter(&self, span: &Span<'_>) {
-        if self.forwarding.load(Ordering::Relaxed) {
-            self.recorder.span_enter(span);
-        }
-    }
-
-    fn span_exit(&self, span: &Span<'_>, elapsed: Duration, alloc: AllocDelta) {
-        if self.forwarding.load(Ordering::Relaxed) {
-            self.recorder.span_exit(span, elapsed, alloc);
+            CaptureState::Ready => ProfileFetch::Ready(capture.1.to_json()),
         }
     }
 }
@@ -498,19 +469,10 @@ mod tests {
             switch.fetch(),
             ProfileFetch::Armed { remaining: 2 }
         ));
-        // While armed, hooks forward to the recorder.
-        switch.span_enter(&Span {
-            unit: "U",
-            phase: cognicrypt_core::telemetry::Phase::Select,
-        });
-        switch.span_exit(
-            &Span {
-                unit: "U",
-                phase: cognicrypt_core::telemetry::Phase::Select,
-            },
-            Duration::from_micros(5),
-            AllocDelta::default(),
-        );
+        // While armed, finished generations join the capture.
+        let mut record = GenRecord::default();
+        record.phases[0].spans = 1;
+        switch.fold("U", &record);
         switch.note_request();
         switch.note_request();
         let ProfileFetch::Ready(doc) = switch.fetch() else {
@@ -521,11 +483,8 @@ mod tests {
             doc.get("traceEvents").and_then(Json::as_arr).unwrap().len(),
             2
         );
-        // Disarmed again: hooks are dropped, the capture stays fetchable.
-        switch.span_enter(&Span {
-            unit: "V",
-            phase: cognicrypt_core::telemetry::Phase::Select,
-        });
+        // Disarmed again: folds are dropped, the capture stays fetchable.
+        switch.fold("V", &record);
         let ProfileFetch::Ready(doc) = switch.fetch() else {
             panic!("capture should remain fetchable");
         };

@@ -15,7 +15,6 @@ fn generator_with(selection: SelectionOptions) -> Generator {
         // The ablated configurations may produce ill-typed or insecure
         // code; keep the type check off so we can inspect the output.
         skip_type_check: true,
-        skip_usage_class: false,
     })
 }
 

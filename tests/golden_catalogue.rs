@@ -21,9 +21,12 @@ use std::fmt::Display;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use cognicryptgen::core::telemetry::TraceRecorder;
+use cognicryptgen::core::memtrack::AllocDelta;
+use cognicryptgen::core::telemetry::{GenObserver, Span};
 use cognicryptgen::core::template::{parse_template, split_header};
 use cognicryptgen::core::{GenEngine, Generator};
 use cognicryptgen::javamodel::jca::jca_type_table;
@@ -301,6 +304,16 @@ fn golden_files_parse_type_check_and_are_sast_clean_under_their_own_pack() {
     }
 }
 
+/// A live observer counting the span pairs it sees.
+#[derive(Default)]
+struct SpanCount(AtomicUsize);
+
+impl GenObserver for SpanCount {
+    fn span_exit(&self, _span: &Span<'_>, _elapsed: Duration, _alloc: AllocDelta) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn uncached_warm_and_observed_engines_emit_the_golden_files() {
     let mut found = Divergences::default();
@@ -314,9 +327,9 @@ fn uncached_warm_and_observed_engines_emit_the_golden_files() {
         };
         let warm = engine().build().expect("engine builds");
         warm.warm().expect("warm succeeds");
-        let recorder = Arc::new(TraceRecorder::new());
+        let spans = Arc::new(SpanCount::default());
         let observed = engine()
-            .observer(recorder.clone())
+            .observer(spans.clone())
             .build()
             .expect("engine builds");
         let (cases, label) = (subject.cases(), subject.label());
@@ -332,7 +345,11 @@ fn uncached_warm_and_observed_engines_emit_the_golden_files() {
             }
         }
         // The observer saw every generation: five span pairs each.
-        assert_eq!(recorder.len(), cases.len() * 10, "{label}");
+        assert_eq!(
+            spans.0.swap(0, Ordering::Relaxed),
+            cases.len() * 5,
+            "{label}"
+        );
     }
     found.finish();
 }

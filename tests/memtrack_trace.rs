@@ -12,17 +12,22 @@
 //!   thread counts and seeded input shuffles (warming removes the
 //!   ORDER-cache first-lookup race, the one source of run-to-run
 //!   allocation variance);
-//! * the Chrome trace a [`TraceRecorder`] emits has strictly paired
-//!   B/E events with non-decreasing per-tid timestamps, and survives a
-//!   serialize→parse round trip;
-//! * differential: generated Java is byte-identical with tracing and
-//!   memory accounting attached vs. a bare engine.
+//! * the Chrome trace a [`TraceRecorder`] folds from a threaded batch's
+//!   records has strictly paired B/E events with non-decreasing per-tid
+//!   timestamps on no more lanes than the batch had threads, and
+//!   survives a serialize→parse round trip;
+//! * differential: generated Java is byte-identical with a live span
+//!   observer and memory accounting attached vs. a bare engine.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use cognicryptgen::core::memtrack::{self, AllocScope, TrackingAlloc};
-use cognicryptgen::core::telemetry::{validate_trace, Metric, Phase, TraceRecorder};
+use cognicryptgen::core::memtrack::{self, AllocDelta, AllocScope, TrackingAlloc};
+use cognicryptgen::core::telemetry::{
+    validate_trace, GenObserver, Metric, Phase, Span, TraceRecorder,
+};
 use cognicryptgen::core::{GenEngine, Template};
 use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::rules::{open, PackSource};
@@ -188,16 +193,13 @@ fn warm_engine_mem_metrics_deterministic_across_threads_and_shuffles() {
 
 #[test]
 fn recorded_trace_is_strictly_paired_with_monotonic_timestamps() {
-    let recorder = Arc::new(TraceRecorder::new());
-    let engine = GenEngine::builder()
-        .rules(open(PackSource::Embedded).expect("parses").rules)
-        .type_table(jca_type_table())
-        .observer(recorder.clone())
-        .build()
-        .expect("rules supplied");
     let templates: Vec<Template> = all_use_cases().into_iter().map(|uc| uc.template).collect();
-    let results = engine.generate_batch(&templates, 4);
-    assert!(results.iter().all(Result::is_ok));
+    let results = engine().generate_batch(&templates, 4);
+    let mut recorder = TraceRecorder::new();
+    for (template, result) in templates.iter().zip(&results) {
+        let generated = result.as_ref().expect("generates");
+        recorder.add(&template.class_name, &generated.record);
+    }
 
     let doc = recorder.to_json();
     validate_trace(&doc).expect("balanced B/E, monotonic per-tid timestamps");
@@ -211,7 +213,9 @@ fn recorded_trace_is_strictly_paired_with_monotonic_timestamps() {
     let mut b = 0usize;
     let mut e = 0usize;
     let mut exit_alloc_seen = false;
+    let mut tids = BTreeSet::new();
     for ev in events {
+        tids.insert(ev.get("tid").and_then(Json::as_u64).expect("numeric tid"));
         match ev.get("ph").and_then(Json::as_str) {
             Some("B") => b += 1,
             Some("E") => {
@@ -233,13 +237,23 @@ fn recorded_trace_is_strictly_paired_with_monotonic_timestamps() {
         exit_alloc_seen,
         "a memtrack-enabled binary records non-zero span allocations"
     );
+    // Lanes are assigned at render time: a 4-thread batch needs no
+    // more than four.
+    assert!((1..=4).contains(&tids.len()), "lanes {tids:?}");
 
     // The document survives the writer→parser round trip intact.
     let reparsed = Json::parse(&doc.to_string()).expect("parses");
     validate_trace(&reparsed).expect("reparsed trace validates");
+}
 
-    recorder.reset();
-    assert!(recorder.is_empty());
+/// A live observer counting the span pairs it sees.
+#[derive(Default)]
+struct SpanCount(AtomicUsize);
+
+impl GenObserver for SpanCount {
+    fn span_exit(&self, _span: &Span<'_>, _elapsed: Duration, _alloc: AllocDelta) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 #[test]
@@ -247,16 +261,17 @@ fn differential_output_is_byte_identical_with_and_without_instrumentation() {
     // Bare engine: no observer (memtrack is still counting — it always
     // is in this binary — but nothing reads it).
     let bare = engine();
-    // Fully instrumented engine: trace recording on top of the records
+    // Fully instrumented engine: a live observer on top of the records
     // every generation keeps.
-    let recorder = Arc::new(TraceRecorder::new());
+    let spans = Arc::new(SpanCount::default());
     let instrumented = GenEngine::builder()
         .rules(open(PackSource::Embedded).expect("parses").rules)
         .type_table(jca_type_table())
-        .observer(recorder.clone())
+        .observer(spans.clone())
         .build()
         .expect("rules supplied");
 
+    let mut recorder = TraceRecorder::new();
     for uc in all_use_cases() {
         let plain = bare.generate(&uc.template).expect("generates");
         let traced = instrumented.generate(&uc.template).expect("generates");
@@ -265,7 +280,12 @@ fn differential_output_is_byte_identical_with_and_without_instrumentation() {
             "uc{}: instrumentation changed the generated Java",
             uc.id
         );
+        recorder.add(&uc.template.class_name, &traced.record);
     }
-    assert!(!recorder.is_empty(), "the instrumented engine was observed");
+    assert_eq!(
+        spans.0.load(Ordering::Relaxed),
+        all_use_cases().len() * Phase::ALL.len(),
+        "the instrumented engine was observed"
+    );
     validate_trace(&recorder.to_json()).expect("trace validates");
 }

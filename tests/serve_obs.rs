@@ -321,6 +321,60 @@ fn profilez_captures_a_report() {
     handle.shutdown();
 }
 
+/// A capture armed while two clients keep generating holds whole
+/// generations only: the served document passes `trace-check` as it
+/// is, with five closed phases per captured generation.
+#[test]
+fn profilez_armed_under_concurrent_generates_serves_whole_generations() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    let (handle, addr) = http_daemon(obs::DEFAULT_RING_CAPACITY);
+    let stop = AtomicBool::new(false);
+    let trace = std::thread::scope(|s| {
+        for case in ["1", "11"] {
+            let (addr, stop) = (&addr, &stop);
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let (code, _) =
+                        http::request(addr, "GET", &format!("/generate/{case}"), "").unwrap();
+                    assert_eq!(code, 200);
+                }
+            });
+        }
+        let (code, body) = http::request(&addr, "POST", "/profilez", "4").unwrap();
+        assert_eq!(code, 200, "{body}");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let trace = loop {
+            let (code, body) = http::request(&addr, "GET", "/profilez", "").unwrap();
+            if code == 200 {
+                break Json::parse(&body).expect("capture is JSON");
+            }
+            assert!(Instant::now() < deadline, "the window never closed: {body}");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        stop.store(true, Ordering::Relaxed);
+        trace
+    });
+    validate_trace(&trace).expect("served capture passes trace-check as it is");
+    let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let count = |ph: &str, name: Option<&str>| {
+        events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+            .filter(|e| name.is_none() || e.get("name").and_then(Json::as_str) == name)
+            .count()
+    };
+    let generations = count("E", Some("assemble"));
+    assert!(
+        generations >= 4,
+        "a 4-request window captured {generations}"
+    );
+    assert_eq!(count("E", None), 5 * generations);
+    assert_eq!(count("B", None), 5 * generations);
+    handle.shutdown();
+}
+
 /// `/tracez` cache counts are the sums of each request's own
 /// generation records: two clients generating different use cases at
 /// the same time on one warm daemon never count each other's ORDER
