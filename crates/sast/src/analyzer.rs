@@ -6,7 +6,7 @@ use crysl::ast::{Atom, CmpOp, Constraint, Literal, MethodEvent, ParamPattern, Pr
 use crysl::RuleSet;
 use javamodel::ast::*;
 use javamodel::TypeTable;
-use statemachine::{Dfa, Nfa};
+use statemachine::{CompiledOrder, Dfa, Nfa};
 
 use crate::absdomain::{AbsVal, PredicateStore, TrackedObject, ValId};
 use crate::report::{Misuse, MisuseKind};
@@ -320,11 +320,16 @@ impl<'a> Analyzer<'a> {
             .unwrap_or(JavaType::class("java.lang.Object"))
     }
 
+    /// Starts tracking `val`'s typestate under `rule`'s ORDER. An ORDER
+    /// that builds no NFA, or whose subset construction passes the
+    /// compiled-ORDER state bound (the rules may be untrusted), is left
+    /// untracked.
     fn track(&mut self, val: ValId, rule: &'a Rule) {
-        let Ok(nfa) = Nfa::from_rule(rule) else {
+        let Ok(dfa) = Nfa::from_rule(rule)
+            .and_then(|nfa| Dfa::try_from_nfa(&nfa, CompiledOrder::DFA_STATE_LIMIT))
+        else {
             return;
         };
-        let dfa = Dfa::from_nfa(&nfa);
         self.tracked.push(TrackedObject {
             val,
             rule,
@@ -929,5 +934,51 @@ mod tests {
                 .any(|mi| mi.kind == MisuseKind::ConstraintError),
             "{misuses:?}"
         );
+    }
+
+    #[test]
+    fn an_order_past_the_state_bound_is_left_untracked() {
+        // After `(c | cP)*, c`, the 24 events that follow make a subset
+        // state of every suffix of up to 25 events: 2^25 states
+        // unbounded, so only the compiled-ORDER bound lets this return.
+        let order = vec!["(c | cP)"; 24].join(", ");
+        let source = format!(
+            "SPEC javax.crypto.spec.PBEKeySpec
+OBJECTS
+    char[] password;
+    byte[] salt;
+    int iterationCount;
+    int keylength;
+EVENTS
+    c: PBEKeySpec(password, salt, iterationCount, keylength);
+    cP: clearPassword();
+ORDER
+    (c | cP)*, c, {order}"
+        );
+        let mut rules = RuleSet::new();
+        rules
+            .add_source(&source)
+            .expect("the rule parses and validates");
+        let m = MethodDecl::new("f", JavaType::Void)
+            .param(JavaType::char_array(), "pwd")
+            .param(JavaType::byte_array(), "salt")
+            .statement(Stmt::decl_init(
+                JavaType::class("javax.crypto.spec.PBEKeySpec"),
+                "spec",
+                Expr::new_object(
+                    "javax.crypto.spec.PBEKeySpec",
+                    vec![
+                        Expr::var("pwd"),
+                        Expr::var("salt"),
+                        Expr::int(10000),
+                        Expr::int(128),
+                    ],
+                ),
+            ));
+        let unit = CompilationUnit::new("p").class(ClassDecl::new("C").method(m));
+        // Tracked, the lone constructor call would be an incomplete
+        // operation; untracked, the object yields no misuse at all.
+        let misuses = analyze_unit(&unit, &rules, &jca_type_table(), AnalyzerOptions::default());
+        assert!(misuses.is_empty(), "{misuses:?}");
     }
 }

@@ -57,6 +57,15 @@ if matches="$(grep -nE "$old_builders" $sources)"; then
     exit 1
 fi
 
+# The analyzer runs on rules that may be untrusted (`analyze --rules
+# <dir>`), so its subset construction must be bounded: no
+# `Dfa::from_nfa` under crates/sast/src, only `Dfa::try_from_nfa`.
+if matches="$(grep -nE '\bfrom_nfa\b' $(git ls-files 'crates/sast/src/*.rs'))"; then
+    echo "error: unbounded Dfa::from_nfa in the analyzer (use Dfa::try_from_nfa):" >&2
+    echo "$matches" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked
 
@@ -68,11 +77,13 @@ cargo build --release --offline --locked
 # re-derived metrics and timings from it are gone), the CLI's
 # serve-check daemon probe is gone (the serve tests probe the daemon),
 # the daemon's workers block in accept instead of polling a
-# non-blocking listener, and the Chrome trace is a fold over whole
-# records (nothing to balance); the deleted routes must not come back.
-old_routes='\b(to_balanced_json|cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob|ACCEPT_POLL)\b'
+# non-blocking listener, the Chrome trace is a fold over whole
+# records (nothing to balance), and a rule pack boots one way
+# (`ServedPack::boot`: no daemon pack-info lock, no CLI-only engine,
+# no free declared-case check); the deleted routes must not come back.
+old_routes='\b(to_balanced_json|cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob|ACCEPT_POLL|PackInfo|custom_engine|check_declared)\b'
 if matches="$(grep -nE "$old_routes" $sources)"; then
-    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream, daemon probe, accept poll or trace balancing:" >&2
+    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream, daemon probe, accept poll, trace balancing or second pack boot:" >&2
     echo "$matches" >&2
     exit 1
 fi

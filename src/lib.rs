@@ -2,8 +2,10 @@
 pub mod error;
 pub mod report;
 pub mod serve;
+pub mod served;
 
 pub use error::Error;
+pub use served::ServedPack;
 
 pub use cognicrypt_core as core;
 pub use cognicrypt_fuzz as fuzz;
@@ -19,34 +21,19 @@ pub use statemachine;
 pub use stats;
 pub use usecases;
 
-use std::sync::OnceLock;
-
 use cognicrypt_core::GenEngine;
 use usecases::{CaseFile, UseCase};
 
-/// The process-wide generation engine over the shipped JCA rule set and
-/// type table: the embedded rules via `rules::open` (parsed once per
-/// process), plus a compiled-ORDER cache that warms up across calls. The CLI's
-/// `generate` and `batch` subcommands and any embedding service share
-/// this one session.
+/// The engine of the process-wide embedded [`ServedPack`]: the shipped
+/// JCA rules, booted and warmed once per process.
 ///
 /// # Errors
 ///
-/// [`Error::Rules`] when a shipped rule fails to parse — a corrupted
-/// rule pack must surface as the typed error (CLI exit code 3), never
-/// as a panic: a library-level panic would kill a resident process
-/// serving unrelated requests. Only a successfully built engine is
-/// cached; after a failure the next call retries.
+/// [`Error::Rules`] when a shipped rule fails to parse — typed (CLI
+/// exit code 3), never a panic that would kill a resident process.
+/// After a failure the next call retries.
 pub fn jca_engine() -> Result<&'static GenEngine, Error> {
-    static ENGINE: OnceLock<GenEngine> = OnceLock::new();
-    if let Some(engine) = ENGINE.get() {
-        return Ok(engine);
-    }
-    let engine = GenEngine::builder()
-        .rules(rules::open(rules::PackSource::Embedded)?.rules)
-        .type_table(javamodel::jca::jca_type_table())
-        .build()?;
-    Ok(ENGINE.get_or_init(|| engine))
+    ServedPack::embedded().map(ServedPack::engine)
 }
 
 /// Resolves a use-case selector — a Table-1 id (`"3"`) or a
@@ -84,32 +71,6 @@ pub fn find_case_file(selector: &str) -> Result<&'static CaseFile, Error> {
         .iter()
         .find(|f| f.name.to_lowercase().contains(&lowered))
         .ok_or_else(|| Error::Usage(format!("no use case matches `{selector}` (try `list`)")))
-}
-
-/// Whether a rule pack serves use case `id`. `declared` is
-/// [`rules::declared_use_cases`] of the pack's manifest; `None`, a pack
-/// outside the catalog, serves the whole catalogue. This is the one
-/// membership rule of every surface that generates over a chosen pack
-/// (`generate` and `batch`, the daemon's `/generate` and `/batch`, and
-/// the report), so a case is served everywhere or nowhere.
-pub fn declares(declared: Option<&[u8]>, id: u8) -> bool {
-    declared.is_none_or(|ids| ids.contains(&id))
-}
-
-/// Refuses a use case the serving pack does not [`declares`].
-///
-/// # Errors
-///
-/// [`Error::Usage`] when `uc` is outside the declared set.
-pub fn check_declared(declared: Option<&[u8]>, uc: &UseCase) -> Result<(), Error> {
-    if declares(declared, uc.id) {
-        Ok(())
-    } else {
-        Err(Error::Usage(format!(
-            "the served rule pack does not declare use case {} ({})",
-            uc.id, uc.name
-        )))
-    }
 }
 
 #[cfg(test)]

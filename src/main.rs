@@ -50,10 +50,11 @@
 //! `--trace <file>`:
 //! the records of the run's generations are folded into a
 //! [`TraceRecorder`] and written as Chrome Trace Event Format JSON —
-//! open the file in `chrome://tracing` or Perfetto. A traced run uses
-//! the same engine as an untraced one (the shared [`jca_engine`]
-//! unless `--rules` names another pack), so the generated Java is the
-//! same either way, which the golden-catalogue suite asserts.
+//! open the file in `chrome://tracing` or Perfetto. Every one of them
+//! boots its pack through [`ServedPack::boot`], as the daemon does, and
+//! a traced run boots the same pack as an untraced one, so the
+//! generated Java is the same either way, which the golden-catalogue
+//! suite asserts.
 //!
 //! The binary installs [`TrackingAlloc`] as its global allocator, so
 //! per-phase `alloc_bytes`/`peak_live_bytes` in `report` output and in
@@ -66,20 +67,16 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use cognicryptgen::core::memtrack::TrackingAlloc;
 use cognicryptgen::core::telemetry::{validate_trace, TraceRecorder};
 use cognicryptgen::core::GenEngine;
-use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::javamodel::parser::parse_java;
 use cognicryptgen::report::{self, REPORT_FILE};
-use cognicryptgen::rules::{self, PackManifest, PackSource};
+use cognicryptgen::rules::{self, PackSource};
 use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
 use cognicryptgen::serve::{ServeConfig, Server};
-use cognicryptgen::statemachine::OrderCache;
-use cognicryptgen::usecases::UseCase;
-use cognicryptgen::{check_declared, declares, find_case_file, find_use_case, jca_engine, Error};
+use cognicryptgen::{find_case_file, Error, ServedPack};
 use devharness::json::Json;
 
 /// Every allocation of the CLI process is counted, so phase spans carry
@@ -97,9 +94,9 @@ fn main() -> ExitCode {
         let pack = rules_flag.as_deref();
         match args.first().map(String::as_str) {
             Some("list") => reject_custom(trace, pack, "list").and_then(|()| cmd_list()),
-            Some("generate") => selector(args.get(1))
-                .and_then(find_use_case)
-                .and_then(|uc| cmd_generate(uc, pack, trace)),
+            Some("generate") => {
+                selector(args.get(1)).and_then(|selector| cmd_generate(selector, pack, trace))
+            }
             Some("batch") => cmd_batch(
                 args.get(1).map(String::as_str),
                 args.get(2).map(String::as_str),
@@ -204,25 +201,9 @@ fn extract_flag(args: &mut Vec<String>, flag: &str, what: &str) -> Result<Option
     Ok(value)
 }
 
-/// A per-invocation engine for a `--rules` pack other than the
-/// embedded one, which the shared [`jca_engine`] cannot serve. A
-/// precompiled `.crpack` seeds the engine's own compiled-ORDER cache,
-/// so the boot performs no CrySL parsing and no ORDER compilation. The
-/// loaded pack's manifest rides along so callers can honour the
-/// catalogued use-case subset the pack declares.
-fn custom_engine(pack: Option<&str>) -> Result<Option<(GenEngine, PackManifest)>, Error> {
-    let Some(path) = pack else {
-        return Ok(None);
-    };
-    let pack = rules::open(PackSource::detect(path))?;
-    let cache = Arc::new(OrderCache::new());
-    pack.seed(&cache);
-    let engine = GenEngine::builder()
-        .rules(pack.rules)
-        .type_table(jca_type_table())
-        .order_cache(cache)
-        .build()?;
-    Ok(Some((engine, pack.manifest)))
+/// The pack `--rules` names — the embedded one without the flag.
+fn source(pack: Option<&str>) -> PackSource {
+    pack.map_or(PackSource::Embedded, PackSource::detect)
 }
 
 /// Validates and writes the folded trace, reporting to stderr so
@@ -252,14 +233,10 @@ fn cmd_list() -> Result<(), Error> {
     Ok(())
 }
 
-fn cmd_generate(uc: &UseCase, pack: Option<&str>, trace: Option<&str>) -> Result<(), Error> {
-    let generated = match custom_engine(pack)? {
-        Some((engine, manifest)) => {
-            check_declared(rules::declared_use_cases(&manifest), uc)?;
-            engine.generate(&uc.template)?
-        }
-        None => jca_engine()?.generate(&uc.template)?,
-    };
+fn cmd_generate(selector: &str, pack: Option<&str>, trace: Option<&str>) -> Result<(), Error> {
+    let served = ServedPack::open(source(pack), None)?;
+    let uc = served.case(selector)?;
+    let generated = served.engine().generate(&uc.template)?;
     if let Some(path) = trace {
         let mut recorder = TraceRecorder::new();
         recorder.add(&uc.template.class_name, &generated.record);
@@ -295,24 +272,10 @@ fn cmd_batch(
     let outdir = Path::new(outdir);
     std::fs::create_dir_all(outdir).map_err(|e| Error::io(outdir.display().to_string(), e))?;
 
-    let custom;
-    let mut declared: Option<&'static [u8]> = None;
-    let engine: &GenEngine = match custom_engine(pack)? {
-        Some((engine, manifest)) => {
-            declared = rules::declared_use_cases(&manifest);
-            custom = engine;
-            &custom
-        }
-        None => jca_engine()?,
-    };
-
-    let full = usecases::catalogue();
-    let total = full.len();
-    let cases: Vec<&UseCase> = full
-        .iter()
-        .filter(|f| declares(declared, f.id))
-        .map(usecases::CaseFile::use_case)
-        .collect();
+    let served = ServedPack::open(source(pack), None)?;
+    let engine = served.engine();
+    let cases = served.cases();
+    let total = usecases::catalogue().len();
     if cases.len() < total {
         println!(
             "batch: rule pack declares {} of {} catalogued use cases",
@@ -436,11 +399,14 @@ fn cmd_compile_rules(args: &[String]) -> Result<(), Error> {
 /// is judged by that same pack.
 fn cmd_analyze(path: Option<&str>, pack: Option<&str>) -> Result<(), Error> {
     let path = path.ok_or_else(|| Error::Usage("missing file to analyze".to_owned()))?;
-    let source = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
-    let table = jca_type_table();
-    let unit = parse_java(&source, &table).map_err(|e| Error::Invalid(e.to_string()))?;
-    let rules = rules::open(pack.map_or(PackSource::Embedded, PackSource::detect))?.rules;
-    let misuses = analyze_unit(&unit, &rules, &table, AnalyzerOptions::default());
+    let text = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
+    // Every ORDER of a booted pack has compiled (at boot, or when its
+    // `.crpack` was written), so a rule the analyzer could not track
+    // fails here, typed, before any analysis.
+    let served = ServedPack::open(source(pack), None)?;
+    let (rules, table) = (served.engine().rules(), served.engine().table());
+    let unit = parse_java(&text, table).map_err(|e| Error::Invalid(e.to_string()))?;
+    let misuses = analyze_unit(&unit, rules, table, AnalyzerOptions::default());
     if misuses.is_empty() {
         println!("no misuses found");
     } else {
@@ -474,11 +440,7 @@ fn cmd_oldgen(selector: Option<&str>) -> Result<(), Error> {
 fn cmd_report(outdir: Option<&str>, pack: Option<&str>, trace: Option<&str>) -> Result<(), Error> {
     let outdir = Path::new(outdir.unwrap_or("."));
     std::fs::create_dir_all(outdir).map_err(|e| Error::io(outdir.display().to_string(), e))?;
-    let source = match pack {
-        Some(path) => PackSource::detect(path),
-        None => PackSource::Embedded,
-    };
-    let report = report::build_from(source)?;
+    let report = report::build_from(source(pack))?;
     if let Some(path) = trace {
         let mut recorder = TraceRecorder::new();
         for row in &report.rows {

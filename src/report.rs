@@ -23,13 +23,12 @@
 use std::time::Instant;
 
 use cognicrypt_core::telemetry::{GenRecord, Metric, MetricsRegistry, Phase};
-use cognicrypt_core::GenEngine;
 use devharness::bench::{peak_rss, PeakRss};
 use devharness::json::Json;
-use rules::{PackManifest, PackSource, RulePack};
+use rules::PackSource;
 use sast::{analyze_unit, AnalyzerOptions};
 
-use crate::Error;
+use crate::{Error, ServedPack};
 
 /// File name the CLI `report` subcommand writes.
 pub const REPORT_FILE: &str = "REPORT_table1.json";
@@ -81,7 +80,8 @@ pub struct BootStats {
     pub cache_seeded: usize,
     /// Warm-up lookups served by already-present artefacts.
     pub warm_hits: usize,
-    /// Warm-up lookups that had to compile (0 for a pack boot).
+    /// Warm-up lookups that had to compile. Both warm-up figures are 0
+    /// for a precompiled pack, whose boot skips warm-up.
     pub warm_compiled: usize,
 }
 
@@ -102,76 +102,40 @@ pub struct Table1Report {
     pub boot: BootStats,
 }
 
-impl BootStats {
-    /// The boot record of a freshly opened `pack` whose open took
-    /// `rules_load_us`; seeding and warm-up figures start at zero.
-    pub(crate) fn opened(pack: &RulePack, rules_load_us: f64) -> BootStats {
-        BootStats {
-            origin: pack.origin.to_string(),
-            kind: pack.origin.kind(),
-            pack_version: pack.version,
-            pack_fingerprint: pack.pack_fingerprint(),
-            rules: pack.rules.len(),
-            precompiled: pack.is_precompiled(),
-            rules_load_us,
-            cache_seeded: 0,
-            warm_hits: 0,
-            warm_compiled: 0,
-        }
-    }
-}
-
-/// Opens `source` uncached and timed, boots an engine from it, warms
-/// it, and reports on that engine ([`build_served`]); the `boot`
-/// section shows the real cold-start cost of the loading path — a
-/// source pack compiles every ORDER artefact during warm-up, a
-/// compiled pack seeds them all and must warm with `warm_compiled == 0`.
+/// Opens `source` uncached and timed, boots it ([`ServedPack::boot`])
+/// and reports on it ([`build_served`]); the `boot` section shows the
+/// real cold-start cost of the loading path — a source pack compiles
+/// every ORDER artefact during warm-up, a compiled pack seeds them all
+/// and skips warm-up, so each row times a warm generation and no row
+/// pays for compiling an ORDER automaton.
 ///
 /// # Errors
 ///
-/// The typed pack open failures, and [`Error::Generation`] when a
-/// declared use case fails to generate.
+/// The typed pack open and boot failures, and [`Error::Generation`]
+/// when a declared use case fails to generate.
 pub fn build_from(source: PackSource) -> Result<Table1Report, Error> {
-    let load_started = Instant::now();
+    let started = Instant::now();
     let pack = rules::open_uncached(source)?;
-    let mut boot = BootStats::opened(&pack, load_started.elapsed().as_secs_f64() * 1e6);
-    let engine = GenEngine::builder().rules(pack.rules.clone()).build()?;
-    boot.cache_seeded = pack.seed(engine.order_cache());
-    // Every boot warms before the rows, so each row times a warm
-    // generation and no row pays for compiling an ORDER automaton. A
-    // pack boot must find every artefact seeded: `warm_compiled == 0`
-    // is the claim a `.crpack` makes.
-    let warm = engine.warm_traced()?;
-    boot.warm_hits = warm.hits;
-    boot.warm_compiled = warm.compiled;
-    build_served(&engine, &pack.manifest, boot)
+    build_served(&ServedPack::boot(pack, started.elapsed(), None)?)
 }
 
-/// The report on the pack `engine` runs (the daemon's `/report`): every
-/// use case `manifest` declares ([`rules::declared_use_cases`]), in id
-/// order on one thread, generated on `engine` itself — its metrics see
-/// the records, like any other generation. The report's own metrics
-/// are the rows' records folded into a fresh registry, and a trace of
-/// the run is the same records folded into a
-/// [`cognicrypt_core::telemetry::TraceRecorder`]. `boot` says how the
-/// pack was loaded.
+/// The report on `served` (the daemon's `/report`): every use case the
+/// pack declares ([`ServedPack::cases`]), in id order on one thread,
+/// generated on the pack's engine itself — its metrics see the records,
+/// like any other generation. The report's own metrics are the rows'
+/// records folded into a fresh registry, and a trace of the run is the
+/// same records folded into a
+/// [`cognicrypt_core::telemetry::TraceRecorder`]. The `boot` section
+/// says how the pack was loaded.
 ///
 /// # Errors
 ///
 /// [`Error::Generation`] when a declared use case fails to generate.
-pub(crate) fn build_served(
-    engine: &GenEngine,
-    manifest: &PackManifest,
-    boot: BootStats,
-) -> Result<Table1Report, Error> {
+pub(crate) fn build_served(served: &ServedPack) -> Result<Table1Report, Error> {
+    let engine = served.engine();
     let metrics = MetricsRegistry::new();
-    let declared = rules::declared_use_cases(manifest);
     let mut rows = Vec::new();
-    for file in usecases::catalogue() {
-        if !crate::declares(declared, file.id) {
-            continue;
-        }
-        let uc = file.use_case();
+    for uc in served.cases() {
         let generated = engine.generate(&uc.template)?;
         generated.record.fold_into(&metrics);
         // Analysed after `generate` returns, so no phase span or record
@@ -196,7 +160,7 @@ pub(crate) fn build_served(
         rows,
         metrics: metrics.snapshot(),
         peak_rss: peak_rss(),
-        boot,
+        boot: served.boot_stats().clone(),
     })
 }
 
@@ -690,8 +654,9 @@ mod tests {
         assert_eq!(boot.kind, "compiled");
         assert!(boot.precompiled);
         assert!(boot.cache_seeded > 0);
-        assert_eq!(boot.warm_hits, boot.cache_seeded);
-        assert_eq!(boot.warm_compiled, 0, "a .crpack boot must compile nothing");
+        // Seeding covers every rule (the decoder refuses a pack that
+        // lacks an artefact), so the boot skips warm-up altogether.
+        assert_eq!((boot.warm_hits, boot.warm_compiled), (0, 0));
 
         // Same generated output as an embedded-source run, row by row.
         let from_source = build_from(PackSource::Embedded).expect("embedded report builds");

@@ -6,9 +6,12 @@
 //! needs a *resident* process that pays those costs once and then
 //! answers requests from warm state. This module is that process:
 //!
-//! * one warm [`GenEngine`] (rules parsed once, every ORDER
-//!   precompiled at boot) behind a swap lock; the engine owns its
-//!   compiled-ORDER cache, which hot-reload successors inherit;
+//! * one booted [`ServedPack`] (rules parsed once, every ORDER
+//!   compiled or seeded at boot) behind a swap lock; each request
+//!   reads one `Arc` snapshot of it, so the engine it generates on and
+//!   the pack identity and declared cases it checks always belong
+//!   together; the engine owns its compiled-ORDER cache, which
+//!   hot-reload successors inherit;
 //! * two transports over one transport-agnostic request core:
 //!   minimal HTTP/1.1 on a [`std::net::TcpListener`] ([`http`]) and a
 //!   line/JSON protocol on a Unix socket ([`uds`], unix only), each
@@ -23,10 +26,11 @@
 //!   [`cognicrypt_core::memtrack`];
 //! * rule-pack hot-reload: `/reload` re-opens the configured
 //!   [`PackSource`] (a `*.crysl` source directory or a precompiled
-//!   `.crpack` file, auto-detected), builds a
-//!   successor engine sharing the warm cache, swaps it in, then prunes
-//!   exactly the cache entries whose content-hash fingerprints the new
-//!   pack no longer produces. A stale hit is impossible by
+//!   `.crpack` file, auto-detected), boots a successor
+//!   [`ServedPack`] sharing the warm cache, swaps the whole value in,
+//!   then prunes exactly the cache entries whose content-hash
+//!   fingerprints the new pack no longer produces. Reloads run one at
+//!   a time, from open to prune. A stale hit is impossible by
 //!   construction — the cache key is the hash of the compilation
 //!   input (`tests/cache_key_property.rs`) — so pruning is a memory
 //!   bound, not a correctness requirement.
@@ -43,12 +47,11 @@ pub mod obs;
 #[cfg(unix)]
 pub mod uds;
 
-use std::collections::HashSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,10 +59,9 @@ use cognicrypt_core::memtrack::{self, AllocScope};
 use cognicrypt_core::telemetry::{GenRecord, MetricsRegistry};
 use cognicrypt_core::GenEngine;
 use devharness::json::Json;
-use rules::{PackManifest, PackSource, RulePack};
-use statemachine::OrderCache;
+use rules::PackSource;
 
-use crate::{check_declared, declares, find_use_case, report, Error};
+use crate::{report, Error, ServedPack};
 
 /// How long a worker sleeps after a failed `accept` (EMFILE and the
 /// like) before it retries, so a persistent error cannot spin the loop.
@@ -138,47 +140,40 @@ impl ServeConfig {
     }
 }
 
-/// Pack identity served by a daemon right now and how it booted,
-/// surfaced in `/loadz`, `/metrics` and `/report` so operators can
-/// tell which rules — and which loading path — a resident process is
-/// actually using.
-#[derive(Debug, Clone)]
-struct PackInfo {
-    manifest: PackManifest,
-    boot: report::BootStats,
+/// The pack identity `served` carries, as `/loadz` and `/reload` show
+/// it: operators can tell which rules — and which loading path — a
+/// resident process is actually using.
+fn pack_json(served: &ServedPack) -> Json {
+    let boot = served.boot_stats();
+    Json::Obj(vec![
+        ("origin".to_owned(), Json::Str(boot.origin.clone())),
+        (
+            "manifest".to_owned(),
+            Json::Str(served.manifest().to_string()),
+        ),
+        ("kind".to_owned(), Json::Str(boot.kind.to_owned())),
+        (
+            "version".to_owned(),
+            Json::Num(f64::from(boot.pack_version)),
+        ),
+        (
+            "fingerprint".to_owned(),
+            Json::Str(format!("{:016x}", boot.pack_fingerprint)),
+        ),
+        ("rules".to_owned(), Json::Num(boot.rules as f64)),
+        (
+            "precompiled".to_owned(),
+            Json::Num(f64::from(u8::from(boot.precompiled))),
+        ),
+    ])
 }
 
-impl PackInfo {
-    /// The identity of `pack`, whose open took `load`; seeding and
-    /// warm-up figures are filled in as the engine comes up.
-    fn of(pack: &RulePack, load: Duration) -> PackInfo {
-        PackInfo {
-            manifest: pack.manifest.clone(),
-            boot: report::BootStats::opened(pack, load.as_secs_f64() * 1e6),
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let boot = &self.boot;
-        Json::Obj(vec![
-            ("origin".to_owned(), Json::Str(boot.origin.clone())),
-            ("manifest".to_owned(), Json::Str(self.manifest.to_string())),
-            ("kind".to_owned(), Json::Str(boot.kind.to_owned())),
-            (
-                "version".to_owned(),
-                Json::Num(f64::from(boot.pack_version)),
-            ),
-            (
-                "fingerprint".to_owned(),
-                Json::Str(format!("{:016x}", boot.pack_fingerprint)),
-            ),
-            ("rules".to_owned(), Json::Num(boot.rules as f64)),
-            (
-                "precompiled".to_owned(),
-                Json::Num(f64::from(u8::from(boot.precompiled))),
-            ),
-        ])
-    }
+/// The [`PackSource`] a daemon (re)loads from: the configured path —
+/// re-classified dir-vs-file on every call, so an operator can even
+/// swap a source directory for a `.crpack` between reloads — or the
+/// embedded set.
+fn pack_source(rules_path: Option<&Path>) -> PackSource {
+    rules_path.map_or(PackSource::Embedded, PackSource::detect)
 }
 
 /// One protocol request, decoded from either transport.
@@ -311,14 +306,15 @@ impl CacheTraffic<'_> {
     }
 }
 
-/// The daemon's shared state: the swappable warm engine, the
+/// The daemon's shared state: the swappable served pack, the
 /// daemon-lifetime metrics registry, and the stop flag with the
 /// listeners a stop wakes.
 pub struct ServerState {
-    engine: RwLock<Arc<GenEngine>>,
+    served: RwLock<Arc<ServedPack>>,
+    /// Held by a reload from open to prune, so reloads never overlap.
+    reloading: Mutex<()>,
     metrics: Arc<MetricsRegistry>,
     rules_path: Option<PathBuf>,
-    pack_info: RwLock<PackInfo>,
     obs: obs::RequestObs,
     profile: obs::ProfileSwitch,
     slow_ns: Option<u64>,
@@ -331,61 +327,26 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// The [`PackSource`] this daemon (re)loads from: the configured
-    /// path — re-classified dir-vs-file on every call, so an operator
-    /// can even swap a source directory for a `.crpack` between
-    /// reloads — or the embedded set.
-    fn pack_source(&self) -> PackSource {
-        match &self.rules_path {
-            Some(path) => PackSource::detect(path),
-            None => PackSource::Embedded,
-        }
-    }
-
-    /// Builds the warm initial state: the rule pack opened (embedded
-    /// set, source directory, or precompiled `.crpack`), every ORDER
-    /// artefact in the cache — seeded straight from a compiled pack,
-    /// compiled during warm-up otherwise — and daemon-lifetime
+    /// Builds the warm initial state: the rule pack booted
+    /// ([`ServedPack::open`] over the embedded set, a source
+    /// directory, or a precompiled `.crpack`) and daemon-lifetime
     /// allocator accounting enabled.
     ///
     /// # Errors
     ///
-    /// Rule loading/decoding and engine-build failures, typed.
+    /// Rule loading/decoding and boot failures, typed.
     pub fn new(config: &ServeConfig) -> Result<ServerState, Error> {
         config.validate()?;
-        let source = match &config.rules_path {
-            Some(path) => PackSource::detect(path),
-            None => PackSource::Embedded,
-        };
-        let started = Instant::now();
-        let pack = rules::open(source)?;
-        let mut info = PackInfo::of(&pack, started.elapsed());
-        // The daemon's engine owns one compiled-ORDER cache for the
-        // daemon's lifetime: hot-reload successors inherit it and
-        // pruning keeps it bounded. A precompiled pack seeds every
-        // artefact its rules can look up (the decoder enforces this),
-        // so warm-up would be a pure all-hit walk — skipped.
-        let cache = Arc::new(OrderCache::new());
-        info.boot.cache_seeded = pack.seed(&cache);
-        let engine = GenEngine::builder()
-            .rules(pack.rules)
-            .type_table(javamodel::jca::jca_type_table())
-            .threads(config.threads)
-            .order_cache(cache)
-            .build()?;
-        if !info.boot.precompiled {
-            let warm = engine.warm_traced()?;
-            (info.boot.warm_hits, info.boot.warm_compiled) = (warm.hits, warm.compiled);
-        }
+        let served = ServedPack::open(pack_source(config.rules_path.as_deref()), None)?;
         memtrack::enable_process_stats();
-        let seed = info.boot.pack_fingerprint;
+        // Trace ids are seeded from the boot pack's fingerprint:
+        // deterministic for a given pack, different across packs.
+        let seed = served.boot_stats().pack_fingerprint;
         Ok(ServerState {
-            engine: RwLock::new(Arc::new(engine)),
+            served: RwLock::new(Arc::new(served)),
+            reloading: Mutex::new(()),
             metrics: Arc::new(MetricsRegistry::new()),
             rules_path: config.rules_path.clone(),
-            pack_info: RwLock::new(info),
-            // Trace ids are seeded from the boot pack's fingerprint:
-            // deterministic for a given pack, different across packs.
             obs: obs::RequestObs::new(config.obs_capacity, seed),
             profile: obs::ProfileSwitch::new(),
             slow_ns: config.slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
@@ -395,17 +356,15 @@ impl ServerState {
         })
     }
 
-    /// The engine serving requests right now. In-flight requests hold
-    /// their own `Arc`, so a concurrent hot-reload never changes the
-    /// rules under a running generation.
-    pub fn engine(&self) -> Arc<GenEngine> {
-        match self.engine.read() {
-            Ok(guard) => guard.clone(),
-            // A panicked writer can only have poisoned the lock after
-            // the swap completed (the swap is a single pointer store),
-            // so the value is always intact.
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+    /// The pack serving requests right now. A request reads it once
+    /// and holds its own `Arc`, so a concurrent hot-reload never
+    /// changes the rules, or the pack identity, under it. A poisoned
+    /// lock still holds an intact value: the swap is one pointer store.
+    pub fn served(&self) -> Arc<ServedPack> {
+        self.served
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The daemon-lifetime metrics registry (`serve.*` names).
@@ -585,9 +544,9 @@ impl ServerState {
                 format!("{}\n", self.loadz_snapshot()),
             )),
             Request::Generate(selector) => {
-                let uc = find_use_case(selector)?;
-                check_declared(rules::declared_use_cases(&self.pack_info().manifest), uc)?;
-                let generated = self.engine().generate(&uc.template)?;
+                let served = self.served();
+                let uc = served.case(selector)?;
+                let generated = served.engine().generate(&uc.template)?;
                 cache.add(&uc.template.class_name, &generated.record);
                 Ok(Response::ok("text/plain", generated.java_source))
             }
@@ -597,15 +556,10 @@ impl ServerState {
                         "thread count must be at least 1, got 0".to_owned(),
                     ));
                 }
-                let declared = rules::declared_use_cases(&self.pack_info().manifest);
-                let cases: Vec<_> = usecases::catalogue()
-                    .iter()
-                    .filter(|f| declares(declared, f.id))
-                    .map(usecases::CaseFile::use_case)
-                    .collect();
+                let served = self.served();
+                let cases = served.cases();
                 let templates: Vec<_> = cases.iter().map(|uc| uc.template.clone()).collect();
-                let engine = self.engine();
-                let results = engine.generate_batch(&templates, *threads);
+                let results = served.engine().generate_batch(&templates, *threads);
                 let mut members = Vec::with_capacity(cases.len());
                 for (uc, result) in cases.iter().zip(results) {
                     let generated = result.map_err(Error::Engine)?;
@@ -618,8 +572,7 @@ impl ServerState {
                 ))
             }
             Request::Report => {
-                let PackInfo { manifest, boot } = self.pack_info().clone();
-                let report = report::build_served(&self.engine(), &manifest, boot)?;
+                let report = report::build_served(&self.served())?;
                 for row in &report.rows {
                     cache.add(&row.class, &row.record);
                 }
@@ -704,70 +657,47 @@ impl ServerState {
         }
     }
 
-    /// Hot-reloads the rule pack. Sequence: re-open the
-    /// [`PackSource`] → seed any precompiled artefacts into the warm
-    /// compiled-ORDER cache → build a successor engine sharing that
-    /// cache → warm the successor (new fingerprints compile *before*
-    /// the swap, so no request ever waits on reload compilation;
-    /// skipped for a precompiled pack, whose seeding already
-    /// guaranteed every lookup hits) → swap → prune every cache entry
-    /// whose fingerprint the new pack does not produce. Unchanged
-    /// rules keep their warm artefacts; changed or removed rules lose
-    /// exactly theirs. A broken pack — an unparsable source, a
-    /// truncated or bit-flipped `.crpack` — fails the open with a
-    /// typed error and leaves the running engine, its cache, and the
-    /// published pack identity untouched.
+    /// Hot-reloads the rule pack: boot a successor [`ServedPack`] from
+    /// the re-opened [`PackSource`] on the live ORDER cache (a source
+    /// pack warms before the swap, so no request waits on reload
+    /// compilation) → swap the whole value → prune every cache entry
+    /// whose fingerprint the new pack does not produce. Reloads are
+    /// serialized from open to prune, so the last to open is the last
+    /// to swap. A broken pack — an unparsable source, a truncated or
+    /// bit-flipped `.crpack` — fails the boot with a typed error and
+    /// leaves the served pack and its cache untouched.
     fn reload(&self) -> Result<Response, Error> {
-        let started = Instant::now();
-        let pack = rules::open(self.pack_source())?;
-        let mut info = PackInfo::of(&pack, started.elapsed());
-        let keep: HashSet<u64> = pack.fingerprints.iter().copied().collect();
-        info.boot.cache_seeded = pack.seed(self.engine().order_cache());
-        let successor = Arc::new(self.engine().with_rule_set(pack.rules));
-        if !info.boot.precompiled {
-            let warm = successor.warm_traced()?;
-            (info.boot.warm_hits, info.boot.warm_compiled) = (warm.hits, warm.compiled);
-        }
-        let rule_count = successor.rules().len();
-        {
-            let mut guard = match self.engine.write() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *guard = successor.clone();
-        }
-        let dropped = successor
-            .order_cache()
-            .retain_fingerprints(|fp| keep.contains(&fp));
-        let kept = successor.order_cache().len();
-        let pack_json = info.to_json();
-        let seeded = info.boot.cache_seeded;
-        {
-            let mut guard = match self.pack_info.write() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *guard = info;
-        }
+        let _reloading = self
+            .reloading
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let source = pack_source(self.rules_path.as_deref());
+        let successor = Arc::new(ServedPack::open(source, Some(&self.served()))?);
+        *self.served.write().unwrap_or_else(PoisonError::into_inner) = successor.clone();
+        let cache = successor.engine().order_cache();
+        let keep = successor.fingerprints();
+        let dropped = cache.retain_fingerprints(|fp| keep.binary_search(&fp).is_ok());
         self.metrics.add("serve.reloads", 1);
         let doc = Json::Obj(vec![
-            ("rules".to_owned(), Json::Num(rule_count as f64)),
-            ("cache_entries_kept".to_owned(), Json::Num(kept as f64)),
+            (
+                "rules".to_owned(),
+                Json::Num(successor.engine().rules().len() as f64),
+            ),
+            (
+                "cache_entries_kept".to_owned(),
+                Json::Num(cache.len() as f64),
+            ),
             (
                 "cache_entries_dropped".to_owned(),
                 Json::Num(dropped as f64),
             ),
-            ("cache_entries_seeded".to_owned(), Json::Num(seeded as f64)),
-            ("pack".to_owned(), pack_json),
+            (
+                "cache_entries_seeded".to_owned(),
+                Json::Num(successor.boot_stats().cache_seeded as f64),
+            ),
+            ("pack".to_owned(), pack_json(&successor)),
         ]);
         Ok(Response::ok("application/json", format!("{doc}\n")))
-    }
-
-    /// The currently served pack identity, under its read lock.
-    fn pack_info(&self) -> RwLockReadGuard<'_, PackInfo> {
-        self.pack_info
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The `/loadz` payload: request, error and panic totals plus the
@@ -822,7 +752,8 @@ impl ServerState {
                 ]),
             ));
         }
-        let cache = self.engine().cache_stats();
+        let served = self.served();
+        let cache = served.engine().cache_stats();
         members.push((
             "order_cache".to_owned(),
             Json::Obj(vec![
@@ -831,7 +762,7 @@ impl ServerState {
                 ("misses".to_owned(), Json::Num(cache.misses as f64)),
             ]),
         ));
-        members.push(("pack".to_owned(), self.pack_info().to_json()));
+        members.push(("pack".to_owned(), pack_json(&served)));
         Json::Obj(members)
     }
 
@@ -842,7 +773,8 @@ impl ServerState {
     pub fn render_metrics(&self) -> String {
         let merged = MetricsRegistry::new();
         merged.merge_from(&self.metrics);
-        merged.merge_from(self.engine().metrics());
+        let served = self.served();
+        merged.merge_from(served.engine().metrics());
         if let Some(stats) = memtrack::process_stats() {
             merged.set_gauge("mem.daemon.allocated_bytes", stats.allocated_bytes);
             merged.set_gauge("mem.daemon.live_bytes", stats.live_bytes.max(0) as u64);
@@ -851,7 +783,7 @@ impl ServerState {
                 stats.peak_live_bytes.max(0) as u64,
             );
         }
-        let boot = self.pack_info().boot.clone();
+        let boot = served.boot_stats();
         merged.set_gauge("serve.pack.version", u64::from(boot.pack_version));
         merged.set_gauge("serve.pack.fingerprint", boot.pack_fingerprint);
         merged.set_gauge("serve.pack.rules", boot.rules as u64);

@@ -1,6 +1,7 @@
 //! End-to-end CLI contract tests over the real binary: per-class exit
 //! codes, the strict `--trace` flag normalization across every
-//! subcommand, `generate` and `analyze` under the global `--rules`, the
+//! subcommand, `generate` and `analyze` under the global `--rules`
+//! (a rule past the DFA state bound refused at boot), the
 //! daemon's clean exit on a shutdown request and its typed refusal of a
 //! truncated rule pack.
 
@@ -141,6 +142,46 @@ fn analyze_judges_code_by_the_rules_pack_it_was_generated_under() {
             && report.contains("keySize in {2048, 4096, 256}"),
         "{report}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn analyze_refuses_a_rule_past_the_dfa_state_bound_with_exit_3() {
+    // After `(c | cP)*, c`, 24 more events need 2^25 DFA states: the
+    // boot's ORDER compilation stops at the state bound, typed, before
+    // the analyzer ever tracks a PBEKeySpec of the analysed code.
+    let dir = scratch("analyze-blowup");
+    let rules = dir.join("rules");
+    std::fs::create_dir_all(&rules).unwrap();
+    let order = vec!["(c | cP)"; 24].join(", ");
+    std::fs::write(
+        rules.join("PBEKeySpec.crysl"),
+        format!(
+            "SPEC javax.crypto.spec.PBEKeySpec\nOBJECTS\n    char[] password;\n    byte[] salt;\n    \
+             int iterationCount;\n    int keylength;\nEVENTS\n    \
+             c: PBEKeySpec(password, salt, iterationCount, keylength);\n    \
+             cP: clearPassword();\nORDER\n    (c | cP)*, c, {order}\n"
+        ),
+    )
+    .unwrap();
+    let out = run(&["generate", "1"]);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
+    let java = dir.join("uc01.java");
+    std::fs::write(&java, &out.stdout).unwrap();
+
+    let out = run(&[
+        "analyze",
+        java.to_str().unwrap(),
+        "--rules",
+        rules.to_str().unwrap(),
+    ]);
+    assert_eq!(exit_code(&out), 3, "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("DFA construction exceeded limit of 65536 states"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "no analysis ran");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

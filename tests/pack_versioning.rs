@@ -3,18 +3,23 @@
 //! CONSTRAINTS (divergent key-size constants), unknown versions must
 //! fail with a typed CrySL pack error, and version-pinned `.crpack`
 //! artefacts must coexist on disk and swap cleanly through one daemon
-//! hot-reload cycle.
+//! hot-reload cycle — and through a storm of concurrent ones. Every
+//! catalog pack boots by one policy, from source and as a `.crpack`.
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use cognicryptgen::core::GenEngine;
 use cognicryptgen::crysl::CryslError;
 use cognicryptgen::javamodel::jca::jca_type_table;
-use cognicryptgen::rules::{self, PackError, PackSource};
+use cognicryptgen::rules::{self, PackError, PackSource, PACK_CATALOG};
 use cognicryptgen::sast::{analyze_unit, AnalyzerOptions};
-use cognicryptgen::serve::{http, ServeConfig, Server};
+use cognicryptgen::serve::{http, Request, ServeConfig, Server, ServerState};
 use cognicryptgen::usecases::all_use_cases;
+use cognicryptgen::{Error, ServedPack};
+use devharness::json::Json;
 
 fn catalog(name: &str, version: u32) -> PackSource {
     PackSource::Catalog {
@@ -123,5 +128,178 @@ fn version_pinned_crpacks_coexist_through_one_daemon_reload_cycle() {
     let (code, _) = http::request(&addr, "POST", "/shutdown", "").unwrap();
     assert_eq!(code, 200);
     handle.join();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn golden(pack: &str, id: u8) -> String {
+    let path = format!(
+        "{}/tests/golden/{pack}/uc{id:02}.java",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+#[test]
+fn every_catalog_pack_boots_by_one_policy_from_source_and_as_a_crpack() {
+    let dir = scratch("boot-policy");
+    for spec in PACK_CATALOG {
+        let label = format!("{}@v{}", spec.name, spec.version);
+        let pack = rules::open(catalog(spec.name, spec.version)).expect("catalog pack opens");
+        let fingerprints = pack.fingerprints.len();
+        let file = dir.join(format!("{label}.crpack"));
+        fs::write(&file, pack.to_bytes().expect("pack compiles")).unwrap();
+
+        // A source boot compiles each distinct ORDER once and seeds
+        // nothing; a `.crpack` boot seeds every artefact and skips
+        // warm-up, as the decoder already proved every lookup hits.
+        let from_source = ServedPack::open(catalog(spec.name, spec.version), None).unwrap();
+        let boot = from_source.boot_stats();
+        assert_eq!(boot.warm_compiled, fingerprints, "{label} source boot");
+        assert_eq!(boot.cache_seeded, 0, "{label} source boot");
+        let from_pack = ServedPack::open(PackSource::Compiled(file), None).unwrap();
+        let boot = from_pack.boot_stats();
+        assert_eq!(boot.cache_seeded, fingerprints, "{label} .crpack boot");
+        assert_eq!(
+            (boot.warm_hits, boot.warm_compiled),
+            (0, 0),
+            "{label} .crpack boot"
+        );
+
+        for served in [&from_source, &from_pack] {
+            assert_eq!(served.manifest().to_string(), label);
+            let ids: Vec<u8> = served.cases().iter().map(|uc| uc.id).collect();
+            assert_eq!(ids, spec.use_cases, "{label} cases");
+            for uc in all_use_cases() {
+                match served.case(&uc.id.to_string()) {
+                    Ok(found) => {
+                        assert!(
+                            spec.use_cases.contains(&uc.id),
+                            "{label} serves uc{}",
+                            uc.id
+                        );
+                        assert_eq!(found.id, uc.id);
+                    }
+                    Err(err) => {
+                        assert!(
+                            !spec.use_cases.contains(&uc.id),
+                            "{label} refuses uc{}",
+                            uc.id
+                        );
+                        assert!(matches!(err, Error::Usage(_)), "{err:?}");
+                        assert_eq!(err.exit_code(), 2);
+                        assert_eq!(
+                            err.to_string(),
+                            format!(
+                                "usage: the served rule pack does not declare use case {} ({})",
+                                uc.id, uc.name
+                            )
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_reloads_across_pack_versions_serve_one_pack_per_request() {
+    let dir = scratch("reload-storm");
+    let bytes = |version| {
+        rules::open(catalog("jca", version))
+            .unwrap()
+            .to_bytes()
+            .unwrap()
+    };
+    let versions = [bytes(1), bytes(2)];
+    let live = dir.join("live.crpack");
+    fs::write(&live, &versions[0]).unwrap();
+    let state = ServerState::new(&ServeConfig {
+        rules_path: Some(live.clone()),
+        ..ServeConfig::http("127.0.0.1:0")
+    })
+    .expect("daemon state boots on jca@v1");
+    let uc05 = [golden("jca@v1", 5), golden("jca@v2", 5)];
+    let uc17 = golden("jca@v2", 17);
+
+    const RELOADS: usize = 150;
+    let storming = AtomicBool::new(true);
+    // Two generators, two reloaders and the file swapper start at once.
+    let start = Barrier::new(5);
+    std::thread::scope(|scope| {
+        let (state, storming, start, live, dir) = (&state, &storming, &start, &live, &dir);
+        let (uc05, uc17, versions) = (&uc05, &uc17, &versions);
+        let generators: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(move || {
+                    start.wait();
+                    while storming.load(Ordering::Acquire) {
+                        let reply = state.handle(&Request::Generate("17".to_owned()));
+                        match reply.class {
+                            "ok" => assert_eq!(&reply.body, uc17, "uc17 is jca@v2's golden"),
+                            "usage" => assert!(
+                                reply.body.contains("does not declare use case 17"),
+                                "{}",
+                                reply.body
+                            ),
+                            class => panic!("uc17 answered {class}: {}", reply.body),
+                        }
+                        let reply = state.handle(&Request::Generate("5".to_owned()));
+                        assert_eq!(reply.class, "ok", "{}", reply.body);
+                        assert!(uc05.contains(&reply.body), "uc05 is a golden file");
+                    }
+                })
+            })
+            .collect();
+        let reloaders: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..RELOADS {
+                        let reply = state.handle(&Request::Reload);
+                        assert_eq!(reply.class, "ok", "{}", reply.body);
+                    }
+                })
+            })
+            .collect();
+        // The pack file flips between the versions all storm long; a
+        // rename keeps every open reading one whole file.
+        let swapper = scope.spawn(move || {
+            start.wait();
+            for flip in 1.. {
+                if !storming.load(Ordering::Acquire) {
+                    break;
+                }
+                let next = dir.join("next.crpack");
+                fs::write(&next, &versions[flip % 2]).unwrap();
+                fs::rename(&next, live).unwrap();
+            }
+        });
+        for reloader in reloaders {
+            reloader.join().expect("reloader");
+        }
+        storming.store(false, Ordering::Release);
+        for generator in generators {
+            generator.join().expect("generator");
+        }
+        swapper.join().expect("swapper");
+    });
+
+    // Whatever pack the storm left behind, the daemon names the one it
+    // serves.
+    let loadz = Json::parse(&state.handle(&Request::Loadz).body).unwrap();
+    let manifest = loadz
+        .get("pack")
+        .and_then(|p| p.get("manifest"))
+        .and_then(Json::as_str)
+        .expect("loadz names the served manifest")
+        .to_owned();
+    let emitted = state.handle(&Request::Generate("5".to_owned())).body;
+    let expected = match manifest.as_str() {
+        "jca@v1" => &uc05[0],
+        "jca@v2" => &uc05[1],
+        other => panic!("unexpected manifest {other}"),
+    };
+    assert_eq!(&emitted, expected, "/loadz names {manifest}");
     let _ = fs::remove_dir_all(&dir);
 }
