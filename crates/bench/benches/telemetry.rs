@@ -7,9 +7,11 @@
 //! column costs.
 //!
 //! * `observer/*` — the full catalogued-use-case warm batch, bare
-//!   (`noop_all`, the baseline: every generation still keeps its record
-//!   and folds it into the engine metrics) and with its records also
-//!   folded into a fresh `TraceRecorder` and rendered as a Chrome trace
+//!   (`noop_all`, the baseline: every generation returns its record and
+//!   nothing reads it), with its records folded into a fresh
+//!   `MetricsRegistry` (`fold_all`, what the daemon pays per
+//!   generation), and with its records folded into a fresh
+//!   `TraceRecorder` and rendered as a Chrome trace
 //!   (`trace_recorder_all`);
 //! * `memtrack/*` — microbenches of the raw accounting primitives: an
 //!   `AllocScope` open/close pair and one counted heap round trip, both
@@ -37,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use devharness::bench::Harness;
 
 use cognicrypt_core::memtrack::{self, AllocScope, TrackingAlloc};
-use cognicrypt_core::telemetry::TraceRecorder;
+use cognicrypt_core::telemetry::{MetricsRegistry, TraceRecorder};
 use cognicrypt_core::{GenEngine, Template};
 use javamodel::jca::jca_type_table;
 use rules::{open, PackSource};
@@ -47,11 +49,11 @@ use usecases::all_use_cases;
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
 
 /// Highest tolerated ratio of any observed configuration's median over
-/// the noop baseline median for the same warm full-catalogue batch. The
-/// trace is a fold over the records every generation already keeps:
-/// one push per generation, then one render of ten events per
-/// generation, so 10× is generous headroom over the ~1× expected;
-/// crossing it means the fold started doing real work.
+/// the noop baseline median for the same warm full-catalogue batch.
+/// Both are folds over the records every generation already keeps: one
+/// registry update, or one push per generation then one render of ten
+/// events per generation, so 10× is generous headroom over the ~1×
+/// expected; crossing it means a fold started doing real work.
 const MAX_OVERHEAD: f64 = 10.0;
 
 /// Highest tolerated ratio of the daemon hot path with request
@@ -92,6 +94,13 @@ fn bench_observers(h: &mut Harness) -> Vec<(String, u64)> {
     let engine = warm_engine();
     h.bench("noop_all", || {
         black_box(run_batch(&engine, &templates));
+    });
+    h.bench("fold_all", || {
+        let metrics = MetricsRegistry::new();
+        for generated in run_batch(&engine, &templates) {
+            generated.record.fold_into(&metrics);
+        }
+        black_box(metrics.snapshot());
     });
     h.bench("trace_recorder_all", || {
         let mut trace = TraceRecorder::new();

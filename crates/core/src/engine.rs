@@ -34,7 +34,7 @@ use statemachine::{CacheLookup, CacheStats, OrderCache};
 
 use crate::error::GenError;
 use crate::generator::{Generated, Generator, GeneratorOptions};
-use crate::telemetry::{GenObserver, GenRecord, MetricsRegistry, NoopObserver};
+use crate::telemetry::{GenObserver, NoopObserver};
 use crate::template::Template;
 
 /// How an engine warm-up was served, reported by
@@ -292,8 +292,8 @@ impl EngineBuilder {
     }
 
     /// Live span hooks for every generation this engine runs. Defaults
-    /// to [`NoopObserver`]. The engine's own [`MetricsRegistry`] is fed
-    /// from each generation's [`GenRecord`], independent of this hook.
+    /// to [`NoopObserver`]. Every generation also returns its
+    /// record ([`Generated::record`]), independent of this hook.
     pub fn observer(mut self, observer: Arc<dyn GenObserver>) -> Self {
         self.observer = observer;
         self
@@ -320,14 +320,15 @@ impl EngineBuilder {
             options: self.options,
             threads: self.threads,
             observer: self.observer,
-            metrics: Arc::new(MetricsRegistry::new()),
             cache: self.cache.unwrap_or_else(|| Arc::new(OrderCache::new())),
         })
     }
 }
 
 /// A thread-safe generation session: shared rules, type table, options,
-/// telemetry and a compiled-ORDER cache that persists across calls.
+/// observer and a compiled-ORDER cache that persists across calls. It
+/// keeps no metrics: each generation's record ([`Generated::record`])
+/// goes back to the caller, who folds it wherever it keeps its books.
 ///
 /// Construction is cheap relative to what the engine amortizes: the
 /// expensive state (parsed rules, compiled DFAs and path sets) is either
@@ -338,7 +339,6 @@ pub struct GenEngine {
     options: GeneratorOptions,
     threads: usize,
     observer: Arc<dyn GenObserver>,
-    metrics: Arc<MetricsRegistry>,
     cache: Arc<OrderCache>,
 }
 
@@ -373,16 +373,6 @@ impl GenEngine {
         &self.table
     }
 
-    /// The engine's accumulated metrics: every generation's
-    /// [`GenRecord`] folded in ([`GenRecord::fold_into`]) — per-phase
-    /// span and allocation counts, ORDER-cache traffic, DFA and path-set
-    /// sizes, parameter-resolution outcomes — failed generations'
-    /// partial records included. Batch runs fold their records in input
-    /// order after the fan-out joins.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
     /// Entry/hit/miss counters of the engine's compiled-ORDER cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -396,13 +386,12 @@ impl GenEngine {
     }
 
     /// A successor engine over `rules` that shares everything else with
-    /// this one — type table, options, thread ceiling, observer,
-    /// metrics registry and the compiled-ORDER cache (all by `Arc`).
-    /// This is the rule-pack hot-reload primitive for a resident
-    /// process: in-flight requests keep generating against the engine
-    /// they started on, new requests pick up the successor, unchanged
-    /// rules still hit the warm cache, and accumulated metrics survive
-    /// the swap. Call [`OrderCache::retain_fingerprints`] on the shared
+    /// this one — type table, options, thread ceiling, observer and the
+    /// compiled-ORDER cache (all by `Arc`). This is the rule-pack
+    /// hot-reload primitive for a resident process: in-flight requests
+    /// keep generating against the engine they started on, new requests
+    /// pick up the successor, and unchanged rules still hit the warm
+    /// cache. Call [`OrderCache::retain_fingerprints`] on the shared
     /// cache afterwards to drop artefacts the new set no longer
     /// produces.
     pub fn with_rule_set(&self, rules: impl Into<Arc<RuleSet>>) -> GenEngine {
@@ -412,7 +401,6 @@ impl GenEngine {
             options: self.options,
             threads: self.threads,
             observer: self.observer.clone(),
-            metrics: self.metrics.clone(),
             cache: self.cache.clone(),
         }
     }
@@ -450,32 +438,20 @@ impl GenEngine {
 
     /// Generates code for one template against the engine's shared
     /// state, reusing (and extending) the compiled-ORDER cache. The
-    /// engine's observer sees the run's spans, and its record — a
-    /// failed run's partial record too — is folded into
-    /// [`GenEngine::metrics`].
+    /// engine's observer sees the run's spans; the run's record comes
+    /// back as [`Generated::record`].
     ///
     /// # Errors
     ///
     /// See [`Generator::generate_uncached`].
     pub fn generate(&self, template: &Template) -> Result<Generated, GenError> {
-        let (outcome, record) = self.run(template);
-        record.fold_into(&self.metrics);
-        outcome
-    }
-
-    /// One generation and its record, which [`Generated::record`] also
-    /// carries when the run succeeds.
-    fn run(&self, template: &Template) -> (Result<Generated, GenError>, GenRecord) {
-        let mut record = GenRecord::default();
-        let outcome = Generator::with_options(self.options).run(
+        Generator::with_options(self.options).run(
             template,
             &self.rules,
             &self.table,
             Some(&self.cache),
             self.observer.as_ref(),
-            &mut record,
-        );
-        (outcome, record)
+        )
     }
 
     /// [`GenEngine::generate_batch`] with the engine's configured
@@ -489,23 +465,16 @@ impl GenEngine {
     /// Result `i` always corresponds to `templates[i]`, whatever the
     /// thread count or scheduling. A template whose generation fails —
     /// or whose worker panics — yields an `Err` in its own slot without
-    /// affecting siblings or deadlocking the batch.
-    ///
-    /// Telemetry: after the fan-out joins, the engine folds each job's
-    /// [`GenRecord`] into [`GenEngine::metrics`] in input order, so the
-    /// metrics are identical across thread counts and schedules.
+    /// affecting siblings or deadlocking the batch. Each slot's record
+    /// is its [`Generated::record`].
     pub fn generate_batch(
         &self,
         templates: &[Template],
         threads: usize,
     ) -> Vec<Result<Generated, EngineError>> {
-        scatter(templates, threads, |_, t| self.run(t))
+        scatter(templates, threads, |_, t| self.generate(t))
             .into_iter()
-            .map(|slot| {
-                let (outcome, record) = slot.map_err(EngineError::Worker)?;
-                record.fold_into(&self.metrics);
-                outcome.map_err(EngineError::Gen)
-            })
+            .map(|slot| slot.map_err(EngineError::Worker)?.map_err(EngineError::Gen))
             .collect()
     }
 }
@@ -626,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn with_rule_set_shares_cache_and_metrics_across_the_swap() {
+    fn with_rule_set_shares_the_cache_across_the_swap() {
         let engine = GenEngine::builder()
             .rules(digest_rule_set())
             .type_table(jca_type_table())
@@ -634,7 +603,6 @@ mod tests {
             .unwrap();
         let first = engine.generate(&hash_template()).unwrap();
         assert_eq!(engine.cache_stats().entries, 1);
-        let generations_before = engine.metrics().counter("phase.collect.spans");
 
         // Swap in a byte-identical rule set: the successor serves the
         // same artefact from the shared warm cache (a hit, no compile).
@@ -644,8 +612,6 @@ mod tests {
         let second = successor.generate(&hash_template()).unwrap();
         assert_eq!(first.java_source, second.java_source);
         assert_eq!(successor.cache_stats().misses, misses_before);
-        // Metrics accumulated before the swap survive it.
-        assert!(successor.metrics().counter("phase.collect.spans") > generations_before);
     }
 
     #[test]

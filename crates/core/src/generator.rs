@@ -96,23 +96,16 @@ impl Generator {
         rules: &crysl::RuleSet,
         table: &TypeTable,
     ) -> Result<Generated, GenError> {
-        self.run(
-            template,
-            rules,
-            table,
-            None,
-            telemetry::noop(),
-            &mut GenRecord::default(),
-        )
+        self.run(template, rules, table, None, telemetry::noop())
     }
 
     /// The pipeline body, shared by both entry points: an optional
-    /// compiled-ORDER cache (the engine passes its own), an observer and
-    /// the record the run fills in. Each phase runs over every call
-    /// chain before the next phase starts, so the observer sees exactly
-    /// one span pair per phase. A failing phase still closes its span
-    /// and records it (the error propagates; later phases never open),
-    /// so `record` holds a failed run's partial record.
+    /// compiled-ORDER cache (the engine passes its own) and an
+    /// observer. Each phase runs over every call chain before the next
+    /// phase starts, so the observer sees exactly one span pair per
+    /// phase. A failing phase still closes its span (the error
+    /// propagates; later phases never open); only a finished run
+    /// returns its record.
     pub(crate) fn run(
         &self,
         template: &Template,
@@ -120,8 +113,8 @@ impl Generator {
         table: &TypeTable,
         cache: Option<&OrderCache>,
         observer: &dyn GenObserver,
-        record: &mut GenRecord,
     ) -> Result<Generated, GenError> {
+        let record = &mut GenRecord::default();
         let unit = template.class_name.as_str();
         let span_of = |phase| Span { unit, phase };
 

@@ -56,9 +56,10 @@
 //! (`Generated::record`) holding each phase's start, wall time and
 //! allocation delta and what the phases decided (cache traffic, DFA
 //! sizes, path selection, parameter resolution). Everything else is a
-//! fold over records: [`telemetry::GenRecord::fold_into`] turns them
-//! into [`telemetry::MetricsRegistry`] metrics, and
-//! [`telemetry::TraceRecorder`] into a Chrome trace. The
+//! fold over records, done by whoever keeps them: the engine keeps no
+//! metrics, [`telemetry::GenRecord::fold_into`] turns records into the
+//! caller's [`telemetry::MetricsRegistry`] (the daemon's one registry,
+//! a report's), and [`telemetry::TraceRecorder`] into a Chrome trace. The
 //! [`telemetry::GenObserver`] hook API, which sees one live span per
 //! phase per template, remains for outside users.
 

@@ -16,9 +16,12 @@
 //!   phases write it without allocating; every generation returns it as
 //!   `Generated::record`.
 //! * [`GenRecord::fold_into`] — the one mapping from records onto named
-//!   metrics in a [`MetricsRegistry`]: counters, gauges and histograms
-//!   whose merges commute, so per-generation folds in input order give
-//!   one aggregate regardless of scheduling.
+//!   metrics in a [`MetricsRegistry`]: counters and histograms whose
+//!   merges commute, so folds in any order give one aggregate. The
+//!   registry belongs to whoever keeps the records (the daemon, a
+//!   report); the engine keeps none.
+//! * [`metrics_text`] — the line-oriented exposition of a metrics
+//!   snapshot, the payload of a daemon's `/metrics`.
 //! * [`TraceRecorder`] — another fold over records: each phase's start
 //!   offset on one process-wide monotonic clock and its wall time
 //!   become a `B`/`E` pair in Chrome Trace Event Format, openable in
@@ -253,8 +256,8 @@ pub struct PhaseStat {
 
 /// One generation's telemetry, in a fixed shape: the five phases'
 /// [`PhaseStat`]s, written as each span closes, and the rule-level
-/// facts the select and resolve phases decide. A failed generation's
-/// record holds what ran before the failure.
+/// facts the select and resolve phases decide. Only a finished
+/// generation returns its record.
 ///
 /// Metric names [`GenRecord::fold_into`] writes:
 ///
@@ -481,8 +484,9 @@ impl HistogramStat {
 pub enum Metric {
     /// Monotonic count; merges by addition.
     Counter(u64),
-    /// Last-set value; merges by maximum (the only order-insensitive
-    /// choice that keeps batch aggregation deterministic).
+    /// A point-in-time value a renderer adds to a snapshot (allocator
+    /// and pack figures, latency quantiles); no fold writes one, and
+    /// two merge by maximum.
     Gauge(u64),
     /// Sample summary; merges per [`HistogramStat::merge`].
     Histogram(HistogramStat),
@@ -531,13 +535,14 @@ fn merge_metric(map: &mut BTreeMap<String, Metric>, name: &str, metric: Metric) 
     }
 }
 
-/// A thread-safe registry of named counters, gauges and histograms.
+/// A thread-safe registry of named counters and histograms, written by
+/// folding records into it ([`GenRecord::fold_into`]; the daemon folds
+/// its request records the same way).
 ///
 /// Keys are sorted (`BTreeMap`), every merge operation is commutative
 /// and associative, and histograms store order-insensitive summaries —
-/// so two registries that saw the same multiset of operations are equal,
-/// and folding per-generation records in input order after a batch
-/// yields the same aggregate at any thread count.
+/// so two registries that saw the same multiset of folds are equal,
+/// whatever the order or thread count that produced them.
 ///
 /// A name is bound to the kind of its first write; operations of a
 /// different kind on the same name are ignored (and flagged in debug
@@ -558,15 +563,6 @@ impl MetricsRegistry {
         merge_metric(&mut self.lock(), name, Metric::Counter(n));
     }
 
-    /// Sets the gauge `name` to `value`.
-    pub fn set_gauge(&self, name: &str, value: u64) {
-        let mut map = self.lock();
-        match map.entry(name.to_owned()).or_insert(Metric::Gauge(value)) {
-            Metric::Gauge(g) => *g = value,
-            other => debug_assert!(false, "`{name}` is not a gauge: {other:?}"),
-        }
-    }
-
     /// Folds `sample` into the histogram `name`.
     pub fn observe(&self, name: &str, sample: u64) {
         let mut h = HistogramStat::default();
@@ -584,60 +580,9 @@ impl MetricsRegistry {
         self.get(name).and_then(|m| m.as_counter()).unwrap_or(0)
     }
 
-    /// Folds every metric of `other` into this registry: counters add,
-    /// gauges take the maximum, histograms merge their summaries. The
-    /// result is independent of merge order.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        let theirs = other.snapshot();
-        let mut map = self.lock();
-        for (name, metric) in theirs {
-            merge_metric(&mut map, &name, metric);
-        }
-    }
-
     /// All metrics, keyed and sorted by name.
     pub fn snapshot(&self) -> BTreeMap<String, Metric> {
         self.lock().clone()
-    }
-
-    /// Whether no metric was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Renders every metric as a line-oriented text exposition, sorted
-    /// by name — the payload of a daemon's `/metrics` endpoint. One
-    /// line per metric:
-    ///
-    /// ```text
-    /// <name> counter <value>
-    /// <name> gauge <value>
-    /// <name> histogram count=<n> sum=<s> min=<lo> max=<hi>
-    /// ```
-    ///
-    /// The format is deterministic: two registries that saw the same
-    /// multiset of operations render byte-identical text.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, metric) in self.snapshot() {
-            match metric {
-                Metric::Counter(n) => {
-                    let _ = writeln!(out, "{name} counter {n}");
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "{name} gauge {g}");
-                }
-                Metric::Histogram(h) => {
-                    let _ = writeln!(
-                        out,
-                        "{name} histogram count={} sum={} min={} max={}",
-                        h.count, h.sum, h.min, h.max
-                    );
-                }
-            }
-        }
-        out
     }
 
     fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
@@ -646,6 +591,36 @@ impl MetricsRegistry {
             Err(poisoned) => poisoned.into_inner(),
         }
     }
+}
+
+/// Renders a metrics snapshot ([`MetricsRegistry::snapshot`], plus any
+/// gauges the caller added) as a line-oriented text exposition, sorted
+/// by name — the payload of a daemon's `/metrics` endpoint. One line
+/// per metric:
+///
+/// ```text
+/// <name> counter <value>
+/// <name> gauge <value>
+/// <name> histogram count=<n> sum=<s> min=<lo> max=<hi>
+/// ```
+///
+/// The format is deterministic: two registries that saw the same
+/// multiset of folds render byte-identical text.
+pub fn metrics_text(metrics: &BTreeMap<String, Metric>) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for (name, metric) in metrics {
+        let _ = match metric {
+            Metric::Counter(n) => writeln!(out, "{name} counter {n}"),
+            Metric::Gauge(g) => writeln!(out, "{name} gauge {g}"),
+            Metric::Histogram(h) => writeln!(
+                out,
+                "{name} histogram count={} sum={} min={} max={}",
+                h.count, h.sum, h.min, h.max
+            ),
+        };
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -922,55 +897,50 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_is_deterministic_across_orders() {
-        let build = |ops: &[(&str, u64)]| {
+    fn record_folds_are_deterministic_across_orders() {
+        let records: Vec<GenRecord> = (1..=3u64)
+            .map(|n| {
+                let mut record = GenRecord::default();
+                record.phases[Phase::Select.index()].spans = 1;
+                record.phases[Phase::Select.index()].peak_live_bytes = 100 * n;
+                record.cache_hits = n;
+                record.candidates.observe(n);
+                record
+            })
+            .collect();
+        let fold = |order: [usize; 3]| {
             let r = MetricsRegistry::new();
-            for (name, v) in ops {
-                match *name {
-                    n if n.starts_with("c.") => r.add(n, *v),
-                    n if n.starts_with("g.") => r.set_gauge(n, *v),
-                    n => r.observe(n, *v),
-                }
+            for i in order {
+                records[i].fold_into(&r);
             }
-            r
+            r.snapshot()
         };
-        let a = build(&[("c.x", 2), ("g.y", 7), ("h.z", 10)]);
-        let b = build(&[("c.x", 3), ("g.y", 5), ("h.z", 4)]);
-        let ab = MetricsRegistry::new();
-        ab.merge_from(&a);
-        ab.merge_from(&b);
-        let ba = MetricsRegistry::new();
-        ba.merge_from(&b);
-        ba.merge_from(&a);
-        assert_eq!(ab.snapshot(), ba.snapshot());
-        assert_eq!(ab.counter("c.x"), 5);
-        assert_eq!(ab.get("g.y"), Some(Metric::Gauge(7)));
-        let h = ab.get("h.z").unwrap().as_histogram().unwrap();
-        assert_eq!((h.count, h.sum, h.min, h.max), (2, 14, 4, 10));
+        let forward = fold([0, 1, 2]);
+        assert_eq!(fold([2, 0, 1]), forward);
+        assert_eq!(fold([1, 2, 0]), forward);
+        assert_eq!(forward["order_cache.hits"], Metric::Counter(6));
+        assert_eq!(forward["phase.select.spans"], Metric::Counter(3));
+        let h = forward["pathsel.candidates"].as_histogram().unwrap();
+        assert_eq!((h.count, h.sum, h.min, h.max), (3, 6, 1, 3));
+        let peak = forward["mem.phase.select.peak_live_bytes"];
+        assert_eq!(peak.as_histogram().unwrap().max, 300);
     }
 
     #[test]
     fn render_text_is_sorted_stable_and_covers_every_kind() {
         let r = MetricsRegistry::new();
-        r.add("serve.requests", 7);
-        r.set_gauge("serve.inflight", 2);
         r.observe("serve.bytes", 10);
+        r.add("serve.requests", 7);
         r.observe("serve.bytes", 4);
-        let text = r.render_text();
+        let mut snapshot = r.snapshot();
+        snapshot.insert("serve.inflight".to_owned(), Metric::Gauge(2));
         assert_eq!(
-            text,
+            metrics_text(&snapshot),
             "serve.bytes histogram count=2 sum=14 min=4 max=10\n\
              serve.inflight gauge 2\n\
              serve.requests counter 7\n"
         );
-        // Same operations, different order — byte-identical exposition.
-        let r2 = MetricsRegistry::new();
-        r2.observe("serve.bytes", 4);
-        r2.set_gauge("serve.inflight", 2);
-        r2.observe("serve.bytes", 10);
-        r2.add("serve.requests", 7);
-        assert_eq!(r2.render_text(), text);
-        assert_eq!(MetricsRegistry::new().render_text(), "");
+        assert_eq!(metrics_text(&BTreeMap::new()), "");
     }
 
     #[test]

@@ -78,12 +78,22 @@ cargo build --release --offline --locked
 # serve-check daemon probe is gone (the serve tests probe the daemon),
 # the daemon's workers block in accept instead of polling a
 # non-blocking listener, the Chrome trace is a fold over whole
-# records (nothing to balance), and a rule pack boots one way
+# records (nothing to balance), a rule pack boots one way
 # (`ServedPack::boot`: no daemon pack-info lock, no CLI-only engine,
-# no free declared-case check); the deleted routes must not come back.
-old_routes='\b(to_balanced_json|cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob|ACCEPT_POLL|PackInfo|custom_engine|check_declared)\b'
+# no free declared-case check), and metrics have one registry per
+# owner with records as the only input (nothing to merge registries
+# from, no hand-set gauges); the deleted routes must not come back.
+old_routes='\b(to_balanced_json|cmd_serve_check|shared_order_cache|generate_observed|generate_with_cache|scatter_on_workers|LoadObserver|report_path_resolutions|select_path_traced|select_path_for_return|loadcli|run_load|LoadOptions|cross_check_quantile|schedule_fingerprint|clean_baseline|standard_catalogue|Pacer|MetricsCollector|PhaseTimings|UnitTimings|Fanout|Tee|generate_into|BatchJob|ACCEPT_POLL|PackInfo|custom_engine|check_declared|merge_from|set_gauge)\b'
 if matches="$(grep -nE "$old_routes" $sources)"; then
-    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream, daemon probe, accept poll, trace balancing or second pack boot:" >&2
+    echo "error: deleted generation route, process-wide cache, resolution walk, load harness, telemetry event stream, daemon probe, accept poll, trace balancing, second pack boot or registry merge:" >&2
+    echo "$matches" >&2
+    exit 1
+fi
+
+# The engine keeps no metrics: every generation hands its record back,
+# and the daemon (or a report) folds it into the one registry it owns.
+if matches="$(grep -n 'MetricsRegistry' crates/core/src/engine.rs)"; then
+    echo "error: the engine owns a metrics registry again (fold records where they are kept):" >&2
     echo "$matches" >&2
     exit 1
 fi

@@ -525,7 +525,9 @@ fn cmd_fuzz(args: &[String]) -> Result<(), Error> {
 /// are printed as parseable `listening …` lines before the process
 /// blocks. `--slow-ms` logs every request at or above the threshold to
 /// stderr and counts it as `serve.requests.slow`; `--tracez-capacity`
-/// sizes the `/tracez` access-record ring (0 disables recording).
+/// sizes the `/tracez` access-record ring (0 turns off the ring and
+/// the `/statz` histograms; `/metrics` counts every request anyway);
+/// `--threads` (1 to 256) sizes each transport's accept pool.
 fn cmd_serve(args: &[String]) -> Result<(), Error> {
     let mut config = ServeConfig {
         threads: GenEngine::DEFAULT_THREADS,

@@ -121,10 +121,10 @@ pub fn build_from(source: PackSource) -> Result<Table1Report, Error> {
 
 /// The report on `served` (the daemon's `/report`): every use case the
 /// pack declares ([`ServedPack::cases`]), in id order on one thread,
-/// generated on the pack's engine itself — its metrics see the records,
-/// like any other generation. The report's own metrics are the rows'
-/// records folded into a fresh registry, and a trace of the run is the
-/// same records folded into a
+/// generated on the pack's engine itself (a daemon folds the rows'
+/// records into its registry like any other generation's). The
+/// report's own metrics are the rows' records folded into a fresh
+/// registry, and a trace of the run is the same records folded into a
 /// [`cognicrypt_core::telemetry::TraceRecorder`]. The `boot` section
 /// says how the pack was loaded.
 ///

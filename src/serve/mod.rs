@@ -20,10 +20,13 @@
 //!   ([`ServerState::request_stop`]);
 //! * `generate`, `batch` and `report` served concurrently — batch
 //!   requests fan out over the engine's existing scatter pool;
-//! * `/metrics` rendered from the daemon's [`MetricsRegistry`] (written
-//!   on every request, never sampled) plus the engine registry and the
+//! * `/metrics` rendered from the daemon's one [`MetricsRegistry`],
+//!   whose only inputs are records — each completed generation's
+//!   [`GenRecord`] and each request's [`obs::RequestRecord`], folded
+//!   once, never sampled — plus gauges added at render time: the
 //!   daemon-lifetime allocator counters from
-//!   [`cognicrypt_core::memtrack`];
+//!   [`cognicrypt_core::memtrack`], the pack identity and the latency
+//!   quantiles;
 //! * rule-pack hot-reload: `/reload` re-opens the configured
 //!   [`PackSource`] (a `*.crysl` source directory or a precompiled
 //!   `.crpack` file, auto-detected), boots a successor
@@ -56,7 +59,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cognicrypt_core::memtrack::{self, AllocScope};
-use cognicrypt_core::telemetry::{GenRecord, MetricsRegistry};
+use cognicrypt_core::telemetry::{self, GenRecord, Metric, MetricsRegistry};
 use cognicrypt_core::GenEngine;
 use devharness::json::Json;
 use rules::PackSource;
@@ -70,6 +73,11 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// Per-connection socket read/write timeout: a hostile client that
 /// connects and stalls forever must release its worker.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The most accept-pool workers [`ServeConfig::validate`] allows per
+/// transport: each is an OS thread, so a typo like `--threads 100000`
+/// is refused before any spawn instead of asking for 200,000 threads.
+pub const MAX_THREADS: usize = 256;
 
 /// Daemon configuration, as parsed from `cognicryptgen serve` flags.
 #[derive(Debug, Clone)]
@@ -90,8 +98,9 @@ pub struct ServeConfig {
     /// `serve.requests.slow`. `None` disables slow-request logging.
     pub slow_ms: Option<u64>,
     /// Access records kept for `/tracez`
-    /// ([`obs::DEFAULT_RING_CAPACITY`] by default); 0 disables
-    /// per-request recording entirely (the bench baseline).
+    /// ([`obs::DEFAULT_RING_CAPACITY`] by default); 0 turns off the ring
+    /// and the `/statz` latency histograms (the bench baseline). Every
+    /// request still folds into the `/metrics` counters either way.
     pub obs_capacity: usize,
 }
 
@@ -123,13 +132,20 @@ impl ServeConfig {
     /// # Errors
     ///
     /// [`Error::Usage`] when no transport is enabled or the thread
-    /// count is zero — zero workers can serve nothing, so it is
-    /// rejected here exactly as `batch 0` is rejected by the CLI.
+    /// count is zero or above [`MAX_THREADS`] — zero workers can serve
+    /// nothing, so it is rejected here exactly as `batch 0` is rejected
+    /// by the CLI.
     pub fn validate(&self) -> Result<(), Error> {
         if self.threads == 0 {
             return Err(Error::Usage(
                 "thread count must be at least 1, got 0".to_owned(),
             ));
+        }
+        if self.threads > MAX_THREADS {
+            return Err(Error::Usage(format!(
+                "thread count must be at most {MAX_THREADS} per transport, got {}",
+                self.threads
+            )));
         }
         if self.http_addr.is_none() && self.uds_path.is_none() {
             return Err(Error::Usage(
@@ -289,12 +305,14 @@ impl Response {
     }
 }
 
-/// The ORDER-cache traffic of the generations one request completed:
-/// the sum of their records' counts, for the request's `/tracez`
-/// record. Each record also joins an armed `/profilez` capture.
+/// The generations one request completed: each record is folded into
+/// the daemon's registry and joins an armed `/profilez` capture, and
+/// the sum of their ORDER-cache counts goes into the request's
+/// `/tracez` record.
 struct CacheTraffic<'p> {
     hits: u64,
     misses: u64,
+    metrics: &'p MetricsRegistry,
     profile: &'p obs::ProfileSwitch,
 }
 
@@ -302,13 +320,14 @@ impl CacheTraffic<'_> {
     fn add(&mut self, unit: &str, record: &GenRecord) {
         self.hits += record.cache_hits;
         self.misses += record.cache_misses;
+        record.fold_into(self.metrics);
         self.profile.fold(unit, record);
     }
 }
 
 /// The daemon's shared state: the swappable served pack, the
-/// daemon-lifetime metrics registry, and the stop flag with the
-/// listeners a stop wakes.
+/// daemon-lifetime metrics registry (the only one), and the stop flag
+/// with the listeners a stop wakes.
 pub struct ServerState {
     served: RwLock<Arc<ServedPack>>,
     /// Held by a reload from open to prune, so reloads never overlap.
@@ -367,7 +386,9 @@ impl ServerState {
             .clone()
     }
 
-    /// The daemon-lifetime metrics registry (`serve.*` names).
+    /// The daemon-lifetime metrics registry: every completed
+    /// generation's [`GenRecord`] and every request's
+    /// [`obs::RequestRecord`], folded in once each.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -402,27 +423,23 @@ impl ServerState {
     }
 
     /// Handles one decoded request with full containment: an
-    /// [`AllocScope`] measures the request, its `serve.*` counters and
-    /// histograms go straight into the daemon registry (every write is
-    /// an add or an observe, which commute, so `/metrics` totals are
-    /// independent of request interleaving; and every write happens
-    /// outside the request's scope, so its allocation figures never
-    /// include them), and a panic anywhere inside is caught and
-    /// reported as a typed `"panic"` response — the worker, its
-    /// siblings, and the daemon all survive. The finished request is
-    /// recorded as a [`obs::RequestRecord`] under `transport`, fed
-    /// into the latency histograms, counted against an armed
-    /// `/profilez` window, and logged to stderr when it crossed the
-    /// `--slow-ms` threshold.
+    /// [`AllocScope`] measures the request, and a panic anywhere inside
+    /// is caught and reported as a typed `"panic"` response — the
+    /// worker, its siblings, and the daemon all survive. The finished
+    /// request becomes one [`obs::RequestRecord`] under `transport`,
+    /// folded into the daemon registry once it is complete (every fold
+    /// adds or observes, which commute, so `/metrics` totals are
+    /// independent of request interleaving; and the fold runs outside
+    /// the request's scope, so its allocation figures never include
+    /// it), kept in the ring and the latency histograms, counted
+    /// against an armed `/profilez` window, and logged to stderr when
+    /// it crossed the `--slow-ms` threshold.
     pub fn handle_tagged(&self, transport: &'static str, request: &Request) -> Response {
         let (request_id, trace_id) = self.obs.begin();
-        self.metrics.add("serve.requests", 1);
-        self.metrics
-            .add(&format!("serve.requests.{}", request.name()), 1);
-
         let mut cache = CacheTraffic {
             hits: 0,
             misses: 0,
+            metrics: &self.metrics,
             profile: &self.profile,
         };
         let scope = AllocScope::enter();
@@ -430,10 +447,6 @@ impl ServerState {
         let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(request, &mut cache)));
         let wall = start.elapsed();
         let alloc = scope.finish();
-        self.metrics
-            .observe("serve.request.peak_live_bytes", alloc.peak_live_bytes);
-        self.metrics
-            .observe("serve.request.alloc_bytes", alloc.allocated_bytes);
 
         // Only requests that run the generation pipeline produce
         // records; counting anything else against a capture window
@@ -448,43 +461,32 @@ impl ServerState {
         let response = match outcome {
             Ok(Ok(response)) => response,
             Ok(Err(err)) => Response::from_error(&err),
-            Err(_) => {
-                self.metrics.add("serve.request.panics", 1);
-                Response {
-                    code: 500,
-                    class: "panic",
-                    content_type: "application/json",
-                    body: format!(
-                        "{}\n",
-                        Json::Obj(vec![(
-                            "error".to_owned(),
-                            Json::Str("panic contained to this request".to_owned()),
-                        )])
-                    ),
-                }
-            }
+            Err(_) => Response {
+                code: 500,
+                class: "panic",
+                content_type: "application/json",
+                body: format!(
+                    "{}\n",
+                    Json::Obj(vec![(
+                        "error".to_owned(),
+                        Json::Str("panic contained to this request".to_owned()),
+                    )])
+                ),
+            },
         };
-        if response.class != "ok" {
-            self.metrics
-                .add(&format!("serve.errors.{}", response.class), 1);
-        }
-        self.metrics
-            .observe("serve.response.bytes", response.body.len() as u64);
 
         let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        if let Some(slow_ns) = self.slow_ns {
-            if wall_ns >= slow_ns {
-                self.metrics.add("serve.requests.slow", 1);
-                eprintln!(
-                    "serve: slow request trace_id={trace_id:016x} transport={transport} \
-                     endpoint={} class={} wall_ms={:.1}",
-                    request.name(),
-                    response.class,
-                    wall_ns as f64 / 1e6,
-                );
-            }
+        let slow = self.slow_ns.is_some_and(|slow_ns| wall_ns >= slow_ns);
+        if slow {
+            eprintln!(
+                "serve: slow request trace_id={trace_id:016x} transport={transport} \
+                 endpoint={} class={} wall_ms={:.1}",
+                request.name(),
+                response.class,
+                wall_ns as f64 / 1e6,
+            );
         }
-        self.obs.record(obs::RequestRecord {
+        self.finish(obs::RequestRecord {
             request_id,
             trace_id,
             transport,
@@ -497,6 +499,9 @@ impl ServerState {
             code: response.code,
             wall_ns,
             alloc_bytes: alloc.allocated_bytes,
+            peak_live_bytes: alloc.peak_live_bytes,
+            response_bytes: response.body.len() as u64,
+            slow,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
         });
@@ -510,22 +515,22 @@ impl ServerState {
     /// attributable from `/tracez` alone.
     pub fn record_rejected(&self, transport: &'static str, response: &Response) {
         let (request_id, trace_id) = self.obs.begin();
-        self.metrics.add("serve.requests", 1);
-        self.metrics
-            .add(&format!("serve.errors.{}", response.class), 1);
-        self.obs.record(obs::RequestRecord {
+        self.finish(obs::RequestRecord {
             request_id,
             trace_id,
             transport,
             endpoint: "rejected",
-            selector: None,
             class: response.class,
             code: response.code,
-            wall_ns: 0,
-            alloc_bytes: 0,
-            cache_hits: 0,
-            cache_misses: 0,
+            ..obs::RequestRecord::default()
         });
+    }
+
+    /// Folds a finished request's record into the registry, then keeps
+    /// it in the ring.
+    fn finish(&self, record: obs::RequestRecord) {
+        record.fold_into(&self.metrics);
+        self.obs.record(record);
     }
 
     /// The per-request observability surface (for in-process probing).
@@ -677,7 +682,6 @@ impl ServerState {
         let cache = successor.engine().order_cache();
         let keep = successor.fingerprints();
         let dropped = cache.retain_fingerprints(|fp| keep.binary_search(&fp).is_ok());
-        self.metrics.add("serve.reloads", 1);
         let doc = Json::Obj(vec![
             (
                 "rules".to_owned(),
@@ -706,7 +710,6 @@ impl ServerState {
     /// for a client that samples it programmatically mid-run, as
     /// perfbench reads it around each measured window.
     pub fn loadz_snapshot(&self) -> Json {
-        use cognicrypt_core::telemetry::Metric;
         let snapshot = self.metrics.snapshot();
         let counter = |name: &str| -> f64 {
             snapshot.get(name).and_then(Metric::as_counter).unwrap_or(0) as f64
@@ -766,30 +769,35 @@ impl ServerState {
         Json::Obj(members)
     }
 
-    /// The `/metrics` payload: the daemon registry and the current
-    /// engine registry merged (merge order cannot matter — that is the
-    /// registry's contract), plus the daemon-lifetime allocator gauges
-    /// from [`memtrack::process_stats`].
+    /// The `/metrics` payload: a snapshot of the daemon registry with
+    /// gauges added — the served pack's identity, the daemon-lifetime
+    /// allocator figures from [`memtrack::process_stats`] and the
+    /// latency quantiles ([`obs::RequestObs::export_gauges`]).
     pub fn render_metrics(&self) -> String {
-        let merged = MetricsRegistry::new();
-        merged.merge_from(&self.metrics);
+        let mut metrics = self.metrics.snapshot();
         let served = self.served();
-        merged.merge_from(served.engine().metrics());
-        if let Some(stats) = memtrack::process_stats() {
-            merged.set_gauge("mem.daemon.allocated_bytes", stats.allocated_bytes);
-            merged.set_gauge("mem.daemon.live_bytes", stats.live_bytes.max(0) as u64);
-            merged.set_gauge(
-                "mem.daemon.peak_live_bytes",
-                stats.peak_live_bytes.max(0) as u64,
-            );
-        }
         let boot = served.boot_stats();
-        merged.set_gauge("serve.pack.version", u64::from(boot.pack_version));
-        merged.set_gauge("serve.pack.fingerprint", boot.pack_fingerprint);
-        merged.set_gauge("serve.pack.rules", boot.rules as u64);
-        merged.set_gauge("serve.pack.precompiled", u64::from(boot.precompiled));
-        self.obs.export_gauges(&merged);
-        merged.render_text()
+        let mut gauges = vec![
+            ("serve.pack.version", u64::from(boot.pack_version)),
+            ("serve.pack.fingerprint", boot.pack_fingerprint),
+            ("serve.pack.rules", boot.rules as u64),
+            ("serve.pack.precompiled", u64::from(boot.precompiled)),
+        ];
+        if let Some(stats) = memtrack::process_stats() {
+            gauges.extend([
+                ("mem.daemon.allocated_bytes", stats.allocated_bytes),
+                ("mem.daemon.live_bytes", stats.live_bytes.max(0) as u64),
+                (
+                    "mem.daemon.peak_live_bytes",
+                    stats.peak_live_bytes.max(0) as u64,
+                ),
+            ]);
+        }
+        for (name, value) in gauges {
+            metrics.insert(name.to_owned(), Metric::Gauge(value));
+        }
+        self.obs.export_gauges(&mut metrics);
+        telemetry::metrics_text(&metrics)
     }
 }
 
@@ -1005,6 +1013,24 @@ fn accept_loop<S>(
                 }
             }
             Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Validation alone: no state is built, nothing bound or spawned.
+    #[test]
+    fn validate_bounds_the_worker_count_per_transport() {
+        for (threads, valid) in [(0, false), (1, true), (256, true), (257, false)] {
+            let config = ServeConfig {
+                threads,
+                ..ServeConfig::http("127.0.0.1:0")
+            };
+            let exit = config.validate().err().map(|e| e.exit_code());
+            assert_eq!(exit, (!valid).then_some(2), "{threads} threads");
         }
     }
 }

@@ -4,11 +4,12 @@
 //!
 //! * **Access records** — every request (including transport-level
 //!   rejections) gets a monotonic request id and a seed-derived FNV-1a
-//!   trace id, and lands as a [`RequestRecord`] in a fixed-capacity
-//!   ring buffer served as `GET /tracez` (newest first, `?errors=1`
-//!   keeps only non-`ok` outcomes). The ring is a single short-lived
-//!   mutex around a `VecDeque` — one push per request, no allocation
-//!   beyond the record itself once the ring is full.
+//!   trace id, and ends as one [`RequestRecord`], folded into the
+//!   daemon's registry and kept in a fixed-capacity ring buffer served
+//!   as `GET /tracez` (newest first, `?errors=1` keeps only non-`ok`
+//!   outcomes). The ring is a single short-lived mutex around a
+//!   `VecDeque` — one push per request, no allocation beyond the
+//!   record itself once the ring is full.
 //! * **Latency distributions** — one [`devharness::histogram`]
 //!   log-linear histogram per `transport.endpoint.class` key records
 //!   request wall time in nanoseconds, with the histogram's documented
@@ -24,15 +25,14 @@
 //!   and a capture holds only whole generations, so the served trace
 //!   always passes `trace-check`.
 //!
-//! Capacity 0 disables record keeping entirely (every `record` call
-//! returns immediately); the telemetry bench uses that as the baseline
-//! for the observability-overhead bound.
+//! Capacity 0 disables the ring and the histograms (`record` returns at
+//! once, the fold still runs): the telemetry bench's baseline.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use cognicrypt_core::telemetry::{GenRecord, MetricsRegistry, TraceRecorder};
+use cognicrypt_core::telemetry::{GenRecord, Metric, MetricsRegistry, TraceRecorder};
 use devharness::histogram::Histogram;
 use devharness::json::Json;
 
@@ -74,7 +74,7 @@ pub fn trace_id(seed: u64, request_id: u64) -> u64 {
 }
 
 /// One finished request, as surfaced in `/tracez`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RequestRecord {
     /// Monotonic per-daemon ordinal, starting at 1.
     pub request_id: u64,
@@ -95,6 +95,12 @@ pub struct RequestRecord {
     pub wall_ns: u64,
     /// Bytes allocated while handling the request.
     pub alloc_bytes: u64,
+    /// Peak live bytes while handling the request.
+    pub peak_live_bytes: u64,
+    /// Response body length.
+    pub response_bytes: u64,
+    /// Whether the request reached the `--slow-ms` threshold.
+    pub slow: bool,
     /// Compiled-ORDER cache hits of the generations the request
     /// completed: the sum over their records, so concurrent requests
     /// never count each other's traffic. Zero for requests that
@@ -107,6 +113,36 @@ pub struct RequestRecord {
 impl RequestRecord {
     fn is_error(&self) -> bool {
         self.class != "ok"
+    }
+
+    /// Adds this request to `registry` under the `serve.*` names: the
+    /// `requests` and `errors.<class>` counters; for a routed request
+    /// (a rejection never reached dispatch) also `requests.<endpoint>`,
+    /// the `request.alloc_bytes`, `request.peak_live_bytes` and
+    /// `response.bytes` histograms, and `request.panics`,
+    /// `requests.slow` and (a successful reload) `reloads`.
+    pub fn fold_into(&self, registry: &MetricsRegistry) {
+        registry.add("serve.requests", 1);
+        if self.is_error() {
+            registry.add(&format!("serve.errors.{}", self.class), 1);
+        }
+        if self.endpoint == "rejected" {
+            return;
+        }
+        registry.add(&format!("serve.requests.{}", self.endpoint), 1);
+        registry.observe("serve.request.peak_live_bytes", self.peak_live_bytes);
+        registry.observe("serve.request.alloc_bytes", self.alloc_bytes);
+        registry.observe("serve.response.bytes", self.response_bytes);
+        let reloaded = self.endpoint == "reload" && !self.is_error();
+        for (name, applies) in [
+            ("serve.request.panics", self.class == "panic"),
+            ("serve.requests.slow", self.slow),
+            ("serve.reloads", reloaded),
+        ] {
+            if applies {
+                registry.add(name, 1);
+            }
+        }
     }
 
     fn to_json(&self) -> Json {
@@ -144,7 +180,9 @@ pub struct RequestObs {
     capacity: usize,
     next_id: AtomicU64,
     ring: Mutex<VecDeque<RequestRecord>>,
-    latency: Mutex<BTreeMap<String, Histogram>>,
+    /// Keyed `[transport, endpoint, class]`, which sorts as the joined
+    /// `transport.endpoint.class` does.
+    latency: Mutex<BTreeMap<[&'static str; 3], Histogram>>,
 }
 
 impl RequestObs {
@@ -178,16 +216,10 @@ impl RequestObs {
         if self.capacity == 0 {
             return;
         }
-        {
-            let mut latency = lock(&self.latency);
-            latency
-                .entry(format!(
-                    "{}.{}.{}",
-                    record.transport, record.endpoint, record.class
-                ))
-                .or_default()
-                .record(record.wall_ns);
-        }
+        lock(&self.latency)
+            .entry([record.transport, record.endpoint, record.class])
+            .or_default()
+            .record(record.wall_ns);
         let mut ring = lock(&self.ring);
         if ring.len() == self.capacity {
             ring.pop_front();
@@ -224,7 +256,7 @@ impl RequestObs {
         Json::Obj(
             latency
                 .iter()
-                .map(|(key, hist)| (key.clone(), hist.to_json()))
+                .map(|(key, hist)| (key.join("."), hist.to_json()))
                 .collect(),
         )
     }
@@ -242,7 +274,7 @@ impl RequestObs {
         for (key, hist) in latency.iter() {
             out.push_str(&format!(
                 "{:<40} {:>10} {:>12.1} {:>12.1} {:>12.1} {:>12.1}\n",
-                key,
+                key.join("."),
                 hist.count(),
                 us(hist.quantile(0.50)),
                 us(hist.quantile(0.95)),
@@ -253,17 +285,21 @@ impl RequestObs {
         out
     }
 
-    /// Exports `serve.latency.<key>.{p50,p95,p99,max}_ns` gauges plus
-    /// the per-key request count into `registry` (the `/metrics`
-    /// render).
-    pub fn export_gauges(&self, registry: &MetricsRegistry) {
-        let latency = lock(&self.latency);
-        for (key, hist) in latency.iter() {
-            registry.set_gauge(&format!("serve.latency.{key}.count"), hist.count());
-            registry.set_gauge(&format!("serve.latency.{key}.p50_ns"), hist.quantile(0.50));
-            registry.set_gauge(&format!("serve.latency.{key}.p95_ns"), hist.quantile(0.95));
-            registry.set_gauge(&format!("serve.latency.{key}.p99_ns"), hist.quantile(0.99));
-            registry.set_gauge(&format!("serve.latency.{key}.max_ns"), hist.max());
+    /// Adds `serve.latency.<key>.{p50,p95,p99,max}_ns` gauges plus the
+    /// per-key request count to `metrics` (the `/metrics` render).
+    pub fn export_gauges(&self, metrics: &mut BTreeMap<String, Metric>) {
+        for (key, hist) in lock(&self.latency).iter() {
+            let key = key.join(".");
+            for (figure, value) in [
+                ("count", hist.count()),
+                ("p50_ns", hist.quantile(0.50)),
+                ("p95_ns", hist.quantile(0.95)),
+                ("p99_ns", hist.quantile(0.99)),
+                ("max_ns", hist.max()),
+            ] {
+                let name = format!("serve.latency.{key}.{figure}");
+                metrics.insert(name, Metric::Gauge(value));
+            }
         }
     }
 }
@@ -381,7 +417,7 @@ mod tests {
             wall_ns: 1000 * id,
             alloc_bytes: 64,
             cache_hits: 1,
-            cache_misses: 0,
+            ..RequestRecord::default()
         }
     }
 

@@ -48,7 +48,9 @@ impl ServedPack {
     /// artefacts and skips warm-up (the decoder refuses a pack lacking
     /// the artefact of any rule fingerprint); a source pack compiles
     /// every ORDER during warm-up. A successor of a `live` pack (a
-    /// hot-reload) shares its ORDER cache and metrics registry.
+    /// hot-reload) shares its ORDER cache; metrics are not the pack's
+    /// to share, since the engine keeps none (the daemon's registry
+    /// outlives every swap).
     ///
     /// # Errors
     ///

@@ -47,6 +47,17 @@ fn zero_threads_is_a_usage_error_with_exit_code_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker count past the per-transport ceiling is refused before any
+/// bind or spawn. The address cannot be bound either, so were the
+/// count let through, the run would end in an I/O error (exit 5)
+/// without starting a worker.
+#[test]
+fn serve_thread_count_past_the_ceiling_is_a_usage_error_with_exit_code_2() {
+    let out = run(&["serve", "--threads", "100000", "--listen", "256.0.0.1:0"]);
+    assert_eq!(exit_code(&out), 2, "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("at most 256 per transport, got 100000"));
+}
+
 #[test]
 fn usage_failures_all_exit_2() {
     assert_eq!(exit_code(&run(&[])), 2);

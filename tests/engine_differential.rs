@@ -125,7 +125,6 @@ fn observed_engine_hoists_like_the_unobserved_one() {
     }
     // The observer really ran: five span pairs per use case.
     assert_eq!(spans.0.load(Ordering::Relaxed), all_use_cases().len() * 5);
-    assert!(!observed.metrics().is_empty());
 }
 
 #[test]

@@ -26,9 +26,9 @@ use std::time::Duration;
 
 use cognicryptgen::core::memtrack::{self, AllocDelta, AllocScope, TrackingAlloc};
 use cognicryptgen::core::telemetry::{
-    validate_trace, GenObserver, Metric, Phase, Span, TraceRecorder,
+    validate_trace, GenObserver, Metric, MetricsRegistry, Phase, Span, TraceRecorder,
 };
-use cognicryptgen::core::{GenEngine, Template};
+use cognicryptgen::core::{EngineError, GenEngine, Generated, Template};
 use cognicryptgen::javamodel::jca::jca_type_table;
 use cognicryptgen::rules::{open, PackSource};
 use cognicryptgen::usecases::all_use_cases;
@@ -134,11 +134,14 @@ fn every_span_has_a_nonnegative_consistent_alloc_delta() {
     }
 }
 
-/// The engine's `mem.*` metrics, folded from the jobs' records in
-/// input order after the batch joined.
-fn mem_metrics(engine: &GenEngine) -> BTreeMap<String, Metric> {
-    engine
-        .metrics()
+/// The `mem.*` metrics of a batch: its slot records folded into a
+/// fresh registry.
+fn mem_metrics(results: Vec<Result<Generated, EngineError>>) -> BTreeMap<String, Metric> {
+    let registry = MetricsRegistry::new();
+    for result in results {
+        result.expect("generates").record.fold_into(&registry);
+    }
+    registry
         .snapshot()
         .into_iter()
         .filter(|(k, _)| k.starts_with("mem."))
@@ -156,9 +159,7 @@ fn warm_engine_mem_metrics_deterministic_across_threads_and_shuffles() {
         // (cache-hit) work and allocates identically.
         engine.warm().expect("warms");
         let permuted: Vec<Template> = order.iter().map(|&i| templates[i].clone()).collect();
-        let results = engine.generate_batch(&permuted, threads);
-        assert!(results.iter().all(Result::is_ok));
-        mem_metrics(&engine)
+        mem_metrics(engine.generate_batch(&permuted, threads))
     };
 
     let identity: Vec<usize> = (0..templates.len()).collect();

@@ -3,7 +3,7 @@
 //! and the `/profilez` capture window — over live transports, not the
 //! unit-level ring in `serve::obs`'s own tests.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 use cognicrypt_core::telemetry::validate_trace;
 use cognicryptgen::serve::{http, obs, ServeConfig, Server, ServerHandle};
@@ -283,10 +283,95 @@ fn loadz_snapshot_is_served_over_uds() {
     assert_eq!(responses[1].get("class").and_then(Json::as_str), Some("ok"));
     let body = responses[1].get("body").and_then(Json::as_str).unwrap();
     let doc = Json::parse(body).expect("loadz body is json");
-    // The in-flight `loadz` request's own counter merges only after the
-    // response is written, so only the earlier generate is guaranteed.
-    assert!(doc.get("requests").and_then(Json::as_u64).unwrap() >= 1);
+    // A request is counted once it finishes, so the in-flight `loadz`
+    // is not in its own snapshot: only the earlier generate is.
+    assert_eq!(doc.get("requests").and_then(Json::as_u64), Some(1));
     assert_eq!(doc.get("request_panics").and_then(Json::as_u64), Some(0));
+    handle.shutdown();
+}
+
+/// The counter and gauge lines of a `/metrics` body, by name.
+fn metric_values(body: &str) -> BTreeMap<String, u64> {
+    body.lines()
+        .filter_map(|line| match line.split(' ').collect::<Vec<_>>()[..] {
+            [name, "counter" | "gauge", value] => Some((name.to_owned(), value.parse().ok()?)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The daemon's books agree at rest: in one `/metrics` body,
+/// `serve.requests` is the sum of the `serve.latency.*.count` gauges,
+/// and `serve.errors.<class>` the sum of the gauges of that class. Both
+/// come from the one record each finished or rejected request folds,
+/// so the `/metrics` request in flight is in neither.
+#[cfg(unix)]
+#[test]
+fn metrics_books_agree_at_rest_over_http_and_uds() {
+    use cognicryptgen::serve::uds;
+
+    let socket = std::env::temp_dir().join(format!("cognicrypt-books-{}.sock", std::process::id()));
+    let config = ServeConfig {
+        uds_path: Some(socket.clone()),
+        ..ServeConfig::http("127.0.0.1:0")
+    };
+    let handle = Server::start(&config).expect("daemon boots");
+    let addr = handle.http_addr().expect("http bound").to_string();
+    // `serve.requests` under "" and `serve.errors.<class>` under the
+    // class, beside the sums of the matching latency counts.
+    let check = |body: &str| {
+        let (mut books, mut latency) = (BTreeMap::new(), BTreeMap::<String, u64>::new());
+        for (name, n) in metric_values(body) {
+            let key = name.strip_prefix("serve.latency.");
+            if let Some(key) = key.and_then(|key| key.strip_suffix(".count")) {
+                let class = key.rsplit('.').next().unwrap();
+                *latency.entry(String::new()).or_default() += n;
+                if class != "ok" {
+                    *latency.entry(class.to_owned()).or_default() += n;
+                }
+            } else if name == "serve.requests" {
+                books.insert(String::new(), n);
+            } else if let Some(class) = name.strip_prefix("serve.errors.") {
+                books.insert(class.to_owned(), n);
+            }
+        }
+        assert!(books.len() >= 3, "errors and rejections were sent: {body}");
+        assert_eq!(books, latency, "{body}");
+    };
+
+    for (method, path, code) in [
+        ("GET", "/generate/1", 200),
+        ("GET", "/generate/no-such-case", 400),
+        ("GET", "/no-such-route", 404),
+        ("GET", "/batch/0", 400),
+        ("GET", "/profilez", 404),
+        ("POST", "/reload", 200),
+        ("GET", "/loadz", 200),
+    ] {
+        assert_eq!(
+            http::request(&addr, method, path, "").unwrap().0,
+            code,
+            "{path}"
+        );
+    }
+    let (code, metrics) = http::request(&addr, "GET", "/metrics", "").unwrap();
+    assert_eq!(code, 200);
+    check(&metrics);
+
+    let lines = [
+        "generate 2",
+        "generate nope",
+        "no-such-verb",
+        "batch x",
+        "metrics",
+    ];
+    let responses = uds::request_lines(&socket, &lines).unwrap();
+    let class = |i: usize| responses[i].get("class").and_then(Json::as_str).unwrap();
+    assert_eq!(
+        (0..5).map(class).collect::<Vec<_>>(),
+        ["ok", "usage", "protocol", "protocol", "ok"]
+    );
+    check(responses[4].get("body").and_then(Json::as_str).unwrap());
     handle.shutdown();
 }
 
@@ -378,7 +463,11 @@ fn profilez_armed_under_concurrent_generates_serves_whole_generations() {
 /// `/tracez` cache counts are the sums of each request's own
 /// generation records: two clients generating different use cases at
 /// the same time on one warm daemon never count each other's ORDER
-/// lookups, and a request that generates nothing counts none.
+/// lookups, and a request that generates nothing counts none. The
+/// `/metrics` generation counters are folded from the same records
+/// into the daemon's registry, so a reload (which replaces the engine)
+/// loses none of them: they count every generation served, and their
+/// cache lookups are the `/tracez` sum.
 #[test]
 fn tracez_cache_counts_are_exact_per_request_under_concurrency() {
     let (handle, addr) = http_daemon(obs::DEFAULT_RING_CAPACITY);
@@ -390,8 +479,9 @@ fn tracez_cache_counts_are_exact_per_request_under_concurrency() {
     let cases = [("1", lookups("1")), ("11", lookups("11"))];
     assert_ne!(cases[0].1, cases[1].1, "the cases must differ to tell");
 
-    let (code, _) = http::request(&addr, "GET", "/healthz", "").unwrap();
-    assert_eq!(code, 200);
+    for (method, path) in [("GET", "/generate/1"), ("POST", "/reload")] {
+        assert_eq!(http::request(&addr, method, path, "").unwrap().0, 200);
+    }
     let start = std::sync::Barrier::new(cases.len());
     std::thread::scope(|scope| {
         for (id, _) in cases {
@@ -409,10 +499,12 @@ fn tracez_cache_counts_are_exact_per_request_under_concurrency() {
 
     let doc = get_json(&addr, "/tracez");
     let records = doc.get("records").and_then(Json::as_arr).unwrap();
-    assert_eq!(records.len(), 41);
+    assert_eq!(records.len(), 42);
+    let mut traffic = 0;
     for record in records {
         let count = |field: &str| record.get(field).and_then(Json::as_u64).unwrap();
         let lookups = count("cache_hits") + count("cache_misses");
+        traffic += lookups;
         match record.get("selector").and_then(Json::as_str) {
             Some(selector) => {
                 let (_, solo) = cases.iter().find(|(id, _)| *id == selector).unwrap();
@@ -422,5 +514,12 @@ fn tracez_cache_counts_are_exact_per_request_under_concurrency() {
             None => assert_eq!(lookups, 0, "{record:?}"),
         }
     }
+    let metrics = metric_values(&http::request(&addr, "GET", "/metrics", "").unwrap().1);
+    let value = |name: &str| metrics.get(name).copied().unwrap_or(0);
+    assert_eq!(value("phase.collect.spans"), 41);
+    assert_eq!(
+        value("order_cache.hits") + value("order_cache.misses"),
+        traffic
+    );
     handle.shutdown();
 }

@@ -8,7 +8,8 @@
 //!   counts that sum to `resolve.params`.
 //! * Batch records — slot `i` of a batch carries the record a solo
 //!   generate of template `i` produces, at any thread count.
-//! * Metrics determinism — engine metrics (minus the `order_cache.*`
+//! * Metrics determinism — a batch's slot records folded into a fresh
+//!   registry (minus the `order_cache.*`
 //!   hit/miss split, which races benignly on the shared cache, and the
 //!   `mem.*` allocation metrics, whose cold-engine values depend on
 //!   that same race — `tests/memtrack_trace.rs` pins them down on a
@@ -187,27 +188,28 @@ fn batch_slot_records_equal_solo_records_at_every_thread_count() {
     }
 }
 
-/// Engine metrics with the scheduling-dependent keys removed: the
-/// hit/miss split of the shared ORDER cache (two workers can race a
-/// first lookup and both record a miss),
-/// and the `mem.*` allocation metrics, since that same race changes how
-/// much compilation work — and thus allocation — each cold run performs
-/// (`tests/memtrack_trace.rs` asserts `mem.*` determinism on a warmed
-/// engine, where no such race exists).
-fn stable_metrics(engine: &GenEngine) -> BTreeMap<String, Metric> {
-    engine
-        .metrics()
+/// A batch's slot records folded into a fresh registry, with the
+/// scheduling-dependent keys removed: the hit/miss split of the shared
+/// ORDER cache (two workers can race a first lookup and both record a
+/// miss), and the `mem.*` allocation metrics, since that same race
+/// changes how much compilation work — and thus allocation — each cold
+/// run performs (`tests/memtrack_trace.rs` asserts `mem.*` determinism
+/// on a warmed engine, where no such race exists). Also returns the
+/// total of ORDER-cache lookups.
+fn stable_metrics(records: &[GenRecord]) -> (BTreeMap<String, Metric>, u64) {
+    let registry = MetricsRegistry::new();
+    for record in records {
+        record.fold_into(&registry);
+    }
+    let lookups = registry.counter("order_cache.hits")
+        + registry.counter("order_cache.misses")
+        + registry.counter("order_cache.uncached");
+    let stable = registry
         .snapshot()
         .into_iter()
         .filter(|(k, _)| !k.starts_with("order_cache.") && !k.starts_with("mem."))
-        .collect()
-}
-
-fn cache_lookups(engine: &GenEngine) -> u64 {
-    let m = engine.metrics();
-    m.counter("order_cache.hits")
-        + m.counter("order_cache.misses")
-        + m.counter("order_cache.uncached")
+        .collect();
+    (stable, lookups)
 }
 
 #[test]
@@ -218,9 +220,12 @@ fn metrics_are_deterministic_across_thread_counts_and_shuffles() {
     let run = |order: &[usize], threads: usize| {
         let engine = engine();
         let permuted: Vec<Template> = order.iter().map(|&i| templates[i].clone()).collect();
-        let results = engine.generate_batch(&permuted, threads);
-        assert!(results.iter().all(Result::is_ok));
-        (stable_metrics(&engine), cache_lookups(&engine))
+        let records: Vec<GenRecord> = engine
+            .generate_batch(&permuted, threads)
+            .into_iter()
+            .map(|result| result.expect("generates").record)
+            .collect();
+        stable_metrics(&records)
     };
 
     let identity: Vec<usize> = (0..templates.len()).collect();
